@@ -1,8 +1,9 @@
 """Command-line interface: parse JSON pair documents, dispatch the exact
 computations, and emit text/JSON/symbolic/decimal reports or SVG figures.
 
-Exit codes: 0 success, 2 parse error, 3 hypothesis violation (for example
-a non-full exponent lattice), 4 enumeration cap exceeded.
+Exit codes: 0 success, 2 parse error (including out-of-range flag values),
+3 hypothesis violation (for example a non-full exponent lattice),
+4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def pair_document(pair: MonomialPair, name=None) -> dict:
     return doc
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ParseError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _parse_place(text: str) -> Place:
     if text in ("inf", "infty", "oo"):
         return Place.infinite()
@@ -182,9 +189,10 @@ def _cap(args) -> int:
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ParseError(f"{CAP_ENV_VAR} must be an integer") from exc
+        return _at_least(CAP_ENV_VAR, value, 0)
     return DEFAULT_ENUMERATION_CAP
 
 
@@ -225,6 +233,7 @@ def cmd_chow(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    _at_least("--degree", args.degree, 0)
     exps, weights = parse_weight_document(_read_json(args.input))
     val = hilbert_weight(exps, weights, args.degree, _cap(args))
     payload = {"command": "hilbert", "degree": args.degree}
@@ -234,6 +243,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_hnorm(args) -> int:
+    _at_least("--degree", args.degree, 0)
     pair, name = parse_pair_document(_read_json(args.input))
     val = arithmetic_hilbert_norm(pair, args.degree, _cap(args))
     payload = {"command": "hnorm", "degree": args.degree}
@@ -249,10 +259,14 @@ def cmd_mixed_volume(args) -> int:
     rows = doc.get("polytopes") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ParseError("expected a 'polytopes' array of vertex lists")
+    n = len(rows)
     polys = []
     for row in rows:
         if not isinstance(row, list) or not row:
             raise ParseError("each polytope is a nonempty array of points")
+        bad = next((pt for pt in row if not isinstance(pt, list) or len(pt) != n), None)
+        if bad is not None:
+            raise ParseError(f"need n polytopes in dimension n; got {n} and the point {bad!r}")
         polys.append(convex_hull([tuple(_parse_rational(x) for x in pt) for pt in row]))
     val = as_loglinear(mixed_volume(polys))
     payload = {"command": "mixed-volume"}
@@ -338,6 +352,7 @@ def cmd_compose(args) -> int:
     elif args.operation == "veronese":
         if args.degree is None:
             raise ParseError("compose veronese needs --degree")
+        _at_least("--degree", args.degree, 1)
         p1, n1 = parse_pair_document(_read_json(args.input))
         out = veronese(p1, args.degree)
         name = f"veronese({n1 or 'a'},{args.degree})"
@@ -611,6 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _at_least("--bits", args.bits, 16)
+        if args.cap is not None:
+            _at_least("--cap", args.cap, 0)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

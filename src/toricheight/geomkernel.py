@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .exactnum import LogLinearNumber, as_fraction, value_sign
 
@@ -117,7 +117,6 @@ def _solve_linear(a_rows, b):
     n = len(a_rows)
     m = [list(map(as_fraction, r)) for r in a_rows]
     rhs = [_as_value(x) for x in b]
-    perm = list(range(n))
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c] != 0), None)
         if piv is None:
@@ -137,29 +136,7 @@ def _solve_linear(a_rows, b):
         for j in range(i + 1, n):
             acc = acc - x[j] * m[i][j]
         x[i] = acc / m[i][i]
-    del perm
     return x
-
-
-def _rank_rational(vectors) -> int:
-    rows = [list(map(as_fraction, v)) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivots = []
-    for v in rows:
-        v = list(v)
-        for col, prow in pivots:
-            if v[col]:
-                f = v[col]
-                v = [a - f * b for a, b in zip(v, prow)]
-        col = next((j for j in range(cols) if v[j] != 0), None)
-        if col is None:
-            continue
-        inv = Fraction(1) / v[col]
-        v = [a * inv for a in v]
-        pivots.append((col, v))
-        rank += 1
-    return rank
 
 
 class _AffineRank:
@@ -207,6 +184,13 @@ class _AffineRank:
             self.pivots.append((self.dim - 1, v))
             self.has_residual = False
         return True
+
+
+def _rank(vectors) -> int:
+    tracker = _AffineRank(len(vectors[0]))
+    for v in vectors:
+        tracker.try_add(v)
+    return tracker.rank
 
 
 def _affine_basis(points):
@@ -370,21 +354,21 @@ class _Chart:
 class Polytope:
     """Exact convex polytope: vertex list (extreme points only) plus
     supporting halfspaces.  Lower-dimensional rational polytopes carry an
-    affine chart; lifted polytopes (last coordinate log-linear) expose
-    their upper/lower graph cells."""
+    affine chart and the polytope in chart coordinates; full-dimensional
+    ones carry a simplicial boundary for volumes and triangulations."""
 
-    def __init__(self, ambient_dim, affine_dim, vertices, facets, kind, **extra):
+    def __init__(
+        self, ambient_dim, affine_dim, vertices, facets, kind,
+        chart=None, inner=None, boundary=None,
+    ):
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self.vertices = vertices
         self.facets = facets
         self._kind = kind
-        self._chart = extra.get("chart")
-        self._inner = extra.get("inner")
-        self._boundary = extra.get("boundary")  # simplicial boundary, point tuples
-        self._upper_cells = extra.get("upper_cells")
-        self._lower_cells = extra.get("lower_cells")
-        self._proj = extra.get("proj")
+        self._chart = chart
+        self._inner = inner
+        self._boundary = boundary  # simplicial boundary, point tuples
         self._volume = None
 
     # -- basic protocol -------------------------------------------------
@@ -451,18 +435,6 @@ class Polytope:
                 self._volume = total / factorial(d)
         return self._volume
 
-    # -- lifted accessors ---------------------------------------------------
-
-    def upper_cells(self):
-        if self._upper_cells is None:
-            raise ValueError("not a lifted polytope")
-        return self._upper_cells
-
-    def lower_cells(self):
-        if self._lower_cells is None:
-            raise ValueError("not a lifted polytope")
-        return self._lower_cells
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -474,16 +446,10 @@ def _merge_facets(points, simplicial, keep_ids):
     d = len(points[0])
     groups = {}
     for F in simplicial:
-        denoms = [as_fraction(x).denominator for x in F.normal] + [
-            as_fraction(F.offset).denominator
-        ]
-        lcm = 1
-        for q in denoms:
-            lcm = lcm * q // _gcd(lcm, q)
-        ints = [int(as_fraction(x) * lcm) for x in F.normal] + [int(as_fraction(F.offset) * lcm)]
-        g = 0
-        for z in ints:
-            g = _gcd(g, abs(z))
+        coeffs = [as_fraction(x) for x in F.normal] + [as_fraction(F.offset)]
+        scale = lcm(*(q.denominator for q in coeffs))
+        ints = [int(q * scale) for q in coeffs]
+        g = gcd(*ints)
         key = tuple(z // g for z in ints)
         groups.setdefault(key, []).append(F)
     merged = []
@@ -501,15 +467,9 @@ def _merge_facets(points, simplicial, keep_ids):
     vertex_ids = []
     for i in sorted(candidates):
         active = [normal for normal, offset, members in merged if i in members]
-        if len(active) >= d and _rank_rational(active) == d:
+        if len(active) >= d and _rank(active) == d:
             vertex_ids.append(i)
     return merged, vertex_ids
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _build_rational(points):
@@ -605,33 +565,18 @@ def _build_lifted(points):
         lo = min(lifts)
         hi = max(lifts)
         if value_sign(hi - lo) == 0:
-            cell = AffineCell((tuple(),), (), lo)
-            return Polytope(
-                1, 0, ((lo,),), (Facet((Fraction(1),), lo, (0,)), Facet((Fraction(-1),), -lo, (0,))),
-                "lifted-flat", upper_cells=(cell,), lower_cells=(cell,), proj=proj,
-            )
-        up = AffineCell((tuple(),), (), hi)
-        down = AffineCell((tuple(),), (), lo)
+            facets = (Facet((Fraction(1),), lo, (0,)), Facet((Fraction(-1),), -lo, (0,)))
+            return Polytope(1, 0, ((lo,),), facets, "lifted-flat")
         verts = ((lo,), (hi,))
         facets = (Facet((Fraction(1),), hi, (1,)), Facet((Fraction(-1),), -lo, (0,)))
         boundary = (((hi,),), ((lo,),))
-        return Polytope(
-            1, 1, verts, facets, "lifted-full",
-            upper_cells=(up,), lower_cells=(down,), proj=proj, boundary=boundary,
-        )
-    tracker = _AffineRank(d)
-    for p in points[1:]:
-        tracker.try_add(_vsub(p, points[0]))
-    rank = tracker.rank
-    if rank == k:
+        return Polytope(1, 1, verts, facets, "lifted-full", boundary=boundary)
+    if _affine_basis(points)[1] == k:
         gradient, offset = _flat_affine(points)
         cell = AffineCell(proj.vertices, gradient, offset)
         verts = tuple((*b, cell.value_at(b)) for b in proj.vertices)
         facets = _lifted_facets([cell], [cell], proj, verts)
-        return Polytope(
-            d, k, verts, facets, "lifted-flat",
-            upper_cells=(cell,), lower_cells=(cell,), proj=proj,
-        )
+        return Polytope(d, k, verts, facets, "lifted-flat")
     simplicial = _hull_core(points)
     upper = _env_cells_from_facets(points, simplicial, +1)
     lower = _env_cells_from_facets(points, simplicial, -1)
@@ -645,10 +590,19 @@ def _build_lifted(points):
     verts = tuple(sorted(_dedup(vset)))
     facets = _lifted_facets(upper, lower, proj, verts)
     boundary = tuple(tuple(points[i] for i in sorted(F.ids)) for F in simplicial)
-    return Polytope(
-        d, d, verts, facets, "lifted-full",
-        upper_cells=tuple(upper), lower_cells=tuple(lower), proj=proj, boundary=boundary,
-    )
+    return Polytope(d, d, verts, facets, "lifted-full", boundary=boundary)
+
+
+def _upper_cells(points):
+    """Upper graph cells of deduplicated lifted points whose bases span
+    their space: the regular subdivision a roof reads.  Builds no lower
+    cells and no lifted facets; the bases are hulled only for a flat lift."""
+    k = len(points[0]) - 1
+    if _affine_basis(points)[1] == k:
+        gradient, offset = _flat_affine(points)
+        bases = _build_rational(_dedup([p[:k] for p in points]))
+        return [AffineCell(bases.vertices, gradient, offset)]
+    return _env_cells_from_facets(points, _hull_core(points), +1)
 
 
 def _lifted_facets(upper, lower, proj, vertices):
@@ -726,8 +680,7 @@ def upper_envelope(points) -> list[AffineCell]:
         origin = bases[basis[0]]
         chart = _Chart(origin, [_vsub(bases[b], origin) for b in basis[1:]])
         gens = [(chart.to_chart(b), lift) for b, lift in gens]
-    hull = _build_lifted([(*b, lift) for b, lift in gens])
-    cells = list(hull.upper_cells())
+    cells = _upper_cells([(*b, lift) for b, lift in gens])
     if chart is not None:
         out = []
         for cell in cells:
@@ -855,7 +808,7 @@ def intersect_polytopes(p: Polytope, q: Polytope):
     candidates = []
     for subset in itertools.combinations(range(len(constraints)), d):
         rows = [constraints[i][0] for i in subset]
-        if _rank_rational(rows) != d:
+        if _rank(rows) != d:
             continue
         x = _solve_linear(rows, [constraints[i][1] for i in subset])
         x = tuple(x)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .exactnum import LogLinearNumber, as_fraction, value_sign
+from .exactnum import as_fraction, value_sign
 from .geomkernel import (
     AffineCell,
     Face,
@@ -24,7 +24,8 @@ from .geomkernel import (
     triangulate,
     upper_envelope,
     intersect_polytopes,
-    _dot,
+    _as_value,
+    _dedup,
     _vsub,
 )
 
@@ -45,12 +46,6 @@ __all__ = [
 class LiftedPoint(NamedTuple):
     base: tuple
     lift: object
-
-
-def _as_value(x):
-    if isinstance(x, LogLinearNumber):
-        return x.constant if x.is_rational else x
-    return as_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -89,12 +84,7 @@ def roof_from_generators(generators) -> Roof:
     gens = []
     for base, lift in generators:
         gens.append(LiftedPoint(tuple(as_fraction(x) for x in base), _as_value(lift)))
-    seen = set()
-    deduped = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            deduped.append(g)
+    deduped = _dedup(gens)
     domain = convex_hull([g.base for g in deduped])
     cells = tuple(upper_envelope(deduped))
     return Roof(domain, cells, tuple(deduped))

@@ -231,6 +231,35 @@ class TestExitCodes:
         monkeypatch.setenv("TORIC_HEIGHT_CAP", "10")
         assert run(capsys, "hnorm", cubic_path, "--degree", "9")[0] == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bits", "8", "height", "{cubic}"],
+            ["height", "{cubic}", "--bits", "15"],
+            ["hilbert", "{weights}", "--degree", "-1"],
+            ["hnorm", "{cubic}", "--degree", "-2"],
+            ["compose", "veronese", "{cubic}", "--degree", "0"],
+            ["hnorm", "{cubic}", "--degree", "3", "--cap", "-1"],
+            ["mixed-volume", "{one_triangle}"],
+            ["mixed-volume", "{mixed_dims}"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_input(self, capsys, tmp_path, argv):
+        docs = {
+            "cubic": CUBIC_DOC,
+            "weights": {"exponents": [[0], [1], [2]], "weights": ["1", "0", "2"]},
+            "one_triangle": {"polytopes": [[[0, 0], [1, 0], [0, 1]]]},
+            "mixed_dims": {"polytopes": [[[0, 0], [1, 0], [0, 1]], [[0], [1]]]},
+        }
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRoofJson:
     def test_schema(self):

@@ -184,6 +184,72 @@ class TestUpperEnvelope:
                 gap = value(mid) - (t * value(x) + (1 - t) * value(y))
                 assert certified_sign(gap) >= 0
 
+    # 2-D envelopes, checked against the full lifted hull of convex_hull
+
+    @staticmethod
+    def random_lift(rng):
+        return rng.randint(-3, 3) * log2 + rng.randint(-2, 2) * log3 + F(rng.randint(-3, 3), rng.randint(1, 2))
+
+    def test_flat_lift_2d(self):
+        rng = random.Random(67)
+        for _ in range(15):
+            bases = list({(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 7))})
+            domain = convex_hull(bases)
+            if not domain.is_full_dimensional:
+                continue
+            g = (rng.randint(-2, 2) * log2 + 1, F(rng.randint(-2, 2), 3))
+            h = self.random_lift(rng)
+            cells = upper_envelope([(b, g[0] * b[0] + g[1] * b[1] + h) for b in bases])
+            assert len(cells) == 1
+            assert sorted(cells[0].vertices) == sorted(domain.vertices)
+            assert cells[0].gradient == g and cells[0].offset == h
+
+    def test_collinear_bases_2d(self):
+        rng = random.Random(71)
+        for _ in range(15):
+            origin = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
+            step = (F(rng.randint(1, 3)), F(rng.randint(-3, 3)))
+            ts = sorted({rng.randint(-3, 3) for _ in range(rng.randint(2, 6))})
+            if len(ts) < 2:
+                continue
+            lifts = [self.random_lift(rng) for _ in ts]
+            cells = upper_envelope(
+                [((origin[0] + t * step[0], origin[1] + t * step[1]), y) for t, y in zip(ts, lifts)]
+            )
+            line = upper_envelope([((t,), y) for t, y in zip(ts, lifts)])
+            assert len(cells) == len(line)
+            for cell, piece in zip(cells, line):
+                assert cell.vertices == tuple(
+                    (origin[0] + t * step[0], origin[1] + t * step[1]) for (t,) in piece.vertices
+                )
+                for v, (t,) in zip(cell.vertices, piece.vertices):
+                    assert cell.value_at(v) == piece.value_at((t,))
+
+    def test_cells_against_lifted_hull_2d(self):
+        rng = random.Random(73)
+        checked = 0
+        for _ in range(30):
+            gens = [
+                ((rng.randint(-2, 2), rng.randint(-2, 2)), self.random_lift(rng))
+                for _ in range(rng.randint(3, 7))
+            ]
+            domain = convex_hull([b for b, _ in gens])
+            if not domain.is_full_dimensional:
+                continue
+            cells = upper_envelope(gens)
+            hull = convex_hull([(*b, y) for b, y in gens])
+            hull_vertices = set(hull.vertices)
+            area = F(0)
+            for cell in cells:
+                for v in cell.vertices:
+                    assert (*v, cell.value_at(v)) in hull_vertices
+                for b, y in gens:
+                    assert certified_sign(cell.value_at(tuple(map(F, b))) - y) >= 0
+                area += volume(convex_hull(cell.vertices))
+            assert area == volume(domain)
+            checked += 1
+        assert checked >= 20
+
 
 class TestVolume:
     def test_segment(self):
