@@ -3,6 +3,7 @@ multiheights of projective monomial varieties over Q, as symbolic
 combinations of logarithms of primes."""
 
 from .errors import (
+    DimensionLimitError,
     EnumerationCapError,
     LatticeHypothesisError,
     ParseError,

@@ -1,9 +1,11 @@
 """Command-line interface: parse JSON pair documents, dispatch the exact
 computations, and emit text/JSON/symbolic/decimal reports or SVG figures.
 
-Exit codes: 0 success, 2 parse error (including out-of-range flag values),
-3 hypothesis violation (for example a non-full exponent lattice),
-4 enumeration cap exceeded.
+Exit codes: 0 success, 2 parse error (including out-of-range flag values
+and a document of the wrong shape, such as ``mixed-integral`` weights that
+are not n+1 documents of one exponent dimension n), 3 hypothesis violation
+(for example a non-full exponent lattice), 4 enumeration cap exceeded,
+5 ambient dimension above the supported bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import EnumerationCapError, LatticeHypothesisError, ParseError
+from .errors import DimensionLimitError, EnumerationCapError, LatticeHypothesisError, ParseError
 from .exactnum import LogLinearNumber, Place, approximate, as_loglinear
 from .geomkernel import convex_hull
 from .mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
@@ -280,11 +282,15 @@ def cmd_mixed_integral(args) -> int:
     rows = doc.get("weights") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ParseError("expected a 'weights' array of weight documents")
-    roofs = []
-    for entry in rows:
-        exps, weights = parse_weight_document(entry)
-        roofs.append(roof_from_weight(exps, weights))
-    val = mixed_integral(roofs)
+    docs = [parse_weight_document(entry) for entry in rows]
+    dims = sorted({len(exps[0]) for exps, _ in docs})
+    if len(dims) != 1:
+        raise ParseError(f"weight documents must share one exponent dimension; got {dims}")
+    if len(docs) != dims[0] + 1:
+        raise ParseError(
+            f"need {dims[0] + 1} weight documents for exponent dimension {dims[0]}; got {len(docs)}"
+        )
+    val = mixed_integral([roof_from_weight(exps, weights) for exps, weights in docs])
     payload = {"command": "mixed-integral"}
     payload.update(_value_fields(val, args.bits))
     _emit(args, payload, val)
@@ -639,6 +645,9 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except DimensionLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

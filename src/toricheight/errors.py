@@ -1,4 +1,5 @@
-"""Exception types shared across the package and mapped to CLI exit codes."""
+"""Exception types shared across the package and mapped to CLI exit codes
+(2 parse, 3 hypothesis, 4 enumeration cap, 5 dimension limit)."""
 
 
 class ToricHeightError(Exception):
@@ -6,7 +7,9 @@ class ToricHeightError(Exception):
 
 
 class ParseError(ToricHeightError):
-    """Malformed input document or unparsable number (CLI exit code 2)."""
+    """Malformed input document, unparsable number, or a document of the
+    wrong shape, such as ``mixed-integral`` weights that are not n+1
+    documents of one exponent dimension n (CLI exit code 2)."""
 
 
 class LatticeHypothesisError(ToricHeightError):
@@ -17,3 +20,9 @@ class LatticeHypothesisError(ToricHeightError):
 class EnumerationCapError(ToricHeightError):
     """A monomial enumeration would exceed the configured cap (CLI exit
     code 4)."""
+
+
+class DimensionLimitError(ToricHeightError, ValueError):
+    """A hull in an ambient dimension above ``geomkernel.MAX_DIMENSION``
+    (one more for a lifted coordinate) was requested (CLI exit code 5).
+    It is a ``ValueError`` so that callers catching that keep working."""

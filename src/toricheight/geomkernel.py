@@ -11,10 +11,11 @@ triangulation from a vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from .errors import DimensionLimitError
 from .exactnum import LogLinearNumber, as_fraction, value_sign
 
 __all__ = [
@@ -195,7 +196,7 @@ def _rank(vectors) -> int:
 
 def _affine_basis(points):
     """Indices of an affinely independent spanning subset, first point first."""
-    tracker = _AffineRank(len(points[0]) if points[0] else 0)
+    tracker = _AffineRank(len(points[0]))
     basis = [0]
     for i in range(1, len(points)):
         if tracker.try_add(_vsub(points[i], points[0])):
@@ -239,12 +240,10 @@ def _oriented_facet(ids, points, interior):
     return _SimplicialFacet(frozenset(ids), normal, offset)
 
 
-def _hull_core(points):
-    """Simplicial boundary facets of the hull of full-dimensional points."""
+def _hull_core(points, basis):
+    """Simplicial boundary facets of the hull of full-dimensional points,
+    given the indices of d+1 affinely independent ones."""
     d = len(points[0])
-    basis, rank = _affine_basis(points)
-    if rank != d:
-        raise ValueError("hull core requires full-dimensional input")
     interior = tuple(
         sum((points[i][j] for i in basis), Fraction(0)) / (d + 1) for j in range(d)
     )
@@ -289,11 +288,16 @@ class Facet:
 
 @dataclass(frozen=True)
 class AffineCell:
-    """A cell of a regular subdivision together with its affine function."""
+    """A cell of a regular subdivision: the rational polytope it covers
+    plus the affine function of the envelope over it."""
 
-    vertices: tuple  # extreme points of the cell (rational)
+    polytope: Polytope = field(hash=False)
     gradient: tuple
     offset: object
+
+    @property
+    def vertices(self):
+        return self.polytope.vertices
 
     def value_at(self, x):
         return _dot(self.gradient, x) + self.offset
@@ -475,18 +479,13 @@ def _merge_facets(points, simplicial, keep_ids):
 def _build_rational(points):
     """Polytope of deduplicated rational points (any affine dimension)."""
     d = len(points[0])
-    if d == 0:
-        return Polytope(0, 0, (tuple(),), (), "point")
     basis, rank = _affine_basis(points)
     if rank == 0:
         return Polytope(d, 0, (points[0],), (), "point")
     if rank < d:
         chart = _Chart(points[basis[0]], [_vsub(points[b], points[basis[0]]) for b in basis[1:]])
-        inner_pts = [chart.to_chart(p) for p in points]
-        inner = _build_rational(inner_pts)
-        verts = tuple(chart.to_ambient(v) for v in inner.vertices)
-        return Polytope(d, inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
-    simplicial = _hull_core(points)
+        return _embed(chart, _build_rational([chart.to_chart(p) for p in points]))
+    simplicial = _hull_core(points, basis)
     merged, vertex_ids = _merge_facets(points, simplicial, range(len(points)))
     order = {pid: k for k, pid in enumerate(vertex_ids)}
     vertices = tuple(points[i] for i in vertex_ids)
@@ -496,6 +495,12 @@ def _build_rational(points):
     )
     boundary = tuple(tuple(points[i] for i in sorted(F.ids)) for F in simplicial)
     return Polytope(d, d, vertices, facets, "full", boundary=boundary)
+
+
+def _embed(chart, inner):
+    """The polytope given in chart coordinates, in ambient coordinates."""
+    verts = tuple(chart.to_ambient(v) for v in inner.vertices)
+    return Polytope(len(chart.origin), inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
 
 
 def _env_cells_from_facets(points, facets, side):
@@ -515,8 +520,7 @@ def _env_cells_from_facets(points, facets, side):
     cells = []
     for (gradient, offset), ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
         bases = [points[i][:k] for i in sorted(ids)]
-        proj = _build_rational(_dedup(bases))
-        cells.append(AffineCell(proj.vertices, gradient, offset))
+        cells.append(AffineCell(_build_rational(_dedup(bases)), gradient, offset))
     return cells
 
 
@@ -530,20 +534,14 @@ def _dedup(points):
     return out
 
 
-def _flat_affine(points):
+def _flat_affine(points, basis):
     """Affine function through lifted points lying on one non-vertical
-    hyperplane; bases must span the base space."""
+    hyperplane, solved through an affine basis of the lifted points; the
+    bases span the base space, so the basis points' bases are affinely
+    independent."""
     k = len(points[0]) - 1
-    bases = [p[:k] for p in points]
-    tracker = _AffineRank(k) if k else None
-    chosen = [0]
-    for i in range(1, len(points)):
-        if k == 0:
-            break
-        if tracker.try_add(_vsub(bases[i], bases[0])):
-            chosen.append(i)
-    rows = [list(bases[i]) + [Fraction(1)] for i in chosen]
-    rhs = [points[i][k] for i in chosen]
+    rows = [list(points[i][:k]) + [Fraction(1)] for i in basis]
+    rhs = [points[i][k] for i in basis]
     sol = _solve_linear(rows, rhs)
     return tuple(sol[:k]), sol[k]
 
@@ -571,13 +569,13 @@ def _build_lifted(points):
         facets = (Facet((Fraction(1),), hi, (1,)), Facet((Fraction(-1),), -lo, (0,)))
         boundary = (((hi,),), ((lo,),))
         return Polytope(1, 1, verts, facets, "lifted-full", boundary=boundary)
-    if _affine_basis(points)[1] == k:
-        gradient, offset = _flat_affine(points)
-        cell = AffineCell(proj.vertices, gradient, offset)
+    basis, rank = _affine_basis(points)
+    if rank == k:
+        cell = AffineCell(proj, *_flat_affine(points, basis))
         verts = tuple((*b, cell.value_at(b)) for b in proj.vertices)
         facets = _lifted_facets([cell], [cell], proj, verts)
         return Polytope(d, k, verts, facets, "lifted-flat")
-    simplicial = _hull_core(points)
+    simplicial = _hull_core(points, basis)
     upper = _env_cells_from_facets(points, simplicial, +1)
     lower = _env_cells_from_facets(points, simplicial, -1)
     vset = []
@@ -598,11 +596,11 @@ def _upper_cells(points):
     their space: the regular subdivision a roof reads.  Builds no lower
     cells and no lifted facets; the bases are hulled only for a flat lift."""
     k = len(points[0]) - 1
-    if _affine_basis(points)[1] == k:
-        gradient, offset = _flat_affine(points)
+    basis, rank = _affine_basis(points)
+    if rank == k:
         bases = _build_rational(_dedup([p[:k] for p in points]))
-        return [AffineCell(bases.vertices, gradient, offset)]
-    return _env_cells_from_facets(points, _hull_core(points), +1)
+        return [AffineCell(bases, *_flat_affine(points, basis))]
+    return _env_cells_from_facets(points, _hull_core(points, basis), +1)
 
 
 def _lifted_facets(upper, lower, proj, vertices):
@@ -646,8 +644,12 @@ def convex_hull(points) -> Polytope:
     if d == 0:
         return Polytope(0, 0, (tuple(),), (), "point")
     lifted = any(_is_lifted(p[-1]) for p in pts)
-    if d > MAX_DIMENSION + (1 if lifted else 0):
-        raise ValueError(f"ambient dimension {d} exceeds the supported bound")
+    bound = MAX_DIMENSION + (1 if lifted else 0)
+    if d > bound:
+        raise DimensionLimitError(
+            f"ambient dimension {d} exceeds the supported bound {bound} "
+            f"(MAX_DIMENSION = {MAX_DIMENSION}, one more for a lifted hull)"
+        )
     if lifted:
         return _build_lifted(pts)
     return _build_rational(sorted(pts))
@@ -674,7 +676,8 @@ def upper_envelope(points) -> list[AffineCell]:
         for _, lift in gens[1:]:
             if value_sign(lift - best) > 0:
                 best = lift
-        return [AffineCell((bases[0],), tuple(Fraction(0) for _ in range(k)), best)]
+        point = Polytope(k, 0, (bases[0],), (), "point")
+        return [AffineCell(point, tuple(Fraction(0) for _ in range(k)), best)]
     chart = None
     if rank < k:
         origin = bases[basis[0]]
@@ -682,13 +685,10 @@ def upper_envelope(points) -> list[AffineCell]:
         gens = [(chart.to_chart(b), lift) for b, lift in gens]
     cells = _upper_cells([(*b, lift) for b, lift in gens])
     if chart is not None:
-        out = []
-        for cell in cells:
-            g_amb, off_amb = chart.pullback_affine(cell.gradient, cell.offset)
-            out.append(
-                AffineCell(tuple(chart.to_ambient(v) for v in cell.vertices), g_amb, off_amb)
-            )
-        cells = out
+        cells = [
+            AffineCell(_embed(chart, cell.polytope), *chart.pullback_affine(cell.gradient, cell.offset))
+            for cell in cells
+        ]
     return cells
 
 
@@ -752,14 +752,7 @@ class FaceLattice:
                     changed = True
         faces = []
         for ids in sets:
-            pts = [polytope.vertices[i] for i in sorted(ids)]
-            if len(pts) == 1:
-                dim = 0
-            else:
-                tracker = _AffineRank(polytope.ambient_dim)
-                for q in pts[1:]:
-                    tracker.try_add(_vsub(q, pts[0]))
-                dim = tracker.rank
+            _, dim = _affine_basis([polytope.vertices[i] for i in sorted(ids)])
             faces.append(Face(dim, frozenset(ids)))
         self.faces = sorted(faces, key=lambda f: (f.dim, sorted(f.vertex_ids)))
         self._poly_cache = {}

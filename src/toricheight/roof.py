@@ -129,8 +129,7 @@ def roof_integral(f: Roof):
         return Fraction(0)
     total = Fraction(0)
     for cell in f.cells:
-        piece = convex_hull(cell.vertices)
-        for simplex in triangulate(piece):
+        for simplex in triangulate(cell.polytope):
             vol = det([_vsub(q, simplex[0]) for q in simplex[1:]])
             if value_sign(vol) < 0:
                 vol = -vol
@@ -190,14 +189,12 @@ def roof_pointwise_sum(f: Roof, g: Roof) -> Roof:
         return roof_from_generators(gens)
     cells = []
     for cf in f.cells:
-        pf = convex_hull(cf.vertices)
         for cg in g.cells:
-            pg = convex_hull(cg.vertices)
-            common = intersect_polytopes(pf, pg)
+            common = intersect_polytopes(cf.polytope, cg.polytope)
             if common is None or common.affine_dim < r:
                 continue
             gradient = tuple(a + b for a, b in zip(cf.gradient, cg.gradient))
-            cells.append(AffineCell(common.vertices, gradient, cf.offset + cg.offset))
+            cells.append(AffineCell(common, gradient, cf.offset + cg.offset))
     gens = {}
     for cell in cells:
         for v in cell.vertices:

@@ -21,8 +21,8 @@ from .exactnum import (
     relevant_places,
     value_sign,
 )
-from .geomkernel import Face, FaceLattice, Polytope, convex_hull, face_lattice, lattice_normalize
-from .roof import Roof, roof_from_weight, roof_integral
+from .geomkernel import Face, FaceLattice, Polytope, _as_value, convex_hull, face_lattice, lattice_normalize
+from .roof import roof_from_weight, roof_integral
 
 __all__ = [
     "MonomialPair",
@@ -124,14 +124,10 @@ def weight_vector(pair: MonomialPair, v: Place) -> list[LogLinearNumber]:
     return [log_abs(c, v) for c in pair.coefficients]
 
 
-def _normalized_exponents(pair: MonomialPair):
-    return lattice_normalize(pair.exponents)
-
-
 def degree(pair: MonomialPair) -> int:
     """Lattice-normalized volume degree: r! times the volume of the hull of
     the exponents measured in their difference lattice."""
-    coords, r, _ = _normalized_exponents(pair)
+    coords, r, _ = lattice_normalize(pair.exponents)
     if r == 0:
         return 1
     vol = convex_hull([tuple(map(Fraction, b)) for b in coords]).volume()
@@ -141,18 +137,14 @@ def degree(pair: MonomialPair) -> int:
     return int(d)
 
 
-def _local_roof(coords, pair, v) -> Roof:
-    return roof_from_weight(coords, weight_vector(pair, v))
-
-
 def normalized_height(pair: MonomialPair) -> HeightReport:
     """Canonical height of the projective monomial variety: (r+1)! times
     the sum over places of the local roof integrals."""
-    coords, r, _ = _normalized_exponents(pair)
+    coords, r, _ = lattice_normalize(pair.exponents)
     per = []
     total = LogLinearNumber()
     for v in relevant_places(pair.coefficients):
-        local = as_loglinear(roof_integral(_local_roof(coords, pair, v)))
+        local = as_loglinear(roof_integral(roof_from_weight(coords, weight_vector(pair, v))))
         per.append((v, local))
         total = total + local
     scale = factorial(r + 1)
@@ -175,14 +167,8 @@ def chow_weight(exponents, weights) -> LogLinearNumber:
     """Weighted degree of the associated one-parameter degeneration:
     (n+1)! times the integral of the roof of the weights."""
     exponents, n = _require_full_lattice(exponents)
-    roof = roof_from_weight(exponents, [_weight_value(w) for w in weights])
+    roof = roof_from_weight(exponents, weights)
     return as_loglinear(roof_integral(roof) * factorial(n + 1))
-
-
-def _weight_value(w):
-    if isinstance(w, LogLinearNumber):
-        return w
-    return as_fraction(w)
 
 
 def _compositions(total: int, parts: int):
@@ -198,7 +184,7 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
     """Sum over the degree-d monomial fibers of the maximal weight of a
     representative, enumerated exhaustively."""
     exponents, n = _require_full_lattice(exponents)
-    weights = [_weight_value(w) for w in weights]
+    weights = [_as_value(w) for w in weights]
     if len(weights) != len(exponents):
         raise ValueError("exponents and weights must have equal length")
     if degree_d < 0:
@@ -223,7 +209,7 @@ def arithmetic_hilbert_norm(
 ) -> LogLinearNumber:
     """Sum over places of the local Hilbert weights of the normalized
     exponents with the coefficient weight vectors."""
-    coords, _, _ = _normalized_exponents(pair)
+    coords, _, _ = lattice_normalize(pair.exponents)
     total = LogLinearNumber()
     for v in relevant_places(pair.coefficients):
         total = total + hilbert_weight(coords, weight_vector(pair, v), degree_d, cap)
@@ -234,7 +220,7 @@ def hilbert_asymptotic_gap_exact(
     pair: MonomialPair, degree_d: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> LogLinearNumber:
     """|(r+1)! H(D)/D^{r+1} - height|, exactly."""
-    _, r, _ = _normalized_exponents(pair)
+    _, r, _ = lattice_normalize(pair.exponents)
     h_norm = arithmetic_hilbert_norm(pair, degree_d, cap)
     height = normalized_height(pair).value
     gap = h_norm * factorial(r + 1) / (degree_d ** (r + 1)) - height
@@ -254,7 +240,7 @@ def symmetric_height_sum(pair: MonomialPair) -> LogLinearNumber:
     """(r+1)! times the sum over places of the full lifted-polytope
     volumes; equals the height of the pair plus the height of its
     coefficient-wise inverse."""
-    coords, r, _ = _normalized_exponents(pair)
+    coords, r, _ = lattice_normalize(pair.exponents)
     total = LogLinearNumber()
     for v in relevant_places(pair.coefficients):
         tau = weight_vector(pair, v)

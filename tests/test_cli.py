@@ -242,6 +242,8 @@ class TestExitCodes:
             ["hnorm", "{cubic}", "--degree", "3", "--cap", "-1"],
             ["mixed-volume", "{one_triangle}"],
             ["mixed-volume", "{mixed_dims}"],
+            ["mixed-integral", "{three_lines}"],
+            ["mixed-integral", "{mixed_weights}"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -251,6 +253,13 @@ class TestExitCodes:
             "weights": {"exponents": [[0], [1], [2]], "weights": ["1", "0", "2"]},
             "one_triangle": {"polytopes": [[[0, 0], [1, 0], [0, 1]]]},
             "mixed_dims": {"polytopes": [[[0, 0], [1, 0], [0, 1]], [[0], [1]]]},
+            "three_lines": {"weights": [{"exponents": [[0], [1]], "weights": ["0", "1"]}] * 3},
+            "mixed_weights": {
+                "weights": [
+                    {"exponents": [[0], [1]], "weights": ["0", "1"]},
+                    {"exponents": [[0, 0], [1, 0], [0, 1]], "weights": ["0", "1", "2"]},
+                ]
+            },
         }
         paths = {}
         for name, doc in docs.items():
@@ -259,6 +268,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["height", "degree", "orbits", "mixed-volume"])
+    def test_dimension_limit(self, capsys, tmp_path, command):
+        simplex = [[0] * 7] + [[int(i == j) for i in range(7)] for j in range(7)]
+        if command == "mixed-volume":
+            doc = {"polytopes": [simplex] * 7}
+        else:
+            doc = {"exponents": simplex, "coefficients": ["1"] * 7 + ["2"]}
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_DIMENSION" in err
 
 
 class TestRoofJson:

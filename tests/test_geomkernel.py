@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricheight.errors import DimensionLimitError
 from toricheight.exactnum import LogLinearNumber, certified_sign
 from toricheight.geomkernel import (
     convex_hull,
@@ -59,6 +60,10 @@ class TestConvexHull:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             convex_hull([(0, 0), (1,)])
+
+    def test_dimension_limit(self):
+        with pytest.raises(DimensionLimitError, match="supported bound 6"):
+            convex_hull([(0,) * 7, (1,) + (0,) * 6])
 
     def test_idempotent_and_contains(self):
         rng = random.Random(23)
@@ -249,6 +254,50 @@ class TestUpperEnvelope:
             assert area == volume(domain)
             checked += 1
         assert checked >= 20
+
+    # every cell keeps the polytope it was cut from; the reference is the
+    # hull rebuilt from the cell's vertices
+
+    @staticmethod
+    def assert_cells_keep_their_hulls(cells):
+        for cell in cells:
+            rebuilt = convex_hull(cell.vertices)
+            assert cell.polytope == rebuilt
+            assert cell.polytope.affine_dim == rebuilt.affine_dim
+            assert volume(cell.polytope) == volume(rebuilt)
+
+    def test_cell_polytopes_each_branch(self):
+        flat_2d = [(b, b[0] * log2 + b[1] * log3) for b in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]]
+        branches = [
+            ([((), log2), ((), -log3)], 0),  # rank 0, no base coordinates
+            ([((1, 2), log2), ((1, 2), -log3)], 0),  # rank 0
+            ([((0,), 1 + log3), ((2,), 1 + log3 + 2 * log2), ((5,), 1 + log3 + 5 * log2)], 1),  # flat 1-D
+            (flat_2d, 2),
+            ([((0, 0), LL()), ((1, 1), log3), ((2, 2), log2), ((4, 4), -log3)], 1),  # collinear 2-D (chart)
+        ]
+        for gens, cell_dim in branches:
+            cells = upper_envelope(gens)
+            assert all(c.polytope.affine_dim == cell_dim for c in cells)
+            self.assert_cells_keep_their_hulls(cells)
+        assert len(upper_envelope(branches[2][0])) == len(upper_envelope(branches[3][0])) == 1
+        assert len(upper_envelope(branches[4][0])) == 3
+
+    def test_cell_polytopes_random_full_lifts(self):
+        rng = random.Random(79)
+        multi = {2: 0, 3: 0}
+        for dim in (2, 3):
+            for _ in range(12):
+                gens = [
+                    (tuple(rng.randint(-2, 2) for _ in range(dim)), self.random_lift(rng))
+                    for _ in range(rng.randint(dim + 1, dim + 5))
+                ]
+                if not convex_hull([b for b, _ in gens]).is_full_dimensional:
+                    continue
+                cells = upper_envelope(gens)
+                assert all(c.polytope.affine_dim == dim for c in cells)
+                self.assert_cells_keep_their_hulls(cells)
+                multi[dim] += len(cells) > 1
+        assert multi[2] >= 5 and multi[3] >= 3
 
 
 class TestVolume:

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
+from operator import mul
 
 import pytest
 
 from toricheight.exactnum import LogLinearNumber, certified_sign
-from toricheight.geomkernel import face_lattice, volume
+from toricheight.geomkernel import convex_hull, det, face_lattice, triangulate, volume
 from toricheight.roof import (
     lifted_polytope,
     restrict_to_face,
@@ -106,7 +109,55 @@ class TestRoofEval:
             roof_eval(r, (4,))
 
 
+def rebuilt_cell_integral(f):
+    """The roof integral cell by cell over hulls rebuilt from each cell's
+    vertices, the way it was computed before cells kept their polytopes."""
+    r = f.base_dim
+    total = F(0)
+    for cell in f.cells:
+        for simplex in triangulate(convex_hull(cell.vertices)):
+            vol = abs(det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]]))
+            mean = sum((cell.value_at(v) for v in simplex), F(0)) / (r + 1)
+            total = total + vol / factorial(r) * mean
+    return total
+
+
+def assert_cells_keep_their_hulls(f):
+    for cell in f.cells:
+        rebuilt = convex_hull(cell.vertices)
+        assert cell.polytope == rebuilt
+        assert cell.polytope.affine_dim == rebuilt.affine_dim
+        assert volume(cell.polytope) == volume(rebuilt)
+
+
 class TestRoofIntegral:
+    def test_cells_against_rebuilt_hulls(self):
+        rng = random.Random(83)
+        roofs = [rand_roof_1d(rng) for _ in range(6)]
+        for dim in (2, 3):
+            for _ in range(6):
+                pts = {tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(dim + 4)}
+                pts |= {(0,) * dim} | {tuple(int(i == j) for i in range(dim)) for j in range(dim)}
+                lifts = [F(rng.randint(-3, 3), 2) * log2 + rng.randint(-2, 2) for _ in pts]
+                roofs.append(roof_from_weight(sorted(pts), lifts))
+        # a minimum of two affine functions cuts a grid into large cells
+        # that triangulate into several simplices
+        coarse = []
+        for dim, side in ((2, 3), (3, 2)):
+            grid = list(itertools.product(range(side), repeat=dim))
+            for _ in range(3):
+                g1, g2 = ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(2))
+                c = rng.randint(-2, 2)
+                lifts = [min(sum(map(mul, g1, a)), sum(map(mul, g2, a)) + c) * log2 + log3 for a in grid]
+                coarse.append(roof_from_weight(grid, lifts))
+        sums = [roof_pointwise_sum(f, f) for f in (roofs[0], roofs[6], roofs[7])]
+        roofs += coarse + sums + [roof_pointwise_sum(coarse[0], coarse[1])]
+        assert sum(len(f.cells) > 1 for f in roofs) >= 10
+        assert any(len(triangulate(c.polytope)) > 2 for f in roofs for c in f.cells)
+        for f in roofs:
+            assert_cells_keep_their_hulls(f)
+            assert roof_integral(f) == rebuilt_cell_integral(f)
+
     def test_cubic_local_integrals(self):
         assert roof_integral(roof_from_weight(CUBIC_A, CUBIC_INF)) == 2 * log2
         assert roof_integral(roof_from_weight(CUBIC_A, CUBIC_2)) == F(3, 2) * log2
