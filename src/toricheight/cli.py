@@ -1,11 +1,12 @@
 """Command-line interface: parse JSON pair documents, dispatch the exact
 computations, and emit text/JSON/symbolic/decimal reports or SVG figures.
 
-Exit codes: 0 success, 2 parse error (including out-of-range flag values
-and a document of the wrong shape, such as ``mixed-integral`` weights that
-are not n+1 documents of one exponent dimension n), 3 hypothesis violation
-(for example a non-full exponent lattice), 4 enumeration cap exceeded,
-5 ambient dimension above the supported bound.
+Exit codes: 0 success, 2 parse error (including out-of-range flag values,
+a document of the wrong shape, such as ``mixed-integral`` weights that are
+not n+1 documents of one exponent dimension n, and an ``--out`` path that
+cannot be written), 3 hypothesis violation (for example a non-full
+exponent lattice), 4 enumeration cap exceeded, 5 ambient dimension above
+the supported bound.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def _read_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_exponents(doc, field="exponents"):
@@ -380,8 +389,7 @@ def cmd_compose(args) -> int:
         name = f"image({n1 or 'a'})"
     text = json.dumps(pair_document(out, name), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -544,8 +552,7 @@ def cmd_plot(args) -> int:
         raise ParseError(f"plot supports exponent dimension 1 or 2, got {n}")
     roof = roof_from_weight(pair.exponents, weight_vector(pair, place))
     svg = _plot_roof_1d(pair, place, roof) if n == 1 else _plot_base_2d(pair, place, roof)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(args.out, svg)
     if args.format == "json":
         json.dump(roof_to_json(roof), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

@@ -309,30 +309,20 @@ class _Chart:
     def __init__(self, origin, basis):
         self.origin = origin
         self.basis = basis  # r linearly independent ambient vectors
+        # rows of M = (B^T B)^{-1} B^T, a left inverse of B
+        r = len(basis)
+        gram = [[_dot(a, b) for b in basis] for a in basis]
+        self._left_inverse = []
+        for j in range(r):
+            y = _solve_linear(gram, [Fraction(int(i == j)) for i in range(r)])
+            self._left_inverse.append(
+                tuple(sum((y[i] * basis[i][c] for i in range(r)), Fraction(0)) for c in range(len(origin)))
+            )
 
     def to_chart(self, point):
         rhs = _vsub(point, self.origin)
-        cols = self.basis
-        r = len(cols)
-        # least-squares-free exact solve: pick r independent rows
-        rows_idx = []
-        tracker = _AffineRank(r + 1)
-        for i in range(len(self.origin)):
-            row = [cols[j][i] for j in range(r)] + [Fraction(0)]
-            if tracker.try_add(row):
-                rows_idx.append(i)
-            if len(rows_idx) == r:
-                break
-        a_rows = [[cols[j][i] for j in range(r)] for i in rows_idx]
-        coords = _solve_linear(a_rows, [rhs[i] for i in rows_idx])
-        # consistency on the remaining rows
-        for i in range(len(self.origin)):
-            acc = rhs[i]
-            for j in range(r):
-                acc = acc - coords[j] * cols[j][i]
-            if value_sign(acc) != 0:
-                return None
-        return tuple(coords)
+        coords = tuple(_dot(row, rhs) for row in self._left_inverse)
+        return coords if self.to_ambient(coords) == tuple(point) else None
 
     def to_ambient(self, coords):
         out = list(self.origin)
@@ -342,17 +332,13 @@ class _Chart:
 
     def pullback_affine(self, gradient, offset):
         """Ambient (gradient, offset) of an affine function given in chart
-        coordinates; agrees with the original on the chart's subspace."""
-        r = len(self.basis)
-        d = len(self.origin)
-        # M = (B^T B)^{-1} B^T, so ambient gradient = M^T g = B (B^T B)^{-1} g
-        bt_b = [[_dot(self.basis[i], self.basis[j]) for j in range(r)] for i in range(r)]
-        y = _solve_linear(bt_b, list(gradient))
+        coordinates: the gradient M^T g lies in span(B), and the function
+        agrees with the original on the chart's subspace."""
         g_amb = tuple(
-            sum((y[j] * self.basis[j][i] for j in range(r)), Fraction(0)) for i in range(d)
+            sum((g * row[i] for g, row in zip(gradient, self._left_inverse)), Fraction(0))
+            for i in range(len(self.origin))
         )
-        off_amb = offset - _dot(g_amb, self.origin)
-        return g_amb, off_amb
+        return g_amb, offset - _dot(g_amb, self.origin)
 
 
 class Polytope:
@@ -487,6 +473,9 @@ def _build_rational(points):
         return _embed(chart, _build_rational([chart.to_chart(p) for p in points]))
     simplicial = _hull_core(points, basis)
     merged, vertex_ids = _merge_facets(points, simplicial, range(len(points)))
+    if len(frozenset().union(*(F.ids for F in simplicial))) > len(vertex_ids):
+        # a non-extreme point entered the boundary: rebuild from the vertices
+        return _build_rational([points[i] for i in vertex_ids])
     order = {pid: k for k, pid in enumerate(vertex_ids)}
     vertices = tuple(points[i] for i in vertex_ids)
     facets = tuple(
@@ -558,17 +547,6 @@ def _build_lifted(points):
     proj = _build_rational(bases)
     if proj.affine_dim < k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
-    if k == 0:
-        lifts = [p[0] for p in points]
-        lo = min(lifts)
-        hi = max(lifts)
-        if value_sign(hi - lo) == 0:
-            facets = (Facet((Fraction(1),), lo, (0,)), Facet((Fraction(-1),), -lo, (0,)))
-            return Polytope(1, 0, ((lo,),), facets, "lifted-flat")
-        verts = ((lo,), (hi,))
-        facets = (Facet((Fraction(1),), hi, (1,)), Facet((Fraction(-1),), -lo, (0,)))
-        boundary = (((hi,),), ((lo,),))
-        return Polytope(1, 1, verts, facets, "lifted-full", boundary=boundary)
     basis, rank = _affine_basis(points)
     if rank == k:
         cell = AffineCell(proj, *_flat_affine(points, basis))
@@ -627,6 +605,15 @@ def _lifted_facets(upper, lower, proj, vertices):
     return tuple(facets)
 
 
+def _check_dimension(d, lifted):
+    bound = MAX_DIMENSION + (1 if lifted else 0)
+    if d > bound:
+        raise DimensionLimitError(
+            f"ambient dimension {d} exceeds the supported bound {bound} "
+            f"(MAX_DIMENSION = {MAX_DIMENSION}, one more for a lifted hull)"
+        )
+
+
 def convex_hull(points) -> Polytope:
     """Exact convex hull.  Handles lower-dimensional rational input via an
     affine chart; lifted input (log-linear last coordinate) must project
@@ -644,12 +631,7 @@ def convex_hull(points) -> Polytope:
     if d == 0:
         return Polytope(0, 0, (tuple(),), (), "point")
     lifted = any(_is_lifted(p[-1]) for p in pts)
-    bound = MAX_DIMENSION + (1 if lifted else 0)
-    if d > bound:
-        raise DimensionLimitError(
-            f"ambient dimension {d} exceeds the supported bound {bound} "
-            f"(MAX_DIMENSION = {MAX_DIMENSION}, one more for a lifted hull)"
-        )
+    _check_dimension(d, lifted)
     if lifted:
         return _build_lifted(pts)
     return _build_rational(sorted(pts))
@@ -669,6 +651,9 @@ def upper_envelope(points) -> list[AffineCell]:
     if not gens:
         raise ValueError("need at least one point")
     k = len(gens[0][0])
+    if any(len(b) != k for b, _ in gens):
+        raise ValueError("dimension mismatch")
+    _check_dimension(k, False)
     bases = _dedup([g[0] for g in gens])
     basis, rank = _affine_basis(bases) if k else ([0], 0)
     if rank == 0:

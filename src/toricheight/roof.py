@@ -9,6 +9,7 @@ from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
@@ -51,15 +52,19 @@ class LiftedPoint(NamedTuple):
 @dataclass(frozen=True)
 class Roof:
     """Concave piecewise-affine function given by its subdivision cells and
-    the generator points it envelopes."""
+    the generator points it envelopes.  The domain, the hull of the
+    generator bases, is built on first use."""
 
-    domain: Polytope
     cells: tuple[AffineCell, ...]
     generators: tuple[LiftedPoint, ...]
 
+    @cached_property
+    def domain(self) -> Polytope:
+        return convex_hull([g.base for g in self.generators])
+
     @property
     def base_dim(self) -> int:
-        return self.domain.ambient_dim
+        return len(self.generators[0].base)
 
     def min_value(self):
         """Minimum over the domain; concavity puts it at a cell vertex."""
@@ -81,13 +86,10 @@ class Roof:
 
 
 def roof_from_generators(generators) -> Roof:
-    gens = []
-    for base, lift in generators:
-        gens.append(LiftedPoint(tuple(as_fraction(x) for x in base), _as_value(lift)))
-    deduped = _dedup(gens)
-    domain = convex_hull([g.base for g in deduped])
-    cells = tuple(upper_envelope(deduped))
-    return Roof(domain, cells, tuple(deduped))
+    gens = _dedup(
+        [LiftedPoint(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in generators]
+    )
+    return Roof(tuple(upper_envelope(gens)), tuple(gens))
 
 
 def roof_from_weight(exponents, weights) -> Roof:
@@ -122,10 +124,11 @@ def roof_integral(f: Roof):
     Over a zero-dimensional domain this is the roof value itself; a domain
     that is degenerate in its ambient space has measure zero.
     """
-    r = f.domain.ambient_dim
+    r = f.base_dim
     if r == 0:
         return f.cells[0].offset
-    if f.domain.affine_dim < r:
+    # cells are chart-embedded exactly when the bases are degenerate
+    if f.cells[0].polytope.affine_dim < r:
         return Fraction(0)
     total = Fraction(0)
     for cell in f.cells:
@@ -199,4 +202,4 @@ def roof_pointwise_sum(f: Roof, g: Roof) -> Roof:
     for cell in cells:
         for v in cell.vertices:
             gens.setdefault(v, cell.value_at(v))
-    return Roof(f.domain, tuple(cells), tuple(LiftedPoint(v, val) for v, val in sorted(gens.items())))
+    return Roof(tuple(cells), tuple(LiftedPoint(v, val) for v, val in sorted(gens.items())))

@@ -244,6 +244,8 @@ class TestExitCodes:
             ["mixed-volume", "{mixed_dims}"],
             ["mixed-integral", "{three_lines}"],
             ["mixed-integral", "{mixed_weights}"],
+            ["plot", "{cubic}", "--place", "inf", "--out", "{cubic}/o.svg"],
+            ["compose", "segre", "{cubic}", "{cubic}", "--out", "{cubic}/x.json"],
         ],
         ids=lambda argv: " ".join(argv),
     )

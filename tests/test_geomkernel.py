@@ -1,12 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from toricheight.errors import DimensionLimitError
-from toricheight.exactnum import LogLinearNumber, certified_sign
+from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
+import toricheight.geomkernel as geomkernel
 from toricheight.geomkernel import (
+    Facet,
+    _Chart,
+    _rank,
     convex_hull,
+    det,
     face_lattice,
     intersect_polytopes,
     lattice_normalize,
@@ -64,6 +71,44 @@ class TestConvexHull:
     def test_dimension_limit(self):
         with pytest.raises(DimensionLimitError, match="supported bound 6"):
             convex_hull([(0,) * 7, (1,) + (0,) * 6])
+
+    def test_boundary_holds_only_vertices(self):
+        # collinear and coplanar grid points must not survive in the
+        # simplicial boundary, whether they entered with the starting
+        # simplex or were extreme when inserted
+        rng = random.Random(37)
+        cases = [(list(itertools.product(range(m + 1), repeat=d)), F(m) ** d) for d in (2, 3) for m in (1, 2, 3)]
+        cases += [(rand_points(rng, d, rng.randint(d + 2, d + 8), span=2), None) for d in (2, 3) for _ in range(15)]
+        for pts, expected in cases:
+            P = convex_hull(pts)
+            if not P.is_full_dimensional:
+                continue
+            verts = set(P.vertices)
+            assert {q for simplex in P._boundary for q in simplex} <= verts
+            simplices = triangulate(P)
+            d = P.ambient_dim
+            fan = sum(abs(det([tuple(a - b for a, b in zip(q, s[0])) for q in s[1:]])) for s in simplices) / factorial(d)
+            assert volume(P) == fan == volume(convex_hull(P.vertices))
+            if expected is not None:
+                assert volume(P) == expected
+        assert len(triangulate(convex_hull(list(itertools.product(range(3), repeat=2))))) == 2
+
+    @pytest.mark.parametrize(
+        "lifts, vertices, facets, affine_dim, kind, vol",
+        [
+            ([log2, log2], [log2], [(1, log2, 0), (-1, -log2, 0)], 0, "lifted-flat", 0),
+            ([log3], [log3], [(1, log3, 0), (-1, -log3, 0)], 0, "lifted-flat", 0),
+            ([F(0), log2, -log3], [-log3, log2], [(1, log2, 1), (-1, log3, 0)], 1, "lifted-full", log2 + log3),
+            ([F(1, 2), log2 - 1], [log2 - 1, F(1, 2)], [(1, F(1, 2), 1), (-1, 1 - log2, 0)], 1, "lifted-full", F(3, 2) - log2),
+            ([log2, 2 * log2, 3 * log2, F(2)], [log2, 3 * log2], [(1, 3 * log2, 1), (-1, -log2, 0)], 1, "lifted-full", 2 * log2),
+        ],
+        ids=["flat", "point", "mixed", "rational-low", "interior"],
+    )
+    def test_one_dimensional_lifted(self, lifts, vertices, facets, affine_dim, kind, vol):
+        P = convex_hull([(w,) for w in lifts])
+        assert P.vertices == tuple((v,) for v in vertices)
+        assert P.facets == tuple(Facet((F(n),), off, (vid,)) for n, off, vid in facets)
+        assert (P.affine_dim, P._kind, volume(P)) == (affine_dim, kind, vol)
 
     def test_idempotent_and_contains(self):
         rng = random.Random(23)
@@ -152,6 +197,19 @@ class TestUpperEnvelope:
         for c in cells:
             if (F(1),) in c.vertices:
                 assert c.value_at((F(1),)) == 2 * log2
+
+    def test_bases_of_different_lengths(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            upper_envelope([((0,), 0), ((1, 2), 0)])
+
+    def test_dimension_limit_before_any_hull(self, monkeypatch):
+        def no_hull(*args):
+            raise AssertionError("hull work before the dimension check")
+
+        monkeypatch.setattr(geomkernel, "_hull_core", no_hull)
+        simplex = [(0,) * 7] + [tuple(int(i == j) for i in range(7)) for j in range(7)]
+        with pytest.raises(DimensionLimitError, match="supported bound 6"):
+            upper_envelope([(b, k * log2) for k, b in enumerate(simplex)])
 
     def test_two_points_flat(self):
         cells = upper_envelope([((0,), 0), ((1,), 0)])
@@ -298,6 +356,46 @@ class TestUpperEnvelope:
                 self.assert_cells_keep_their_hulls(cells)
                 multi[dim] += len(cells) > 1
         assert multi[2] >= 5 and multi[3] >= 3
+
+
+class TestChart:
+    """The chart of a proper subspace: ambient and chart coordinates
+    round-trip on the span, points off it have no chart coordinates, and a
+    pulled-back gradient lies in the span and agrees on the subspace, which
+    fixes it uniquely."""
+
+    def test_random_subspaces(self):
+        rng = random.Random(53)
+        for d in (2, 3, 4):
+            for r in range(1, min(2, d - 1) + 1):
+                for _ in range(8):
+                    while True:
+                        basis = rand_points(rng, d, r, span=3)
+                        if _rank(basis) == r:
+                            break
+                    origin = rand_points(rng, d, 1)[0]
+                    chart = _Chart(origin, basis)
+                    for _ in range(4):
+                        coords = rand_points(rng, r, 1)[0]
+                        p = chart.to_ambient(coords)
+                        assert chart.to_chart(p) == coords
+                        assert chart.to_ambient(chart.to_chart(p)) == p
+                        off = rand_points(rng, d, 1)[0]
+                        if _rank(basis + [off]) > r:
+                            assert chart.to_chart(tuple(a + b for a, b in zip(p, off))) is None
+                    gradient = tuple(F(rng.randint(-3, 3)) * log2 + F(rng.randint(-3, 3), 2) for _ in range(r))
+                    offset = log3 - 1
+                    g_amb, off_amb = chart.pullback_affine(gradient, offset)
+                    # both the rational and the log(2) part lie in span(B)
+                    g_ll = [as_loglinear(x) for x in g_amb]
+                    assert _rank(basis + [tuple(x.constant for x in g_ll)]) == r
+                    assert _rank(basis + [tuple(dict(x.logterms).get(2, F(0)) for x in g_ll)]) == r
+                    for _ in range(4):
+                        coords = rand_points(rng, r, 1)[0]
+                        x = chart.to_ambient(coords)
+                        lhs = sum((g * c for g, c in zip(g_amb, x)), F(0)) + off_amb
+                        rhs = sum((g * c for g, c in zip(gradient, coords)), F(0)) + offset
+                        assert lhs == rhs
 
 
 class TestVolume:

@@ -90,6 +90,32 @@ class TestRoofFromWeight:
             assert set(scaled.vertex_values()) == set(r.vertex_values())
 
 
+class TestDomain:
+    def test_domain_is_hull_of_bases(self):
+        # the derived domain is convex_hull of the generator bases, vertex
+        # order included, for full and degenerate roofs alike
+        rng = random.Random(89)
+        roofs = [roof_from_weight([(2,)], [log3]), roof_from_weight([(0, 1, 2)], [log2])]
+        roofs += [rand_roof_1d(rng) for _ in range(4)]
+        for dim in (2, 3):
+            for _ in range(4):
+                pts = {tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(dim + 4)}
+                roofs.append(roof_from_weight(sorted(pts), [F(rng.randint(-3, 3)) * log2 for _ in pts]))
+        # collinear bases in Q^2 and Q^3, coplanar bases in Q^3
+        roofs.append(roof_from_weight([(0, 0), (1, 2), (3, 6), (2, 4)], [log2, -log3, F(1), LL()]))
+        roofs.append(roof_from_weight([(1, 0, 1), (2, 1, 1), (4, 3, 1)], [F(1), log3, log2]))
+        roofs.append(roof_from_weight([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)], [log2, F(0), log3, -log2]))
+        sums = [roof_pointwise_sum(f, f) for f in roofs[2:5] + roofs[6:8] + roofs[-3:]]
+        for f in roofs + sums:
+            hull = convex_hull([g.base for g in f.generators])
+            assert f.domain.vertices == hull.vertices
+            assert (f.domain.affine_dim, f.domain.ambient_dim) == (hull.affine_dim, hull.ambient_dim)
+            assert f.domain is f.domain
+        assert any(f.domain.affine_dim < f.base_dim for f in roofs[-3:])
+        for f, s in zip(roofs[2:5] + roofs[6:8] + roofs[-3:], sums):
+            assert s.domain == f.domain
+
+
 class TestRoofEval:
     def test_chord_value(self):
         r = roof_from_weight(CUBIC_A, CUBIC_INF)

@@ -171,6 +171,28 @@ class TestNormalizedHeight:
             assert normalized_height(pair).value == expected
 
 
+    def test_one_domain_hull_per_height(self, monkeypatch):
+        # the roofs integrate without their domains; degree() hulls the pair
+        import toricheight.roof
+        import toricheight.toric
+
+        calls = []
+        real = toricheight.toric.convex_hull
+
+        def counting(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(toricheight.roof, "convex_hull", counting)
+        monkeypatch.setattr(toricheight.toric, "convex_hull", counting)
+        plane = MonomialPair.make([(0, 0), (2, 0), (0, 1), (1, 1)], [6, F(5, 7), 1, 10])
+        for pair in (CUBIC, plane):
+            calls.clear()
+            rep = normalized_height(pair)
+            assert len(rep.per_place) >= 3
+            assert len(calls) == 1
+
+
 class TestChowWeight:
     def test_quintic_example(self):
         assert chow_weight([(i,) for i in range(6)], [-3, 0, 1, -1, 0, -2]) == -2
