@@ -1,12 +1,13 @@
 """Command-line interface: parse JSON pair documents, dispatch the exact
 computations, and emit text/JSON/symbolic/decimal reports or SVG figures.
 
-Exit codes: 0 success, 2 parse error (including out-of-range flag values,
-a document of the wrong shape, such as ``mixed-integral`` weights that are
-not n+1 documents of one exponent dimension n, and an ``--out`` path that
-cannot be written), 3 hypothesis violation (for example a non-full
-exponent lattice), 4 enumeration cap exceeded, 5 ambient dimension above
-the supported bound.
+Exit codes: 0 success, 1 standard output closed before the report was
+written (a pipe whose reader has exited), 2 parse error (including
+out-of-range flag values, a document of the wrong shape, such as
+``mixed-integral`` weights that are not n+1 documents of one exponent
+dimension n, and an ``--out`` path that cannot be written), 3 hypothesis
+violation (for example a non-full exponent lattice), 4 enumeration cap
+exceeded, 5 ambient dimension above the supported bound.
 """
 
 from __future__ import annotations
@@ -636,25 +637,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {ParseError: 2, LatticeHypothesisError: 3, EnumerationCapError: 4, DimensionLimitError: 5}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _at_least("--bits", args.bits, 16)
         if args.cap is not None:
             _at_least("--cap", args.cap, 0)
-        return args.func(args)
-    except ParseError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LatticeHypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DimensionLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return _EXIT_CODES[type(exc)]
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

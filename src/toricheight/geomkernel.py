@@ -3,9 +3,10 @@
 Points are tuples of exact values.  All coordinates are rationals except
 possibly the last one, which may be a :class:`LogLinearNumber`; every
 predicate is decided exactly (certified sign for the lifted coordinate).
-Supported ambient dimension is small (<= 6): hulls are built with an
-incremental beneath-beyond scheme and volumes by fanning a boundary
-triangulation from a vertex.
+Determinants, linear solves and ranks share one exact elimination,
+``_Echelon``.  Supported ambient dimension is small (<= 6): hulls are
+built with an incremental beneath-beyond scheme and volumes by fanning a
+boundary triangulation from a vertex.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import DimensionLimitError
-from .exactnum import LogLinearNumber, as_fraction, value_sign
+from .exactnum import LogLinearNumber, as_fraction, as_loglinear, value_sign
 
 __all__ = [
     "Polytope",
@@ -70,138 +71,93 @@ def _is_lifted(x) -> bool:
     return isinstance(x, LogLinearNumber) and not x.is_rational
 
 
-def _det_rational(rows) -> Fraction:
-    m = [[as_fraction(x) for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
+class _Echelon:
+    """Incremental row echelon form of vectors over Q whose last coordinate
+    may be log-linear: the one elimination behind determinants, solves and
+    ranks.
+
+    Each added vector is reduced by the stored pivots in insertion order and
+    pivots on its first nonzero coordinate.  A pivot keeps its column, its
+    value and the row's entries after the column, scaled by the inverse of
+    the pivot.  Every coordinate but the last is rational, so those pivots
+    are rational; a vector left nonzero only in its last entry pivots there,
+    irrational or not, and keeps an empty row: it spans that coordinate, so
+    at most one such pivot counts toward the rank.
+    """
+
+    def __init__(self):
+        self.pivots = []  # (column, pivot, row after the column / pivot)
+
+    def add(self, vec) -> bool:
+        """Reduce ``vec``; True (and a new pivot) if it raises the rank."""
+        v = list(vec)
+        for col, _, tail in self.pivots:
+            f = v[col]
             if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * det
+                v[col] = 0
+                v[col + 1 :] = [a - f * b for a, b in zip(v[col + 1 :], tail)]
+        for col, x in enumerate(v):
+            if x:
+                self.pivots.append((col, x, [y / x for y in v[col + 1 :]]))
+                return True
+        return False
 
 
 def det(rows):
     """Exact determinant; at most one column may contain irrational
-    log-linear entries, and it is expanded by cofactors."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    lifted_cols = [j for j in range(n) if any(_is_lifted(r[j]) for r in rows)]
-    if not lifted_cols:
-        return _det_rational(rows)
-    if len(lifted_cols) > 1:
+    log-linear entries, and the result is then log-linear."""
+    m = [[_as_value(x) for x in r] for r in rows]
+    lifted = {j for r in m for j, x in enumerate(r) if isinstance(x, LogLinearNumber)}
+    if len(lifted) > 1:
         raise ValueError("more than one lifted column in a determinant")
-    j = lifted_cols[0]
-    total = LogLinearNumber()
-    for i in range(n):
-        minor = [list(r[:j]) + list(r[j + 1 :]) for t, r in enumerate(rows) if t != i]
-        cof = _det_rational(minor)
-        if cof:
-            total = total + rows[i][j] * (cof if (i + j) % 2 == 0 else -cof)
-    return total
+    total = Fraction(1)
+    if lifted:
+        (j,) = lifted
+        if j != len(m) - 1:
+            for r in m:
+                r[j], r[-1] = r[-1], r[j]
+            total = -total
+    echelon = _Echelon()
+    if not all(echelon.add(r) for r in m):
+        return LogLinearNumber() if lifted else Fraction(0)
+    cols = [c for c, _, _ in echelon.pivots]
+    if sum(a > b for a, b in itertools.combinations(cols, 2)) % 2:
+        total = -total
+    for _, piv, _ in echelon.pivots:
+        total = total * piv
+    return as_loglinear(total) if lifted else total
 
 
 def _solve_linear(a_rows, b):
     """Solve the square rational system ``A x = b``; the right-hand side may
     hold log-linear values, so the solution lives in the same span."""
     n = len(a_rows)
-    m = [list(map(as_fraction, r)) for r in a_rows]
-    rhs = [_as_value(x) for x in b]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
+    echelon = _Echelon()
+    for r, y in zip(a_rows, b):
+        if not echelon.add([*map(as_fraction, r), _as_value(y)]) or echelon.pivots[-1][0] == n:
             raise ValueError("singular system")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            rhs[c], rhs[piv] = rhs[piv], rhs[c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-                rhs[i] = rhs[i] - rhs[c] * f
     x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, n):
-            acc = acc - x[j] * m[i][j]
-        x[i] = acc / m[i][i]
+    for col, _, tail in reversed(echelon.pivots):
+        acc = tail[-1]
+        for j, t in enumerate(tail[:-1], col + 1):
+            if t:
+                acc = acc - t * x[j]
+        x[col] = acc
     return x
 
 
-class _AffineRank:
-    """Incremental rank of vectors whose last coordinate may be irrational.
-
-    Rational columns are eliminated with rational pivots; residual vectors
-    supported on the last coordinate alone contribute at most one extra
-    dimension, decided by an exact zero test.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots = []  # (column, normalized row)
-        self.has_residual = False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots) + (1 if self.has_residual else 0)
-
-    def try_add(self, vec) -> bool:
-        if self.dim == 0:
-            return False
-        v = list(vec)
-        for col, row in self.pivots:
-            f = v[col]
-            if isinstance(f, LogLinearNumber) or f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        for col in range(self.dim - 1):
-            if v[col] != 0:
-                inv = Fraction(1) / as_fraction(v[col])
-                v = [a * inv for a in v]
-                self.pivots.append((col, v))
-                return True
-        last = v[self.dim - 1] if self.dim else Fraction(0)
-        if value_sign(last) == 0:
-            return False
-        if self.has_residual:
-            return False
-        self.has_residual = True
-        # the residual acts as a pivot row on the last coordinate only when
-        # it is rational; an irrational residual still blocks further ones
-        if not _is_lifted(last):
-            inv = Fraction(1) / as_fraction(last)
-            v = [a * inv for a in v]
-            self.pivots.append((self.dim - 1, v))
-            self.has_residual = False
-        return True
-
-
 def _rank(vectors) -> int:
-    tracker = _AffineRank(len(vectors[0]))
+    echelon = _Echelon()
     for v in vectors:
-        tracker.try_add(v)
-    return tracker.rank
+        echelon.add(v)
+    return len(echelon.pivots)
 
 
 def _affine_basis(points):
     """Indices of an affinely independent spanning subset, first point first."""
-    tracker = _AffineRank(len(points[0]))
-    basis = [0]
-    for i in range(1, len(points)):
-        if tracker.try_add(_vsub(points[i], points[0])):
-            basis.append(i)
-    return basis, tracker.rank
+    echelon = _Echelon()
+    basis = [0] + [i for i in range(1, len(points)) if echelon.add(_vsub(points[i], points[0]))]
+    return basis, len(echelon.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +371,9 @@ class Polytope:
                 for simplex in self._boundary:
                     if anchor in simplex:
                         continue
-                    dmat = [_vsub(p, anchor) for p in simplex]
-                    dv = det(dmat)
-                    s = value_sign(dv)
-                    if s < 0:
-                        dv = -dv
-                    if s != 0:
-                        total = total + dv
+                    dv = det([_vsub(p, anchor) for p in simplex])
+                    if dv:
+                        total = total + abs(dv)
                 self._volume = total / factorial(d)
         return self._volume
 
@@ -564,6 +516,9 @@ def _build_lifted(points):
         for b in cell.vertices:
             vset.append((*b, cell.value_at(b)))
     verts = tuple(sorted(_dedup(vset)))
+    if len(frozenset().union(*(F.ids for F in simplicial))) > len(verts):
+        # a non-extreme point entered the boundary: rebuild from the vertices
+        return _build_lifted([_normalize_point(v) for v in verts])
     facets = _lifted_facets(upper, lower, proj, verts)
     boundary = tuple(tuple(points[i] for i in sorted(F.ids)) for F in simplicial)
     return Polytope(d, d, verts, facets, "lifted-full", boundary=boundary)
@@ -589,7 +544,7 @@ def _lifted_facets(upper, lower, proj, vertices):
 
     def saturating(normal, offset):
         return tuple(
-            i for i, v in enumerate(vertices) if value_sign(_dot(normal, v) - offset) == 0
+            i for i, v in enumerate(vertices) if not _dot(normal, v) - offset
         )
 
     for cell in upper:
@@ -698,7 +653,7 @@ def triangulate(p: Polytope):
     for simplex in p._boundary:
         if anchor in simplex:
             continue
-        if value_sign(det([_vsub(q, anchor) for q in simplex])) != 0:
+        if det([_vsub(q, anchor) for q in simplex]):
             out.append((anchor,) + simplex)
     if not out:
         raise ValueError("empty triangulation")
@@ -785,11 +740,11 @@ def intersect_polytopes(p: Polytope, q: Polytope):
     ]
     candidates = []
     for subset in itertools.combinations(range(len(constraints)), d):
-        rows = [constraints[i][0] for i in subset]
-        if _rank(rows) != d:
+        rows, rhs = zip(*(constraints[i] for i in subset))
+        try:
+            x = tuple(_solve_linear(rows, rhs))
+        except ValueError:  # singular
             continue
-        x = _solve_linear(rows, [constraints[i][1] for i in subset])
-        x = tuple(x)
         if all(_dot(n, x) <= o for n, o in constraints):
             candidates.append(x)
     candidates = _dedup(candidates)
@@ -806,8 +761,6 @@ def _integer_row_hnf(rows):
     """Row-style Hermite normal form basis of the row lattice: echelon rows
     with positive pivots and reduced entries above each pivot."""
     m = [list(map(int, r)) for r in rows]
-    if not m:
-        return []
     n_cols = len(m[0])
     pr = 0
     pivots = []

@@ -313,18 +313,8 @@ def veronese(pair: MonomialPair, degree_d: int) -> MonomialPair:
     total degree d in the original coordinates."""
     if degree_d < 1:
         raise ValueError("degree must be positive")
-    n = pair.n_ambient
-    exps = []
-    coeffs = []
-    for b in _compositions(degree_d, pair.size):
-        exps.append(
-            tuple(sum(bi * a[j] for bi, a in zip(b, pair.exponents)) for j in range(n))
-        )
-        coeff = Fraction(1)
-        for bi, c in zip(b, pair.coefficients):
-            coeff *= c**bi
-        coeffs.append(coeff)
-    return MonomialPair(tuple(exps), tuple(coeffs))
+    rows = list(_compositions(degree_d, pair.size))
+    return monomial_image(pair, rows, [1] * len(rows))
 
 
 def monomial_image(pair: MonomialPair, image_exponents, image_coefficients) -> MonomialPair:

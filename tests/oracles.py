@@ -2,13 +2,15 @@
 
 These recompute quantities from raw data along routes that share no code
 with the library paths they check: floating-point Riemann sums with sound
-error bounds, exhaustive float enumeration for Hilbert weights, and a
-grid/separating-axis volume sandwich.
+error bounds, exhaustive float enumeration for Hilbert weights, a
+grid/separating-axis volume sandwich, and determinants and ranks by
+cofactor expansion over the basis {1, log p}.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +51,60 @@ def _int_det(m):
         term = m[0][j] * _int_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def _log_basis_coefficients(x):
+    """Coefficients of an exact value over {1, log p}: ``{None: c, p: c_p}``."""
+    if hasattr(x, "logterms"):
+        return {None: x.constant, **dict(x.logterms)}
+    return {None: Fraction(x)}
+
+
+def _rational_det(m):
+    """Determinant of a rational matrix: scale each row to integers by the
+    lcm of its denominators, expand by cofactors, divide the scale out."""
+    scale = 1
+    ints = []
+    for row in m:
+        row = [Fraction(x) for x in row]
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints.append([int(x * lcm) for x in row])
+        scale *= lcm
+    return Fraction(_int_det(ints), scale)
+
+
+def log_basis_det(rows):
+    """Determinant of a square matrix of rationals and log-linear numbers,
+    at most one column of which holds log terms, as its coefficients over
+    {1, log p} (``{None: c, p: c_p}``, zeros dropped).  The determinant is
+    linear in that column, so each coefficient is the rational determinant
+    with the column replaced by the entries' coefficients of that basis
+    element."""
+    coeffs = [[_log_basis_coefficients(x) for x in r] for r in rows]
+    lifted = {j for r in coeffs for j, c in enumerate(r) if len(c) > 1}
+    if len(lifted) > 1:
+        raise ValueError("more than one lifted column")
+    j = next(iter(lifted), None)
+    keys = {None} | {k for r in coeffs for k in (r[j] if j is not None else ())}
+    out = {}
+    for key in keys:
+        m = [[c.get(key, 0) if t == j else c[None] for t, c in enumerate(r)] for r in coeffs]
+        value = _rational_det(m)
+        if value:
+            out[key] = value
+    return out
+
+
+def minor_rank(vectors):
+    """Rank of a list of vectors (at most one coordinate holding log terms)
+    as the size of its largest nonzero minor."""
+    m, d = len(vectors), len(vectors[0])
+    for k in range(min(m, d), 0, -1):
+        for rows in itertools.combinations(vectors, k):
+            for cols in itertools.combinations(range(d), k):
+                if log_basis_det([[r[c] for c in cols] for r in rows]):
+                    return k
+    return 0
 
 
 def envelope_values(bases, values, points):

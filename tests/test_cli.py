@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricheight
 from toricheight.cli import main, pair_document, parse_pair_document, roof_to_json
 from toricheight.exactnum import LogLinearNumber, Place
 from toricheight.roof import roof_from_weight
@@ -284,6 +289,33 @@ class TestExitCodes:
         assert code == 5 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "MAX_DIMENSION" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["height", "{cubic}"], ["plot", "{cubic}", "--place", "2", "--out", "{svg}", "--format", "json"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout(self, cubic_path, tmp_path, argv):
+        # standard output is a pipe whose read end is already closed
+        src = str(Path(toricheight.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        paths = {"cubic": cubic_path, "svg": str(tmp_path / "o.svg")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from toricheight.cli import main; sys.exit(main())"]
+                + [a.format(**paths) for a in argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestRoofJson:

@@ -10,8 +10,10 @@ from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
 import toricheight.geomkernel as geomkernel
 from toricheight.geomkernel import (
     Facet,
+    _affine_basis,
     _Chart,
     _rank,
+    _solve_linear,
     convex_hull,
     det,
     face_lattice,
@@ -23,7 +25,7 @@ from toricheight.geomkernel import (
     volume,
 )
 
-from oracles import grid_volume_bounds
+from oracles import grid_volume_bounds, log_basis_det, minor_rank
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -92,6 +94,20 @@ class TestConvexHull:
             if expected is not None:
                 assert volume(P) == expected
         assert len(triangulate(convex_hull(list(itertools.product(range(3), repeat=2))))) == 2
+
+    @pytest.mark.parametrize(
+        "points, vol",
+        [
+            ([(a, b, (a + b) * log2 - (log2 if (a, b) == (1, 1) else 0)) for a in range(3) for b in range(3)], F(4, 3) * log2),
+            ([(a, (a % 2) * log2) for a in range(5)], 3 * log2),
+        ],
+        ids=["grid-with-dip", "zigzag"],
+    )
+    def test_lifted_boundary_holds_only_vertices(self, points, vol):
+        P = convex_hull(points)
+        assert P._kind == "lifted-full"
+        assert {q for simplex in P._boundary for q in simplex} <= set(P.vertices)
+        assert volume(P) == vol
 
     @pytest.mark.parametrize(
         "lifts, vertices, facets, affine_dim, kind, vol",
@@ -590,3 +606,88 @@ class TestIntersect:
         a = convex_hull([(0, 0), (1, 0), (0, 1)])
         b = convex_hull([(5, 5), (6, 5), (5, 6)])
         assert intersect_polytopes(a, b) is None
+
+
+def rand_lifted(rng):
+    """A random value of the log-linear span, sometimes rational."""
+    value = F(rng.randint(-4, 4), rng.randint(1, 3)) + rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3
+    return value if rng.random() < 0.8 else value.constant
+
+
+def log_basis(x):
+    """Coefficients of an exact value as ``log_basis_det`` returns them."""
+    x = as_loglinear(x)
+    return {k: c for k, c in [(None, x.constant), *x.logterms] if c}
+
+
+def rand_rows(rng, count, dim, lifted_col=None, singular=False):
+    """Random rows of small rationals, one column optionally log-linear; a
+    singular draw makes one row a combination of others (or zero)."""
+    rows = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)] for _ in range(count)]
+    if lifted_col is not None:
+        for r in rows:
+            r[lifted_col] = rand_lifted(rng)
+    if singular and count > 0:
+        k = rng.randrange(count)
+        others = [r for i, r in enumerate(rows) if i != k]
+        q = F(rng.randint(-2, 2), rng.randint(1, 2))
+        rows[k] = [F(0)] * dim
+        for r in rng.sample(others, min(2, len(others))):
+            rows[k] = [a + q * b for a, b in zip(rows[k], r)]
+    return [tuple(r) for r in rows]
+
+
+class TestEchelonKernel:
+    """``det``, ``_solve_linear``, ``_rank`` and ``_affine_basis`` share one
+    elimination; each is checked against cofactor expansion over {1, log p}."""
+
+    def test_det_against_log_basis_oracle(self):
+        rng = random.Random(83)
+        assert det([]) == 1
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            lifted_col = rng.randrange(n) if rng.random() < 0.6 else None
+            rows = rand_rows(rng, n, n, lifted_col, singular=rng.random() < 0.3)
+            value = det(rows)
+            assert log_basis(value) == log_basis_det(rows)
+            irrational = any(isinstance(x, LL) and not x.is_rational for r in rows for x in r)
+            assert type(value) is (LL if irrational else F)
+
+    def test_det_two_lifted_columns(self):
+        with pytest.raises(ValueError, match="more than one lifted column"):
+            det([(log2, F(1)), (F(1), log3)])
+
+    def test_solve_linear(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a = rand_rows(rng, n, n, singular=rng.random() < 0.3)
+            b = [rand_lifted(rng) for _ in range(n)]
+            if not log_basis_det(a):
+                with pytest.raises(ValueError, match="singular system"):
+                    _solve_linear(a, b)
+                continue
+            x = _solve_linear(a, b)
+            for row, rhs in zip(a, b):
+                assert sum((c * xi for c, xi in zip(row, x)), F(0)) == rhs
+
+    def test_rank(self):
+        rng = random.Random(97)
+        for _ in range(250):
+            dim = rng.randint(1, 6)
+            count = rng.randint(1, 7)
+            vectors = rand_rows(rng, count, dim, dim - 1 if rng.random() < 0.5 else None, singular=rng.random() < 0.5)
+            assert _rank(vectors) == minor_rank(vectors)
+
+    def test_affine_basis_is_greedy(self):
+        rng = random.Random(101)
+        for _ in range(150):
+            dim = rng.randint(1, 5)
+            points = rand_rows(rng, rng.randint(1, 7), dim, dim - 1 if rng.random() < 0.5 else None, singular=rng.random() < 0.5)
+            diff = lambda i: tuple(a - b for a, b in zip(points[i], points[0]))
+            basis, rank = [0], 0
+            for i in range(1, len(points)):
+                if minor_rank([diff(j) for j in basis[1:] + [i]]) > rank:
+                    basis.append(i)
+                    rank += 1
+            assert _affine_basis(points) == (basis, rank)
