@@ -442,8 +442,13 @@ def _cyclic_order(points):
 
 def _plot_roof_1d(pair: MonomialPair, place: Place, roof: Roof) -> str:
     gens = [(float(b[0]), float(as_loglinear(lift)), b[0], lift) for b, lift in roof.generators]
-    hull = convex_hull([(*g.base, as_loglinear(g.lift)) for g in roof.generators])
-    hull_pts = [(float(v[0]), float(as_loglinear(v[1]))) for v in hull.vertices]
+    if roof.domain.affine_dim == 0:
+        # one exponent: the hull is the vertical segment of the lifts
+        lifts = sorted(g[1] for g in gens)
+        hull_pts = [(gens[0][0], lifts[0]), (gens[0][0], lifts[-1])]
+    else:
+        hull = convex_hull([(*g.base, as_loglinear(g.lift)) for g in roof.generators])
+        hull_pts = [(float(v[0]), float(as_loglinear(v[1]))) for v in hull.vertices]
     breaks = sorted((v[0], val) for v, val in roof.vertex_values().items())
     roof_pts = [(float(x), float(as_loglinear(val))) for x, val in breaks]
     frame = _Frame(

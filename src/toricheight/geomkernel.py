@@ -5,8 +5,11 @@ possibly the last one, which may be a :class:`LogLinearNumber`; every
 predicate is decided exactly (certified sign for the lifted coordinate).
 Determinants, linear solves and ranks share one exact elimination,
 ``_Echelon``.  Supported ambient dimension is small (<= 6): hulls are
-built with an incremental beneath-beyond scheme and volumes by fanning a
-boundary triangulation from a vertex.
+built with an incremental beneath-beyond scheme.  One fan of a rational
+polytope's simplicial boundary from its least vertex serves volumes,
+``triangulate`` and cell integrals; a lifted polytope lies between two
+upper envelopes, of its points and of their negation, and its volume
+integrates the two.
 """
 
 from __future__ import annotations
@@ -258,6 +261,17 @@ class AffineCell:
     def value_at(self, x):
         return _dot(self.gradient, x) + self.offset
 
+    def integral(self):
+        """Exact integral of the affine function over a full-dimensional
+        cell, or the offset over a point in R^0."""
+        r = self.polytope.ambient_dim
+        if r == 0:
+            return self.offset
+        total = Fraction(0)
+        for simplex, vol in _fan(self.polytope):
+            total = total + vol * sum((self.value_at(v) for v in simplex), Fraction(0))
+        return total / factorial(r + 1)
+
 
 class _Chart:
     """Affine chart of a proper affine subspace of Q^d."""
@@ -301,7 +315,8 @@ class Polytope:
     """Exact convex polytope: vertex list (extreme points only) plus
     supporting halfspaces.  Lower-dimensional rational polytopes carry an
     affine chart and the polytope in chart coordinates; full-dimensional
-    ones carry a simplicial boundary for volumes and triangulations."""
+    rational ones carry a simplicial boundary for volumes and
+    triangulations."""
 
     def __init__(
         self, ambient_dim, affine_dim, vertices, facets, kind,
@@ -365,17 +380,22 @@ class Polytope:
             elif self.affine_dim < self.ambient_dim:
                 self._volume = Fraction(0)
             else:
-                anchor = min(self.vertices)
-                d = self.ambient_dim
-                total = Fraction(0)
-                for simplex in self._boundary:
-                    if anchor in simplex:
-                        continue
-                    dv = det([_vsub(p, anchor) for p in simplex])
-                    if dv:
-                        total = total + abs(dv)
-                self._volume = total / factorial(d)
+                self._volume = sum((vol for _, vol in _fan(self)), Fraction(0)) / factorial(self.ambient_dim)
         return self._volume
+
+
+def _fan(p: Polytope):
+    """Nonzero simplices of a rational full-dimensional polytope, fanned
+    from its least vertex over its simplicial boundary, each with the
+    absolute value of its determinant."""
+    if p._boundary is None:
+        raise ValueError("only a full-dimensional rational polytope can be fanned")
+    anchor = min(p.vertices)
+    for face in p._boundary:
+        if anchor not in face:
+            dv = det([_vsub(q, anchor) for q in face])
+            if dv:
+                yield (anchor,) + face, abs(dv)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +464,14 @@ def _embed(chart, inner):
     return Polytope(len(chart.origin), inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
 
 
-def _env_cells_from_facets(points, facets, side):
-    """Merged graph cells (projected) of the upper (side=+1) or lower
-    (side=-1) facets of a full-dimensional lifted hull."""
-    d = len(points[0])
-    k = d - 1
+def _env_cells_from_facets(points, facets):
+    """Merged graph cells (projected) of the upper facets of a
+    full-dimensional lifted hull."""
+    k = len(points[0]) - 1
     groups = {}
     for F in facets:
         nu_last = as_fraction(F.normal[k])
-        s = (nu_last > 0) - (nu_last < 0)
-        if s != side:
+        if nu_last <= 0:
             continue
         gradient = tuple(-F.normal[j] / nu_last for j in range(k))
         offset = F.offset / nu_last
@@ -488,40 +506,28 @@ def _flat_affine(points, basis):
 
 
 def _build_lifted(points):
-    """Polytope of deduplicated points whose last coordinate is lifted.
-
-    The base projections must span their space; the hull is either the
-    graph of a single affine function (flat) or full-dimensional.
-    """
+    """Polytope of deduplicated points whose last coordinate is lifted:
+    the region between the upper envelope of the points and minus that of
+    the negated points, over bases that must span their space.  It is the
+    graph of one affine function (flat) or full-dimensional, with the
+    integral of the upper envelope minus the lower as its volume."""
     d = len(points[0])
     k = d - 1
-    bases = _dedup([p[:k] for p in points])
-    proj = _build_rational(bases)
+    proj = _build_rational(_dedup([p[:k] for p in points]))
     if proj.affine_dim < k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
-    basis, rank = _affine_basis(points)
-    if rank == k:
-        cell = AffineCell(proj, *_flat_affine(points, basis))
-        verts = tuple((*b, cell.value_at(b)) for b in proj.vertices)
-        facets = _lifted_facets([cell], [cell], proj, verts)
-        return Polytope(d, k, verts, facets, "lifted-flat")
-    simplicial = _hull_core(points, basis)
-    upper = _env_cells_from_facets(points, simplicial, +1)
-    lower = _env_cells_from_facets(points, simplicial, -1)
-    vset = []
-    for cell in upper:
-        for b in cell.vertices:
-            vset.append((*b, cell.value_at(b)))
-    for cell in lower:
-        for b in cell.vertices:
-            vset.append((*b, cell.value_at(b)))
-    verts = tuple(sorted(_dedup(vset)))
-    if len(frozenset().union(*(F.ids for F in simplicial))) > len(verts):
-        # a non-extreme point entered the boundary: rebuild from the vertices
-        return _build_lifted([_normalize_point(v) for v in verts])
-    facets = _lifted_facets(upper, lower, proj, verts)
-    boundary = tuple(tuple(points[i] for i in sorted(F.ids)) for F in simplicial)
-    return Polytope(d, d, verts, facets, "lifted-full", boundary=boundary)
+    upper = _upper_cells(points)
+    lower = [
+        AffineCell(cell.polytope, tuple(-g for g in cell.gradient), -cell.offset)
+        for cell in _upper_cells([(*p[:k], -p[k]) for p in points])
+    ]
+    verts = tuple(_dedup([(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices]))
+    if upper == lower:
+        return Polytope(d, k, verts, _lifted_facets(upper, lower, proj, verts), "lifted-flat")
+    verts = tuple(sorted(verts))
+    lifted = Polytope(d, d, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
+    lifted._volume = sum(c.integral() for c in upper) - sum(c.integral() for c in lower)
+    return lifted
 
 
 def _upper_cells(points):
@@ -533,13 +539,12 @@ def _upper_cells(points):
     if rank == k:
         bases = _build_rational(_dedup([p[:k] for p in points]))
         return [AffineCell(bases, *_flat_affine(points, basis))]
-    return _env_cells_from_facets(points, _hull_core(points, basis), +1)
+    return _env_cells_from_facets(points, _hull_core(points, basis))
 
 
 def _lifted_facets(upper, lower, proj, vertices):
     """Supporting halfspaces of a lifted polytope: one per graph cell plus
     the vertical extensions of the projection's facets."""
-    k = proj.ambient_dim
     facets = []
 
     def saturating(normal, offset):
@@ -553,8 +558,7 @@ def _lifted_facets(upper, lower, proj, vertices):
     for cell in lower:
         normal = tuple(cell.gradient) + (Fraction(-1),)
         facets.append(Facet(normal, -cell.offset, saturating(normal, -cell.offset)))
-    proj_facets = proj.facets if proj.affine_dim == k else ()
-    for F in proj_facets:
+    for F in proj.facets:
         normal = tuple(F.normal) + (Fraction(0),)
         facets.append(Facet(normal, F.offset, saturating(normal, F.offset)))
     return tuple(facets)
@@ -644,20 +648,9 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def triangulate(p: Polytope):
-    """Full-dimensional simplices (as vertex tuples) partitioning p, fanned
-    from the lexicographically least vertex."""
-    if p.ambient_dim == 0 or p.affine_dim < p.ambient_dim:
-        raise ValueError("triangulate needs a full-dimensional polytope")
-    anchor = min(p.vertices)
-    out = []
-    for simplex in p._boundary:
-        if anchor in simplex:
-            continue
-        if det([_vsub(q, anchor) for q in simplex]):
-            out.append((anchor,) + simplex)
-    if not out:
-        raise ValueError("empty triangulation")
-    return out
+    """Full-dimensional simplices (as vertex tuples) partitioning a
+    full-dimensional rational polytope, fanned from its least vertex."""
+    return [simplex for simplex, _ in _fan(p)]
 
 
 # ---------------------------------------------------------------------------

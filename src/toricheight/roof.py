@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .exactnum import as_fraction, value_sign
@@ -21,13 +20,10 @@ from .geomkernel import (
     FaceLattice,
     Polytope,
     convex_hull,
-    det,
-    triangulate,
     upper_envelope,
     intersect_polytopes,
     _as_value,
     _dedup,
-    _vsub,
 )
 
 __all__ = [
@@ -124,21 +120,10 @@ def roof_integral(f: Roof):
     Over a zero-dimensional domain this is the roof value itself; a domain
     that is degenerate in its ambient space has measure zero.
     """
-    r = f.base_dim
-    if r == 0:
-        return f.cells[0].offset
     # cells are chart-embedded exactly when the bases are degenerate
-    if f.cells[0].polytope.affine_dim < r:
+    if f.cells[0].polytope.affine_dim < f.base_dim:
         return Fraction(0)
-    total = Fraction(0)
-    for cell in f.cells:
-        for simplex in triangulate(cell.polytope):
-            vol = det([_vsub(q, simplex[0]) for q in simplex[1:]])
-            if value_sign(vol) < 0:
-                vol = -vol
-            mean = sum((cell.value_at(v) for v in simplex), Fraction(0)) / (r + 1)
-            total = total + (vol / factorial(r)) * mean
-    return total
+    return sum((cell.integral() for cell in f.cells), Fraction(0))
 
 
 def sup_convolution(f: Roof, g: Roof) -> Roof:

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toricheight
 from toricheight.cli import main, pair_document, parse_pair_document, roof_to_json
@@ -192,6 +196,21 @@ class TestPlot:
         assert run(capsys, "plot", str(path), "--place", "inf", "--out", str(out))[0] == 0
         assert b"polyline" in out.read_bytes()
 
+    @pytest.mark.parametrize("place", ["inf", "2", "3"])
+    @pytest.mark.parametrize(
+        "exponents, coefficients", [([[3]], ["6"]), ([[1], [1]], ["2", "3"])], ids=["single", "repeated"]
+    )
+    def test_one_exponent(self, capsys, tmp_path, exponents, coefficients, place):
+        # a point domain: the lifted generators lie on one vertical line
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"exponents": exponents, "coefficients": coefficients}))
+        out = tmp_path / "p.svg"
+        code, stdout, err = run(capsys, "--format", "json", "plot", str(path), "--place", place, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_bytes().startswith(b"<?xml")
+        doc = json.loads(stdout)
+        assert doc["domain"] == [[str(exponents[0][0])]] and len(doc["cells"]) == 1
+
     def test_2d(self, capsys, tmp_path):
         path = tmp_path / "sq.json"
         path.write_text(
@@ -316,6 +335,42 @@ class TestExitCodes:
         err = proc.stderr.decode()
         assert proc.returncode == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@st.composite
+def pair_documents(draw):
+    n = draw(st.integers(1, 2))
+    # a few distinct rows drawn with repetition: single monomials, repeated
+    # exponents and point domains come up often
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=3))
+    exponents = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+    coefficients = draw(
+        st.lists(st.sampled_from(["1", "-1", "2", "1/3", "6", "-5/4", "12"]), min_size=len(exponents), max_size=len(exponents))
+    )
+    return {"exponents": exponents, "coefficients": coefficients}
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        doc=pair_documents(),
+        command=st.sampled_from(["plot", "height", "orbits"]),
+        place=st.sampled_from(["inf", "2", "3"]),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    def test_small_pairs_exit_cleanly(self, doc, command, place, fmt):
+        # repeated exponents and single monomials included: every run ends
+        # in an answer or a documented error exit, never an exception
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pair.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["--format", fmt, command, path]
+            if command == "plot":
+                argv += ["--place", place, "--out", os.path.join(tmp, "p.svg")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in {0, 2, 3, 4, 5}
 
 
 class TestRoofJson:

@@ -96,17 +96,20 @@ class TestConvexHull:
         assert len(triangulate(convex_hull(list(itertools.product(range(3), repeat=2))))) == 2
 
     @pytest.mark.parametrize(
-        "points, vol",
+        "points, n_vertices, vol",
         [
-            ([(a, b, (a + b) * log2 - (log2 if (a, b) == (1, 1) else 0)) for a in range(3) for b in range(3)], F(4, 3) * log2),
-            ([(a, (a % 2) * log2) for a in range(5)], 3 * log2),
+            ([(a, b, (a + b) * log2 - (log2 if (a, b) == (1, 1) else 0)) for a in range(3) for b in range(3)], 5, F(4, 3) * log2),
+            ([(a, (a % 2) * log2) for a in range(5)], 4, 3 * log2),
         ],
         ids=["grid-with-dip", "zigzag"],
     )
-    def test_lifted_boundary_holds_only_vertices(self, points, vol):
+    def test_lifted_keeps_no_boundary(self, points, n_vertices, vol):
+        # non-extreme points must not count: the volume integrates the two
+        # envelopes, and no simplicial boundary is kept
         P = convex_hull(points)
         assert P._kind == "lifted-full"
-        assert {q for simplex in P._boundary for q in simplex} <= set(P.vertices)
+        assert P._boundary is None
+        assert len(P.vertices) == n_vertices
         assert volume(P) == vol
 
     @pytest.mark.parametrize(
@@ -466,11 +469,11 @@ class TestLiftedRationalModel:
 
     def test_vertices_volume_and_cells(self):
         rng = random.Random(59)
-        for dim in (1, 2):
+        for dim in (1, 2, 3):
             for _ in range(25):
                 count = rng.randint(dim + 2, dim + 5)
                 bases = list({tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(count)})
-                if len({b[0] for b in bases}) < 2 or (dim == 2 and len({b[1] for b in bases}) < 2):
+                if convex_hull(bases).affine_dim < dim:
                     continue
                 cs = [rng.randint(-3, 3) for _ in bases]
                 g = [F(rng.randint(-2, 2)) for _ in range(dim)]
@@ -487,8 +490,13 @@ class TestLiftedRationalModel:
                     (*v[:dim], v[dim] * log2 + shift(v[:dim])) for v in model.vertices
                 }
                 assert set(lifted.vertices) == predicted
+                assert all(lifted.contains(v) for v in predicted)
                 assert lifted.volume() == model.volume() * log2
                 assert lifted.affine_dim == model.affine_dim
+                if lifted.is_full_dimensional:
+                    assert lifted.vertices == tuple(sorted(predicted))
+                    with pytest.raises(ValueError):
+                        triangulate(lifted)
 
     def test_flat_configurations(self):
         rng = random.Random(61)
