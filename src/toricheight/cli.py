@@ -48,7 +48,7 @@ CAP_ENV_VAR = "TORIC_HEIGHT_CAP"
 
 
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # JSON true/false arrive as bool, a subclass of int
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -83,7 +83,7 @@ def _parse_exponents(doc, field="exponents"):
     out = []
     width = None
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
             raise ParseError(f"{field}[{i}] must be an array of integers")
         if width is None:
             width = len(row)

@@ -516,15 +516,19 @@ def _build_lifted(points):
     proj = _build_rational(_dedup([p[:k] for p in points]))
     if proj.affine_dim < k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
-    upper = _upper_cells(points)
+    # negating the lift keeps the points' affine basis
+    basis, rank = _affine_basis(points)
+    if rank == k:
+        flat = [AffineCell(proj, *_flat_affine(points, basis))]
+        verts = tuple((*b, flat[0].value_at(b)) for b in proj.vertices)
+        return Polytope(d, k, verts, _lifted_facets(flat, flat, proj, verts), "lifted-flat")
+    upper = _env_cells_from_facets(points, _hull_core(points, basis))
+    negated = [(*p[:k], -p[k]) for p in points]
     lower = [
         AffineCell(cell.polytope, tuple(-g for g in cell.gradient), -cell.offset)
-        for cell in _upper_cells([(*p[:k], -p[k]) for p in points])
+        for cell in _env_cells_from_facets(negated, _hull_core(negated, basis))
     ]
-    verts = tuple(_dedup([(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices]))
-    if upper == lower:
-        return Polytope(d, k, verts, _lifted_facets(upper, lower, proj, verts), "lifted-flat")
-    verts = tuple(sorted(verts))
+    verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
     lifted = Polytope(d, d, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
     lifted._volume = sum(c.integral() for c in upper) - sum(c.integral() for c in lower)
     return lifted

@@ -1,9 +1,13 @@
 """Mixed volumes, mixed integrals, polarized Chow weights, and the
 normalized multiheight of the torus under several monomial embeddings.
 
-Both polarizations run over nonempty index subsets S with the sign
+Mixed volumes and mixed integrals are one polarization: of the volume
+under Minkowski sums and of the roof integral under sup-convolution.  It
+runs over nonempty index subsets S in order of size with the sign
 (-1)^(count - |S|), which reproduces the diagonal identities
-MV(Q,...,Q) = n! Vol(Q) and MI(f,...,f) = (n+1)! Int(f).
+MV(Q,...,Q) = n! Vol(Q) and MI(f,...,f) = (n+1)! Int(f).  Each subset is
+built from the subset one size smaller and its last member; a single
+member is the input itself.
 """
 
 from __future__ import annotations
@@ -11,12 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, Place, as_loglinear, relevant_places, value_sign
-from .geomkernel import Polytope, convex_hull, lattice_normalize
-from .roof import Roof, lifted_polytope, roof_from_generators, roof_from_weight, roof_integral
+from .geomkernel import convex_hull, lattice_normalize, minkowski_sum, volume
+from .roof import lifted_polytope, roof_from_weight, roof_integral, sup_convolution
 from .toric import HeightReport, MonomialPair, weight_vector, _require_full_lattice
 
 __all__ = [
@@ -29,18 +32,19 @@ __all__ = [
 ]
 
 
-def _subset_signs(count: int):
-    for size in range(1, count + 1):
-        sign = -1 if (count - size) % 2 else 1
-        for subset in itertools.combinations(range(count), size):
-            yield sign, subset
-
-
-def _sum_vertex_sets(vertex_sets):
-    points = vertex_sets[0]
-    for vs in vertex_sets[1:]:
-        points = [tuple(a + b for a, b in zip(p, q)) for p in points for q in vs]
-    return points
+def _polarize(items, combine, measure):
+    """Sum of (-1)^(n - |S|) measure(combination of S) over the nonempty
+    subsets S of the n items, each combination built as ``combine`` of the
+    subset without its last member and that member."""
+    n = len(items)
+    built = {(i,): item for i, item in enumerate(items)}
+    total = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if size > 1:
+                built[subset] = combine(built[subset[:-1]], items[subset[-1]])
+            total = total + measure(built[subset]) * (-1) ** (n - size)
+    return total
 
 
 def mixed_volume(polytopes):
@@ -54,12 +58,7 @@ def mixed_volume(polytopes):
         return Fraction(1)
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
-    total = None
-    for sign, subset in _subset_signs(n):
-        vol = convex_hull(_sum_vertex_sets([polys[i].vertices for i in subset])).volume()
-        term = vol * sign
-        total = term if total is None else total + term
-    return total
+    return _polarize(polys, minkowski_sum, volume)
 
 
 def mixed_integral(roofs):
@@ -71,13 +70,7 @@ def mixed_integral(roofs):
         raise ValueError("need at least one roof")
     if any(f.base_dim != n for f in roofs):
         raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
-    total = None
-    for sign, subset in _subset_signs(n + 1):
-        gens = _sum_vertex_sets([[(*g.base, g.lift) for g in roofs[i].generators] for i in subset])
-        conv = roof_from_generators([(p[:n], p[n]) for p in gens])
-        term = roof_integral(conv) * sign
-        total = term if total is None else total + term
-    return as_loglinear(total)
+    return as_loglinear(_polarize(roofs, sup_convolution, roof_integral))
 
 
 def mixed_integral_via_mv(roofs, floors):

@@ -24,6 +24,7 @@ from .geomkernel import (
     intersect_polytopes,
     _as_value,
     _dedup,
+    _vadd,
 )
 
 __all__ = [
@@ -127,16 +128,16 @@ def roof_integral(f: Roof):
 
 
 def sup_convolution(f: Roof, g: Roof) -> Roof:
-    """Sup-convolution: the roof generated by all pairwise sums of the two
-    generator sets, living on the Minkowski sum of the domains."""
+    """Sup-convolution, living on the Minkowski sum of the domains: the
+    roof of the pairwise sums of the two roofs' upper vertices, which are
+    its generators.  An upper envelope depends only on its upper vertices,
+    so this equals the roof of all pairwise generator sums."""
     if f.base_dim != g.base_dim:
         raise ValueError("dimension mismatch")
-    gens = [
-        (tuple(a + b for a, b in zip(p.base, q.base)), p.lift + q.lift)
-        for p in f.generators
-        for q in g.generators
-    ]
-    return roof_from_generators(gens)
+    gv = g.vertex_values().items()
+    return roof_from_generators(
+        (_vadd(p, q), a + b) for p, a in f.vertex_values().items() for q, b in gv
+    )
 
 
 def restrict_to_face(f: Roof, face: Face, lattice: FaceLattice | None = None) -> Roof:

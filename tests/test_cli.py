@@ -270,6 +270,8 @@ class TestExitCodes:
             ["mixed-integral", "{mixed_weights}"],
             ["plot", "{cubic}", "--place", "inf", "--out", "{cubic}/o.svg"],
             ["compose", "segre", "{cubic}", "{cubic}", "--out", "{cubic}/x.json"],
+            ["height", "{bool_exponents}"],
+            ["mixed-volume", "{bool_point}"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -286,6 +288,8 @@ class TestExitCodes:
                     {"exponents": [[0, 0], [1, 0], [0, 1]], "weights": ["0", "1", "2"]},
                 ]
             },
+            "bool_exponents": {"exponents": [[True], [False]], "coefficients": ["1", "2"]},
+            "bool_point": {"polytopes": [[[True]]]},
         }
         paths = {}
         for name, doc in docs.items():
@@ -350,6 +354,44 @@ def pair_documents(draw):
     return {"exponents": exponents, "coefficients": coefficients}
 
 
+RATIONALS = ["1", "-1", "2", "1/3", "6", "-5/4", "12", 3]
+# booleans, non-rational strings and non-strings, all to be rejected
+BAD_SCALARS = [True, False, "x", "1/0", "", 1.5, None, [1]]
+
+
+@st.composite
+def mixed_entries(draw):
+    """Entries over 1-D or 2-D exponents, n+1 of them when well formed,
+    each with at most 3 points and one value per point; sometimes
+    malformed by a wrong entry count, a mixed dimension or a bad scalar."""
+    # the well-formed choice comes first, where Hypothesis draws most often
+    n = draw(st.integers(1, 2))
+    count = draw(st.sampled_from([n + 1] * 9 + [n, n + 2]))
+    scalar = st.sampled_from(RATIONALS)
+    if draw(st.sampled_from([False] * 7 + [True])):
+        scalar = st.sampled_from(RATIONALS + BAD_SCALARS)
+    entries = []
+    for _ in range(count):
+        dim = draw(st.sampled_from([n] * 9 + [n + 1, n - 1]))
+        size = draw(st.sampled_from([3, 2, 1]))
+        coordinate = st.sampled_from([1, 0, 2])
+        points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=size, max_size=size))
+        if draw(st.sampled_from([False] * 9 + [True])):
+            points[0][:1] = [draw(st.sampled_from(BAD_SCALARS))]
+        entries.append((points, draw(st.lists(scalar, min_size=len(points), max_size=len(points)))))
+    return entries
+
+
+def mixed_document(command, entries):
+    """The entries as a document for ``command``: all but the first as
+    polytopes, or each as a weight or pair document."""
+    if command == "mixed-volume":
+        return {"polytopes": [points for points, _ in entries[1:]]}
+    if command == "mixed-integral":
+        return {"weights": [{"exponents": p, "weights": v} for p, v in entries]}
+    return {"pairs": [{"exponents": p, "coefficients": v} for p, v in entries]}
+
+
 class TestFuzz:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -371,6 +413,18 @@ class TestFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in {0, 2, 3, 4, 5}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(entries=mixed_entries())
+    def test_mixed_documents_exit_cleanly(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in ("mixed-volume", "mixed-integral", "multiheight"):
+                path = os.path.join(tmp, f"{command}.json")
+                with open(path, "w") as fh:
+                    json.dump(mixed_document(command, entries), fh)
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, path])
+                assert code in {0, 2, 3, 4, 5}
 
 
 class TestRoofJson:

@@ -517,6 +517,34 @@ class TestLiftedRationalModel:
             }
 
 
+    @pytest.mark.parametrize(
+        "bases, lift",
+        [
+            (list(itertools.product(range(3), repeat=2)), lambda b: (b[0] + b[1]) * log2),
+            ([(a,) for a in range(5)], lambda b: b[0] * log2),
+        ],
+        ids=["grid", "segment"],
+    )
+    def test_flat_lift_hulls_bases_once(self, monkeypatch, bases, lift):
+        # the projection's hull serves both graph cells
+        calls = []
+        for name in ("_hull_core", "_build_rational"):
+            real = getattr(geomkernel, name)
+            monkeypatch.setattr(
+                geomkernel, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        base = convex_hull(bases)
+        alone = sorted(calls)
+        calls.clear()
+        P = convex_hull([(*b, lift(b)) for b in bases])
+        assert sorted(calls) == alone
+        assert (P._kind, P.affine_dim, volume(P)) == ("lifted-flat", len(bases[0]), 0)
+        assert P.vertices == tuple((*v, lift(v)) for v in base.vertices)
+        everything = tuple(range(len(P.vertices)))
+        assert [Fc.vertex_ids for Fc in P.facets[:2]] == [everything, everything]
+        assert [Fc.normal[:-1] for Fc in P.facets[2:]] == [Fc.normal for Fc in base.facets]
+
+
 class TestMinkowski:
     def test_segments(self):
         S = minkowski_sum(convex_hull([(0,), (1,)]), convex_hull([(0,), (2,)]))

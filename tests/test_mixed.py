@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import pytest
 
 from toricheight.errors import LatticeHypothesisError
-from toricheight.exactnum import LogLinearNumber, certified_sign
+from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
 from toricheight.geomkernel import convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
@@ -15,7 +16,13 @@ from toricheight.mixed import (
     multi_chow_weight,
     multiheight,
 )
-from toricheight.roof import roof_from_weight, roof_integral, sup_convolution
+from toricheight.roof import (
+    lifted_polytope,
+    roof_from_generators,
+    roof_from_weight,
+    roof_integral,
+    sup_convolution,
+)
 from toricheight.toric import MonomialPair, chow_weight, normalized_height
 
 LL = LogLinearNumber
@@ -43,6 +50,139 @@ def rand_roof(rng, n=1, nonneg=False, span=3):
 def rand_polytope(rng, n=2):
     pts = [tuple(F(rng.randint(0, 4)) for _ in range(n)) for _ in range(n + 3)]
     return convex_hull(pts)
+
+
+def full_sum_polarization(count, measure_of_subset):
+    """Reference polarization: every subset measured from scratch."""
+    total = None
+    for size in range(1, count + 1):
+        sign = -1 if (count - size) % 2 else 1
+        for subset in itertools.combinations(range(count), size):
+            term = measure_of_subset(subset) * sign
+            total = term if total is None else total + term
+    return total
+
+
+def all_sums(point_sets):
+    points = point_sets[0]
+    for ps in point_sets[1:]:
+        points = [tuple(a + b for a, b in zip(p, q)) for p in points for q in ps]
+    return points
+
+
+def full_sum_mixed_volume(polys):
+    """Hull of every vertex sum of each subset."""
+    return full_sum_polarization(
+        len(polys), lambda s: convex_hull(all_sums([polys[i].vertices for i in s])).volume()
+    )
+
+
+def full_sum_mixed_integral(roofs):
+    """Roof of every generator sum of each subset."""
+    n = len(roofs) - 1
+
+    def measure(subset):
+        gens = all_sums([[(*g.base, g.lift) for g in roofs[i].generators] for i in subset])
+        return roof_integral(roof_from_generators([(p[:n], p[n]) for p in gens]))
+
+    return as_loglinear(full_sum_polarization(n + 1, measure))
+
+
+def rand_any_roof(rng, n):
+    """Roof over 1 to 4 exponents in a small box: repeated, collinear and
+    single-point bases come up often."""
+    exps = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:  # force collinear bases
+        step = tuple(rng.randint(0, 1) for _ in range(n))
+        exps = [tuple(k * x for x in step) for k in range(rng.randint(1, 3))]
+    weights = [rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 + F(rng.randint(-2, 2), 2) for _ in exps]
+    return roof_from_weight(exps, weights)
+
+
+def floor_below(roof, rng):
+    m = roof.min_value()
+    return (m if certified_sign(m) <= 0 else LL()) - rng.randint(0, 1)
+
+
+class TestAgainstFullSums:
+    # n and the number of random families per dimension
+    SIZES = [(1, 40), (2, 10), (3, 2)]
+
+    def test_mixed_integral(self):
+        rng = random.Random(101)
+        for n, count in self.SIZES:
+            for _ in range(count):
+                roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
+                value = mixed_integral(roofs)
+                assert value == full_sum_mixed_integral(roofs)
+                if all(f.domain.is_full_dimensional for f in roofs):
+                    floors = [floor_below(f, rng) for f in roofs]
+                    assert mixed_integral_via_mv(roofs, floors) == value
+
+    def test_mixed_volume(self):
+        rng = random.Random(103)
+        for n, count in self.SIZES:
+            for _ in range(count):
+                polys = [
+                    convex_hull([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 2))])
+                    for _ in range(n)
+                ]
+                assert mixed_volume(polys) == full_sum_mixed_volume(polys)
+
+    def test_lifted_mixed_volume(self):
+        rng = random.Random(107)
+        for n, count in ((1, 15), (2, 1)):
+            done = 0
+            while done < count:
+                roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
+                if not all(f.domain.is_full_dimensional for f in roofs):
+                    continue
+                lifted = [lifted_polytope(f, floor_below(f, rng)) for f in roofs]
+                assert mixed_volume(lifted) == full_sum_mixed_volume(lifted)
+                done += 1
+
+
+class TestPolarizationStructure:
+    """Each subset is built from the subset one size smaller, and single
+    members are not rebuilt."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_envelopes_per_mixed_integral(self, monkeypatch, n):
+        import toricheight.geomkernel
+        import toricheight.roof
+
+        rng = random.Random(109 + n)
+        roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
+        calls = []
+        real = toricheight.geomkernel.upper_envelope
+
+        def counting(points):
+            calls.append(1)
+            return real(points)
+
+        monkeypatch.setattr(toricheight.geomkernel, "upper_envelope", counting)
+        monkeypatch.setattr(toricheight.roof, "upper_envelope", counting)
+        mixed_integral(roofs)
+        assert len(calls) == 2 ** (n + 1) - n - 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hulls_per_mixed_volume(self, monkeypatch, n):
+        import toricheight.geomkernel
+        import toricheight.mixed
+
+        rng = random.Random(113 + n)
+        polys = [rand_polytope(rng, n) for _ in range(n)]
+        calls = []
+        real = toricheight.geomkernel.convex_hull
+
+        def counting(points):
+            calls.append(1)
+            return real(points)
+
+        monkeypatch.setattr(toricheight.geomkernel, "convex_hull", counting)
+        monkeypatch.setattr(toricheight.mixed, "convex_hull", counting)
+        mixed_volume(polys)
+        assert len(calls) == 2**n - n - 1
 
 
 class TestMixedVolume:

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from toricheight.exactnum import LogLinearNumber, certified_sign
+from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
 from toricheight.geomkernel import convex_hull, det, face_lattice, triangulate, volume
 from toricheight.roof import (
     lifted_polytope,
@@ -46,6 +46,16 @@ def rand_roof_1d(rng, lifted=True, nonneg=False):
             w = c
         weights.append(w)
     return roof_from_weight([(x,) for x in xs], weights)
+
+
+def rand_roof_nd(rng, n):
+    """Roof over 1 to 5 exponents in {0, 1, 2}^n: single points, repeated
+    exponents and degenerate bases come up often."""
+    exps = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        exps = [tuple(k * x for x in exps[0]) for k in range(rng.randint(1, 3))]
+    weights = [rng.randint(-3, 3) * log2 + F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in exps]
+    return roof_from_weight(exps, weights)
 
 
 class TestRoofFromWeight:
@@ -248,6 +258,32 @@ class TestSupConvolution:
             b = sup_convolution(f, sup_convolution(g, k))
             c = sup_convolution(sup_convolution(k, g), f)
             assert a.vertex_values() == b.vertex_values() == c.vertex_values()
+
+    def test_sums_upper_vertices_only(self):
+        # degenerate and single-point bases included; the all-generator sum
+        # is the reference
+        rng = random.Random(97)
+        for n in (1, 2, 3):
+            for _ in range((30, 12, 4)[n - 1]):
+                f, g = (rand_roof_nd(rng, n) for _ in range(2))
+                h = sup_convolution(f, g)
+                sums = {
+                    (tuple(a + b for a, b in zip(p, q)), as_loglinear(x + y))
+                    for p, x in f.vertex_values().items()
+                    for q, y in g.vertex_values().items()
+                }
+                assert {(p.base, as_loglinear(p.lift)) for p in h.generators} == sums
+                assert len(h.generators) == len(sums)
+                full = roof_from_generators(
+                    [
+                        (tuple(a + b for a, b in zip(p.base, q.base)), p.lift + q.lift)
+                        for p in f.generators
+                        for q in g.generators
+                    ]
+                )
+                assert set(h.cells) == set(full.cells)
+                assert h.vertex_values() == full.vertex_values()
+                assert roof_integral(h) == roof_integral(full)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
