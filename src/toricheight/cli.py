@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DimensionLimitError, EnumerationCapError, LatticeHypothesisError, ParseError
-from .exactnum import LogLinearNumber, Place, approximate, as_loglinear
+from .exactnum import MAX_BITS, LogLinearNumber, Place, approximate, as_loglinear
 from .geomkernel import convex_hull
 from .mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
 from .roof import Roof, roof_from_weight
@@ -168,11 +168,8 @@ def _emit(args, payload: dict, value: LogLinearNumber | None):
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return
-    if value is not None and fmt == "symbolic":
-        print(payload["symbolic"])
-        return
-    if value is not None and fmt == "decimal":
-        print(payload["decimal"])
+    if value is not None and fmt in ("symbolic", "decimal"):
+        print(payload[fmt])
         return
     for key, val in payload.items():
         if key in ("value", "per_place"):
@@ -185,10 +182,7 @@ def _emit(args, payload: dict, value: LogLinearNumber | None):
 
 
 def _per_place_payload(per_place, bits):
-    out = {}
-    for place, val in per_place:
-        out[str(place)] = _value_fields(val, bits)
-    return out
+    return {str(place): _value_fields(val, bits) for place, val in per_place}
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +339,7 @@ def cmd_orbits(args) -> int:
         payload = {"command": "orbits", "orbits": entries}
         if name:
             payload["name"] = name
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _emit(args, payload, None)
     else:
         print(f"orbits: {len(entries)}")
         for e in entries:
@@ -370,7 +363,7 @@ def cmd_compose(args) -> int:
             raise ParseError("compose veronese needs --degree")
         _at_least("--degree", args.degree, 1)
         p1, n1 = parse_pair_document(_read_json(args.input))
-        out = veronese(p1, args.degree)
+        out = veronese(p1, args.degree, _cap(args))
         name = f"veronese({n1 or 'a'},{args.degree})"
     else:  # image
         if not args.image:
@@ -560,8 +553,7 @@ def cmd_plot(args) -> int:
     svg = _plot_roof_1d(pair, place, roof) if n == 1 else _plot_base_2d(pair, place, roof)
     _write_text(args.out, svg)
     if args.format == "json":
-        json.dump(roof_to_json(roof), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _emit(args, roof_to_json(roof), None)
     return 0
 
 
@@ -649,6 +641,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _at_least("--bits", args.bits, 16)
+        if args.bits > MAX_BITS:
+            raise ParseError(f"--bits must be at most {MAX_BITS}, got {args.bits}")
         if args.cap is not None:
             _at_least("--cap", args.cap, 0)
         code = args.func(args)

@@ -26,7 +26,11 @@ __all__ = [
     "padic_order",
     "log_abs",
     "relevant_places",
+    "MAX_BITS",
 ]
+
+# past about 14,000 bits a decimal exceeds Python's 4,300-digit str(int) limit
+MAX_BITS = 10_000
 
 
 def as_fraction(x) -> Fraction:
@@ -350,8 +354,8 @@ def approximate(x: LogLinearNumber, bits: int) -> tuple[str, float]:
     Returns ``(decimal_string, error)`` with ``|x - float(decimal_string)|
     <= error``.  Exact zero gives ``("0", 0.0)``.
     """
-    if bits < 16:
-        raise ValueError("need at least 16 bits")
+    if not 16 <= bits <= MAX_BITS:
+        raise ValueError(f"need between 16 and {MAX_BITS} bits, got {bits}")
     x = as_loglinear(x)
     if x.is_zero:
         return "0", 0.0
@@ -403,11 +407,9 @@ def log_abs(q, v: Place) -> LogLinearNumber:
         raise ValueError("log_abs of zero")
     if v.is_finite:
         return LogLinearNumber.log_prime(v.prime, -padic_order(q, v.prime))
-    terms: dict[int, Fraction] = {}
-    for p, k in _prime_factors(q.numerator).items():
-        terms[p] = terms.get(p, Fraction(0)) + k
-    for p, k in _prime_factors(q.denominator).items():
-        terms[p] = terms.get(p, Fraction(0)) - k
+    # numerator and denominator are coprime: their primes are distinct
+    terms = {p: Fraction(k) for p, k in _prime_factors(q.numerator).items()}
+    terms.update((p, Fraction(-k)) for p, k in _prime_factors(q.denominator).items())
     return LogLinearNumber._make(Fraction(0), terms)
 
 

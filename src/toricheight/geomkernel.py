@@ -3,13 +3,13 @@
 Points are tuples of exact values.  All coordinates are rationals except
 possibly the last one, which may be a :class:`LogLinearNumber`; every
 predicate is decided exactly (certified sign for the lifted coordinate).
-Determinants, linear solves and ranks share one exact elimination,
-``_Echelon``.  Supported ambient dimension is small (<= 6): hulls are
-built with an incremental beneath-beyond scheme.  One fan of a rational
-polytope's simplicial boundary from its least vertex serves volumes,
-``triangulate`` and cell integrals; a lifted polytope lies between two
-upper envelopes, of its points and of their negation, and its volume
-integrates the two.
+Determinants, kernel vectors (facet normals, linear solves) and ranks
+share one exact elimination, ``_Echelon``.  Ambient dimensions are small
+(<= 6): hulls are built with an incremental beneath-beyond scheme.  One
+fan of a rational polytope's simplicial boundary from its least vertex
+serves volumes, ``triangulate`` and cell integrals; a lifted polytope
+lies between two upper envelopes, of its points and of their negation,
+and its volume integrates the two.
 """
 
 from __future__ import annotations
@@ -64,10 +64,7 @@ def _vadd(a, b):
 
 
 def _dot(a, b):
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _is_lifted(x) -> bool:
@@ -76,8 +73,8 @@ def _is_lifted(x) -> bool:
 
 class _Echelon:
     """Incremental row echelon form of vectors over Q whose last coordinate
-    may be log-linear: the one elimination behind determinants, solves and
-    ranks.
+    may be log-linear: the one elimination behind determinants, kernel
+    vectors and ranks.
 
     Each added vector is reduced by the stored pivots in insertion order and
     pivots on its first nonzero coordinate.  A pivot keeps its column, its
@@ -131,29 +128,34 @@ def det(rows):
     return as_loglinear(total) if lifted else total
 
 
-def _solve_linear(a_rows, b):
-    """Solve the square rational system ``A x = b``; the right-hand side may
-    hold log-linear values, so the solution lives in the same span."""
-    n = len(a_rows)
+def _kernel_vector(rows):
+    """The kernel vector of k independent rows of length k+1 that has a 1
+    in the one column without a pivot, returned with that column; None if
+    the rows are dependent.  A pivot's row is zero at every earlier pivot's
+    column, so back-substitution runs in reverse insertion order."""
     echelon = _Echelon()
-    for r, y in zip(a_rows, b):
-        if not echelon.add([*map(as_fraction, r), _as_value(y)]) or echelon.pivots[-1][0] == n:
-            raise ValueError("singular system")
-    x = [None] * n
+    if not all(echelon.add(r) for r in rows):
+        return None
+    free = min(set(range(len(rows) + 1)) - {c for c, _, _ in echelon.pivots})
+    x = {free: Fraction(1)}
     for col, _, tail in reversed(echelon.pivots):
-        acc = tail[-1]
-        for j, t in enumerate(tail[:-1], col + 1):
-            if t:
-                acc = acc - t * x[j]
-        x[col] = acc
-    return x
+        x[col] = -sum((t * x[j] for j, t in enumerate(tail, col + 1) if t), Fraction(0))
+    return [x[j] for j in range(len(rows) + 1)], free
+
+
+def _solve_linear(a_rows, b):
+    """Solve the square rational system ``A x = b`` as the kernel of
+    ``[A | -b]``; the right-hand side may hold log-linear values, so the
+    solution lives in the same span."""
+    kernel = _kernel_vector([[*map(as_fraction, r), -_as_value(y)] for r, y in zip(a_rows, b)])
+    if kernel is None or kernel[1] != len(a_rows):
+        raise ValueError("singular system")
+    return kernel[0][:-1]
 
 
 def _rank(vectors) -> int:
     echelon = _Echelon()
-    for v in vectors:
-        echelon.add(v)
-    return len(echelon.pivots)
+    return sum(echelon.add(v) for v in vectors)
 
 
 def _affine_basis(points):
@@ -176,15 +178,11 @@ class _SimplicialFacet:
 
 def _hyperplane(points):
     """Outward-unoriented hyperplane through d affinely independent points
-    in R^d, as (normal, offset) with normal the cofactor vector."""
-    d = len(points[0])
-    rows = [_vsub(p, points[0]) for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[r[k] for k in range(d) if k != j] for r in rows]
-        cof = det(minor)
-        normal.append(cof if j % 2 == 0 else -cof)
-    normal = tuple(normal)
+    in R^d, as (normal, offset) with normal a kernel vector of their
+    differences.  Only the last coordinate of a point may be lifted, so the
+    normal's last coordinate is rational (1, or 0 for a vertical
+    hyperplane); callers orient the normal and remove its scale."""
+    normal = tuple(_kernel_vector([_vsub(p, points[0]) for p in points[1:]])[0])
     return normal, _dot(normal, points[0])
 
 

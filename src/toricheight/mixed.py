@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LatticeHypothesisError
-from .exactnum import LogLinearNumber, Place, as_loglinear, relevant_places, value_sign
+from .exactnum import LogLinearNumber, as_loglinear, value_sign
 from .geomkernel import convex_hull, lattice_normalize, minkowski_sum, volume
 from .roof import lifted_polytope, roof_from_weight, roof_integral, sup_convolution
-from .toric import HeightReport, MonomialPair, weight_vector, _require_full_lattice
+from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
 __all__ = [
     "EmbeddingFamily",
@@ -149,22 +149,13 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
     the sum over places of the mixed integrals of the local roofs."""
     n = family.torus_dim
     coords = _common_normalization(family)
-    places: set[Place] = set()
-    for m in family.members:
-        places.update(relevant_places(m.coefficients))
-    per = []
-    total = LogLinearNumber()
-    for v in sorted(places, key=Place.sort_key):
-        roofs = [
-            roof_from_weight(coords[i], weight_vector(m, v))
-            for i, m in enumerate(family.members)
-        ]
-        local = mixed_integral(roofs)
-        per.append((v, local))
-        total = total + local
+    per, total = _over_places(
+        [m.coefficients for m in family.members],
+        lambda *ws: mixed_integral([roof_from_weight(c, w) for c, w in zip(coords, ws)]),
+    )
     mdeg = mixed_volume(
         [convex_hull([tuple(map(Fraction, a)) for a in coords[i]]) for i in range(1, n + 1)]
     )
     if mdeg.denominator != 1:
         raise ArithmeticError("mixed degree was not integral")
-    return HeightReport(total, tuple(per), int(mdeg), n, 1)
+    return HeightReport(total, per, int(mdeg), n, 1)

@@ -18,6 +18,7 @@ from .exactnum import (
     as_loglinear,
     certified_sign,
     log_abs,
+    padic_order,
     relevant_places,
     value_sign,
 )
@@ -103,7 +104,8 @@ class HeightReport:
     ``value == scale * sum(contribution over places)``: for normalized
     heights the contributions are local roof integrals and the scale is
     (dim+1)!; for multiheights the contributions are local mixed integrals
-    and the scale is 1.
+    and the scale is 1.  A finite place p is computed on the integer
+    orders -ord_p(c_i) and scaled by log p.
     """
 
     value: LogLinearNumber
@@ -137,18 +139,27 @@ def degree(pair: MonomialPair) -> int:
     return int(d)
 
 
+def _over_places(coefficient_lists, local):
+    """Per-place values of ``local`` on one weight vector per coefficient
+    list, and their sum.  ``local`` is positively homogeneous, so a finite
+    place p runs it on the integers -ord_p(c) and scales by log p: only the
+    archimedean weights are log-linear."""
+    per = []
+    for v in sorted({v for cs in coefficient_lists for v in relevant_places(cs)}):
+        p = v.prime
+        weights = ([-padic_order(c, p) if p else log_abs(c, v) for c in cs] for cs in coefficient_lists)
+        value = local(*weights)
+        per.append((v, LogLinearNumber.log_prime(p, as_fraction(value)) if p else as_loglinear(value)))
+    return tuple(per), sum((x for _, x in per), LogLinearNumber())
+
+
 def normalized_height(pair: MonomialPair) -> HeightReport:
     """Canonical height of the projective monomial variety: (r+1)! times
     the sum over places of the local roof integrals."""
     coords, r, _ = lattice_normalize(pair.exponents)
-    per = []
-    total = LogLinearNumber()
-    for v in relevant_places(pair.coefficients):
-        local = as_loglinear(roof_integral(roof_from_weight(coords, weight_vector(pair, v))))
-        per.append((v, local))
-        total = total + local
+    per, total = _over_places([pair.coefficients], lambda w: roof_integral(roof_from_weight(coords, w)))
     scale = factorial(r + 1)
-    return HeightReport(total * scale, tuple(per), degree(pair), r, scale)
+    return HeightReport(total * scale, per, degree(pair), r, scale)
 
 
 def _require_full_lattice(exponents):
@@ -180,6 +191,15 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _check_cap(parts: int, degree_d: int, cap: int) -> None:
+    """Refuse to enumerate more than ``cap`` compositions of degree_d."""
+    count = comb(degree_d + parts - 1, parts - 1)
+    if count > cap:
+        raise EnumerationCapError(
+            f"{count} monomials of degree {degree_d} exceed the cap {cap} (--cap or TORIC_HEIGHT_CAP)"
+        )
+
+
 def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Sum over the degree-d monomial fibers of the maximal weight of a
     representative, enumerated exhaustively."""
@@ -189,11 +209,7 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
         raise ValueError("exponents and weights must have equal length")
     if degree_d < 0:
         raise ValueError("degree must be nonnegative")
-    count = comb(degree_d + len(exponents) - 1, len(exponents) - 1)
-    if count > cap:
-        raise EnumerationCapError(
-            f"{count} monomials of degree {degree_d} exceed the cap {cap}"
-        )
+    _check_cap(len(exponents), degree_d, cap)
     fibers: dict[tuple[int, ...], object] = {}
     for lam in _compositions(degree_d, len(exponents)):
         key = tuple(sum(l * a[j] for l, a in zip(lam, exponents)) for j in range(n))
@@ -210,10 +226,7 @@ def arithmetic_hilbert_norm(
     """Sum over places of the local Hilbert weights of the normalized
     exponents with the coefficient weight vectors."""
     coords, _, _ = lattice_normalize(pair.exponents)
-    total = LogLinearNumber()
-    for v in relevant_places(pair.coefficients):
-        total = total + hilbert_weight(coords, weight_vector(pair, v), degree_d, cap)
-    return total
+    return _over_places([pair.coefficients], lambda w: hilbert_weight(coords, w, degree_d, cap))[1]
 
 
 def hilbert_asymptotic_gap_exact(
@@ -308,11 +321,12 @@ def segre(p1: MonomialPair, p2: MonomialPair) -> MonomialPair:
     return MonomialPair(exps, coeffs)
 
 
-def veronese(pair: MonomialPair, degree_d: int) -> MonomialPair:
+def veronese(pair: MonomialPair, degree_d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialPair:
     """Degree-d Veronese re-embedding: one monomial per exponent tuple of
-    total degree d in the original coordinates."""
+    total degree d in the original coordinates, at most ``cap`` of them."""
     if degree_d < 1:
         raise ValueError("degree must be positive")
+    _check_cap(pair.size, degree_d, cap)
     rows = list(_compositions(degree_d, pair.size))
     return monomial_image(pair, rows, [1] * len(rows))
 

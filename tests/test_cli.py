@@ -255,11 +255,19 @@ class TestExitCodes:
         monkeypatch.setenv("TORIC_HEIGHT_CAP", "10")
         assert run(capsys, "hnorm", cubic_path, "--degree", "9")[0] == 4
 
+    def test_veronese_cap(self, capsys, cubic_path):
+        # 20 monomials of degree 3 in the cubic's 4 coordinates
+        code, out, err = run(capsys, "compose", "veronese", cubic_path, "--degree", "3", "--cap", "10")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "--cap" in err
+        assert run(capsys, "compose", "veronese", cubic_path, "--degree", "3", "--cap", "20")[0] == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--bits", "8", "height", "{cubic}"],
             ["height", "{cubic}", "--bits", "15"],
+            ["--bits", "14400", "--format", "decimal", "height", "{cubic}"],
             ["hilbert", "{weights}", "--degree", "-1"],
             ["hnorm", "{cubic}", "--degree", "-2"],
             ["compose", "veronese", "{cubic}", "--degree", "0"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricheight.exactnum import (
+    MAX_BITS,
     LogLinearNumber,
     Place,
     approximate,
@@ -127,6 +128,12 @@ class TestApproximate:
     def test_bits_floor(self):
         with pytest.raises(ValueError):
             approximate(log2, 8)
+
+    def test_bits_ceiling(self):
+        text, _ = approximate(log2, MAX_BITS)
+        assert text.startswith("0.693147")
+        with pytest.raises(ValueError, match=str(MAX_BITS)):
+            approximate(log2, MAX_BITS + 1)
 
     def test_additivity_within_bounds(self):
         rng = random.Random(5)

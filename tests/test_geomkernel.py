@@ -12,6 +12,7 @@ from toricheight.geomkernel import (
     Facet,
     _affine_basis,
     _Chart,
+    _hyperplane,
     _rank,
     _solve_linear,
     convex_hull,
@@ -673,9 +674,50 @@ def rand_rows(rng, count, dim, lifted_col=None, singular=False):
     return [tuple(r) for r in rows]
 
 
+def cofactor_hyperplane(points):
+    """Hyperplane through d points in R^d with the cofactor vector of their
+    differences as its normal: the construction kernel normals replaced."""
+    d = len(points[0])
+    rows = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    normal = []
+    for j in range(d):
+        cof = det([[r[k] for k in range(d) if k != j] for r in rows])
+        normal.append(cof if j % 2 == 0 else -cof)
+    return normal, sum((a * b for a, b in zip(normal, points[0])), F(0))
+
+
 class TestEchelonKernel:
     """``det``, ``_solve_linear``, ``_rank`` and ``_affine_basis`` share one
     elimination; each is checked against cofactor expansion over {1, log p}."""
+
+    def test_hyperplane_against_cofactor_normal(self):
+        rng = random.Random(79)
+        counts = {"rational": 0, "lifted": 0, "vertical": 0}
+        while min(counts.values()) < 60:
+            d = rng.randint(2, 5)
+            lifted = rng.random() < 0.6
+            points = rand_rows(rng, d, d, d - 1 if lifted else None)
+            vertical = lifted and rng.random() < 0.3
+            if vertical:  # one shared coordinate: a vertical hyperplane
+                points = [(F(2), *p[1:]) for p in points]
+            old_normal, old_offset = cofactor_hyperplane(points)
+            if not any(old_normal):  # affinely dependent draw
+                continue
+            normal, offset = _hyperplane(points)
+            new, old = [*normal, offset], [*old_normal, old_offset]
+            assert as_loglinear(normal[-1]).is_rational
+            if old_normal[-1]:
+                # the last coordinates are rational: so is the factor
+                q = as_loglinear(normal[-1]).constant / old_normal[-1]
+                assert q and all(as_loglinear(x) == as_loglinear(y) * q for x, y in zip(new, old))
+            else:
+                # vertical: the kernel normal is rational, the cofactor one a
+                # (possibly log-linear) multiple of it
+                assert normal[-1] == 0 and all(as_loglinear(x).is_rational for x in new)
+                j = next(j for j, x in enumerate(normal) if x)
+                c = as_loglinear(old_normal[j]) / normal[j]
+                assert all(as_loglinear(y) == c * as_loglinear(x).constant for x, y in zip(new, old))
+            counts["vertical" if not old_normal[-1] else "lifted" if lifted else "rational"] += 1
 
     def test_det_against_log_basis_oracle(self):
         rng = random.Random(83)

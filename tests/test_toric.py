@@ -366,6 +366,12 @@ class TestConstructions:
             assert degree(v) == d**r * degree(p)
             assert normalized_height(v).value == d ** (r + 1) * normalized_height(p).value
 
+    def test_veronese_cap(self):
+        # C(3 + 3, 3) = 20 monomials of degree 3 in the cubic's 4 coordinates
+        with pytest.raises(EnumerationCapError, match="20 monomials"):
+            veronese(CUBIC, 3, cap=19)
+        assert veronese(CUBIC, 3, cap=20).size == 20
+
     def test_veronese_on_cubic(self):
         assert normalized_height(veronese(CUBIC, 2)).value == 4 * (7 * log2 + 3 * log3)
 
