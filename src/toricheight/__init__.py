@@ -5,6 +5,7 @@ combinations of logarithms of primes."""
 from .errors import (
     DimensionLimitError,
     EnumerationCapError,
+    FactorizationLimitError,
     LatticeHypothesisError,
     ParseError,
     ToricHeightError,

@@ -7,7 +7,7 @@ out-of-range flag values, a document of the wrong shape, such as
 ``mixed-integral`` weights that are not n+1 documents of one exponent
 dimension n, and an ``--out`` path that cannot be written), 3 hypothesis
 violation (for example a non-full exponent lattice), 4 enumeration cap
-exceeded, 5 ambient dimension above the supported bound.
+exceeded, 5 ambient dimension above the supported bound, 6 factorization limit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import DimensionLimitError, EnumerationCapError, LatticeHypothesisError, ParseError
+from .errors import DimensionLimitError, EnumerationCapError, FactorizationLimitError
+from .errors import LatticeHypothesisError, ParseError
 from .exactnum import MAX_BITS, LogLinearNumber, Place, approximate, as_loglinear
 from .geomkernel import convex_hull
 from .mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
@@ -634,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = {ParseError: 2, LatticeHypothesisError: 3, EnumerationCapError: 4, DimensionLimitError: 5}
+_EXIT_CODES = {ParseError: 2, LatticeHypothesisError: 3, EnumerationCapError: 4, DimensionLimitError: 5,
+               FactorizationLimitError: 6}
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,5 @@
 """Exception types shared across the package and mapped to CLI exit codes
-(2 parse, 3 hypothesis, 4 enumeration cap, 5 dimension limit)."""
+(2 parse, 3 hypothesis, 4 enumeration cap, 5 dimension limit, 6 factorization limit)."""
 
 
 class ToricHeightError(Exception):
@@ -26,3 +26,7 @@ class DimensionLimitError(ToricHeightError, ValueError):
     """A hull in an ambient dimension above ``geomkernel.MAX_DIMENSION``
     (one more for a lifted coordinate) was requested (CLI exit code 5).
     It is a ``ValueError`` so that callers catching that keep working."""
+
+
+class FactorizationLimitError(ToricHeightError, ValueError):
+    """An integer not factored within ``exactnum.MAX_RHO_STEPS`` rho steps (CLI exit code 6)."""

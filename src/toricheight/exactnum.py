@@ -4,7 +4,8 @@ A log-linear number is an element of the Q-vector space spanned by
 ``{1} | {log p : p prime}``.  Because 1 and the logarithms of the primes
 are linearly independent over Q, equality of log-linear numbers is exact
 coefficient-wise equality and the sign of a nonzero element can be
-certified by interval arithmetic at high enough precision.
+certified by interval arithmetic at high enough precision.  Places come
+from a bounded factorizer (trial division, Pollard-Brent rho, BPSW).
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, isqrt
 
 import mpmath
+
+from .errors import FactorizationLimitError
 
 __all__ = [
     "Place",
@@ -27,10 +32,13 @@ __all__ = [
     "log_abs",
     "relevant_places",
     "MAX_BITS",
+    "MAX_RHO_STEPS",
 ]
 
 # past about 14,000 bits a decimal exceeds Python's 4,300-digit str(int) limit
 MAX_BITS = 10_000
+# 8x the most that any coefficient of the benchmark corpora needs (524,286)
+MAX_RHO_STEPS = 1 << 22
 
 
 def as_fraction(x) -> Fraction:
@@ -43,20 +51,100 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _is_prime(p: int) -> bool:
-    # sympy is imported lazily: it is only needed on first use and is slow
-    # to import.
-    import sympy
-
-    return p > 1 and bool(sympy.isprime(p))
+# Miller-Rabin to these bases is deterministic below _MR_BOUND (Sorenson & Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    import sympy
+def _jacobi(a: int, n: int) -> int:
+    a, t = a % n, 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        # (2/n) = -1 for n = 3, 5 mod 8; reciprocity flips when a = n = 3 mod 4
+        t = -t if (z % 2 == 1 and n % 8 in (3, 5)) != (a % 4 == n % 4 == 3) else t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
-    if n in (1, -1):
-        return {}
-    return dict(sympy.factorint(abs(n)))
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of an odd non-square n with Selfridge's P = 1 and
+    Q = (1 - D)/4: D is the first of 5, -7, 9, ... with (D/n) = -1."""
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if j == 0:
+        return n == abs(D)
+    Q, s = (1 - D) // 4, ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k from k = 1 up to k = (n + 1) >> s
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U, V, Qk = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n, Qk * Q % n
+    for _ in range(s):
+        if U == 0 or V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin below ``_MR_BOUND``; above it BPSW (base 2, then strong Lucas)."""
+    if n < 2 or any(n % p == 0 for p in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _BASES if n < _MR_BOUND else (2,):
+        x = pow(a, (n - 1) >> s, n)  # a strong probable prime: x is 1 or x^(2^i) is -1, i < s
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
+            return False
+    return n < _MR_BOUND or (isqrt(n) ** 2 != n and _strong_lucas(n))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted ``(prime, exponent)`` pairs of |n| for a nonzero n: trial
+    division, then Pollard-Brent rho (Brent, BIT 20, 1980) on composite
+    cofactors.  A rho step on b bits counts ``1 + (b // 256) ** 2`` steps,
+    about its cost; past ``MAX_RHO_STEPS`` in all it raises."""
+    found, rest, steps = {}, abs(n), 0
+    for p in (2, *range(3, min(isqrt(rest), 1023) + 1, 2)):
+        while rest % p == 0:
+            rest //= p
+            found[p] = found.get(p, 0) + 1
+    todo = [rest] if rest > 1 else []
+    while todo:
+        m = todo.pop()
+        if _is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        c, g = 0, m
+        while g == m:  # iterate x -> x^2 + c; a new c if the cycle gives no proper divisor
+            c, y, r, g = c + 1, 2, 1, 1
+            while g == 1:
+                steps += 2 * r * (1 + (m.bit_length() // 256) ** 2)
+                if steps > MAX_RHO_STEPS:
+                    raise FactorizationLimitError(f"{abs(n)} was not factored within {MAX_RHO_STEPS:,} "
+                                                  "Pollard rho steps (exactnum.MAX_RHO_STEPS)")
+                x, q = y, 1
+                for _ in range(r):
+                    y = (y * y + c) % m
+                for k in range(0, r, 128):  # compare y with x, one gcd per batch
+                    ys = y
+                    for _ in range(min(128, r - k)):
+                        y = (y * y + c) % m
+                        q = q * abs(x - y) % m
+                    if (g := gcd(q, m)) != 1:
+                        break
+                r *= 2
+            if g == m:  # the batch overshot: retrace it one step at a time
+                g = 1
+                while g == 1:
+                    ys = (ys * ys + c) % m
+                    g = gcd(x - ys, m)
+        todo += [g, m // g]
+    return tuple(sorted(found.items()))
 
 
 @dataclass(frozen=True)
@@ -408,8 +496,8 @@ def log_abs(q, v: Place) -> LogLinearNumber:
     if v.is_finite:
         return LogLinearNumber.log_prime(v.prime, -padic_order(q, v.prime))
     # numerator and denominator are coprime: their primes are distinct
-    terms = {p: Fraction(k) for p, k in _prime_factors(q.numerator).items()}
-    terms.update((p, Fraction(-k)) for p, k in _prime_factors(q.denominator).items())
+    terms = {p: Fraction(k) for p, k in _prime_factors(q.numerator)}
+    terms.update((p, Fraction(-k)) for p, k in _prime_factors(q.denominator))
     return LogLinearNumber._make(Fraction(0), terms)
 
 
@@ -421,6 +509,5 @@ def relevant_places(coeffs) -> list[Place]:
         c = as_fraction(c)
         if c == 0:
             raise ValueError("zero coefficient has no relevant places")
-        primes.update(_prime_factors(c.numerator))
-        primes.update(_prime_factors(c.denominator))
+        primes.update(p for p, _ in _prime_factors(c.numerator) + _prime_factors(c.denominator))
     return [Place.infinite()] + [Place.finite(p) for p in sorted(primes)]

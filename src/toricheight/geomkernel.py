@@ -699,10 +699,6 @@ class FaceLattice:
     def top(self) -> Face:
         return self.faces[-1]
 
-    @staticmethod
-    def leq(f: Face, g: Face) -> bool:
-        return f.vertex_ids <= g.vertex_ids
-
     def face_polytope(self, face: Face) -> Polytope:
         if face not in self._poly_cache:
             self._poly_cache[face] = convex_hull(

@@ -3,8 +3,9 @@
 These recompute quantities from raw data along routes that share no code
 with the library paths they check: floating-point Riemann sums with sound
 error bounds, exhaustive float enumeration for Hilbert weights, a
-grid/separating-axis volume sandwich, and determinants and ranks by
-cofactor expansion over the basis {1, log p}.
+grid/separating-axis volume sandwich, determinants and ranks by
+cofactor expansion over the basis {1, log p}, and factorization by trial
+division.
 """
 
 from __future__ import annotations
@@ -261,3 +262,24 @@ def _edges_of(poly):
         ids = sorted(face.vertex_ids)
         out.append((poly.vertices[ids[0]], poly.vertices[ids[1]]))
     return out
+
+
+def prime_factors_oracle(n):
+    """Sorted (prime, exponent) pairs of |n| for a nonzero n, by trial
+    division by every d with d * d <= n."""
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            out.append((d, k))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime_oracle(n):
+    return n > 1 and prime_factors_oracle(n) == ((n, 1),)

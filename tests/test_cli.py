@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricheight
+from toricheight import exactnum
 from toricheight.cli import main, pair_document, parse_pair_document, roof_to_json
 from toricheight.exactnum import LogLinearNumber, Place
 from toricheight.roof import roof_from_weight
@@ -321,6 +323,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "MAX_DIMENSION" in err
 
+    def test_factorization_limit(self, capsys, tmp_path, monkeypatch):
+        # 100000000000031 and 100000000000067 are prime
+        n = 100000000000031 * 100000000000067
+        path = tmp_path / "semiprime.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", f"1/{n}"]}))
+        monkeypatch.setattr(exactnum, "MAX_RHO_STEPS", 1000)
+        code, out, err = run(capsys, "height", str(path))
+        assert code == 6 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(n) in err and "MAX_RHO_STEPS" in err
+
+    def test_hard_coefficient_ends_promptly(self, capsys, tmp_path):
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", str(1 + 10**135)]}))
+        started = time.monotonic()
+        code, _, err = run(capsys, "height", str(path))
+        assert time.monotonic() - started < 10
+        assert code == 0 or (code == 6 and err.count("\n") == 1)
+
     @pytest.mark.parametrize(
         "argv",
         [["height", "{cubic}"], ["plot", "{cubic}", "--place", "2", "--out", "{svg}", "--format", "json"]],
@@ -347,6 +368,15 @@ class TestExitCodes:
         err = proc.stderr.decode()
         assert proc.returncode == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_cli_import_leaves_sympy_out():
+    src = str(Path(toricheight.__file__).parents[1])
+    code = "import sys, toricheight.cli, toricheight; toricheight.relevant_places([6]); print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 @st.composite

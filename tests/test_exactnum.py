@@ -1,12 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
+from oracles import is_prime_oracle, prime_factors_oracle
+from toricheight import exactnum
+from toricheight.errors import FactorizationLimitError, ToricHeightError
 from toricheight.exactnum import (
     MAX_BITS,
     LogLinearNumber,
     Place,
+    _is_prime,
+    _prime_factors,
+    _strong_lucas,
     approximate,
     as_loglinear,
     certified_sign,
@@ -202,3 +210,88 @@ class TestPlace:
     def test_as_loglinear(self):
         assert as_loglinear(Fraction(2, 3)) == LL.from_rational(Fraction(2, 3))
         assert as_loglinear(log2) is log2
+
+
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+class TestFactorizer:
+    # the smallest strong pseudoprimes to the first 4, 11, 12 and 13 prime bases, with their factors
+    STRONG_PSEUDOPRIMES = {
+        3215031751: (151, 751, 28351),
+        3825123056546413051: (149491, 747451, 34233211),
+        318665857834031151167461: (399165290221, 798330580441),
+        3317044064679887385961981: (1287836182261, 2575672364521),
+    }
+    CARMICHAEL = (
+        561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161,
+        1436697831295441, 7156857700403137441, 1791562810662585767521, 87674969936234821377601,
+        6553130926752006031481761, 1590231231043178376951698401,
+    )
+    # the strong Lucas pseudoprimes below 10^5 for Selfridge's parameters (OEIS A217255)
+    STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439)
+
+    def test_small_against_oracle(self):
+        for n in range(1, 20_000):
+            assert _prime_factors(n) == prime_factors_oracle(n), n
+            assert _prime_factors(-n) == _prime_factors(n)
+            assert _is_prime(n) == is_prime_oracle(n), n
+
+    def test_random_below_10_12_against_oracle(self):
+        rng = random.Random(12)
+        for n in [rng.randrange(1, 10**12) for _ in range(40)]:
+            assert _prime_factors(n) == prime_factors_oracle(n), n
+
+    def test_products_of_large_primes(self):
+        # the cofactor left by the smaller primes is prime, so rho only has to
+        # find the 10-digit ones
+        rng = random.Random(13)
+        for _ in range(8):
+            primes = [_next_prime(rng.randrange(10**9, 10**10)) for _ in range(rng.randint(1, 3))]
+            primes.append(_next_prime(rng.randrange(10**9, 10**25)))
+            n = prod(primes)
+            factors = _prime_factors(n)
+            assert prod(p**k for p, k in factors) == n
+            assert all(_is_prime(p) for p, _ in factors)
+            assert factors == tuple(sorted(Counter(primes).items()))
+
+    def test_rejects_pseudoprimes(self):
+        for n, factors in self.STRONG_PSEUDOPRIMES.items():
+            assert prod(factors) == n and not _is_prime(n)
+            assert _prime_factors(n) == tuple((p, 1) for p in factors)
+        for n in self.CARMICHAEL:
+            factors = prime_factors_oracle(n)
+            assert len(factors) > 1 and all(k == 1 and (n - 1) % (p - 1) == 0 for p, k in factors)
+            assert not _is_prime(n) and _prime_factors(n) == factors
+
+    def test_primes_across_the_deterministic_bound(self):
+        # the primes next to the bound on either side
+        below, above = 3317044064679887385961813, 3317044064679887385962123
+        assert below < exactnum._MR_BOUND < above
+        assert _is_prime(below) and _is_prime(above)
+        assert not _is_prime(below * above) and not _is_prime(above * above)
+        for e in (89, 107, 127, 521):  # Mersenne primes
+            assert _is_prime(2**e - 1) and not _is_prime((2**e - 1) * below)
+        assert not any(_is_prime(2**e - 1) for e in (101, 103, 109, 137, 139, 149))
+
+    def test_strong_lucas_against_oracle(self):
+        for n in range(5, 10**5, 2):
+            if isqrt(n) ** 2 != n:
+                assert _strong_lucas(n) == (is_prime_oracle(n) or n in self.STRONG_LUCAS_PSEUDOPRIMES), n
+        assert all(_strong_lucas(n) for n in self.STRONG_LUCAS_PSEUDOPRIMES)
+
+    def test_step_limit(self, monkeypatch):
+        rng = random.Random(14)
+        n = _next_prime(rng.randrange(10**14, 10**15)) * _next_prime(rng.randrange(10**14, 10**15))
+        monkeypatch.setattr(exactnum, "MAX_RHO_STEPS", 1000)
+        for call in (lambda: _prime_factors(n), lambda: relevant_places([Fraction(3, n)])):
+            with pytest.raises(FactorizationLimitError, match=f"{n} .*MAX_RHO_STEPS"):
+                call()
+        assert issubclass(FactorizationLimitError, ToricHeightError)
+        assert issubclass(FactorizationLimitError, ValueError)
+        # trial division and the primality test need no rho steps
+        assert _prime_factors(2**40 * 3**5 * 1009) == ((2, 40), (3, 5), (1009, 1))
+        assert _prime_factors(7 * (10**16 + 61)) == ((7, 1), (10**16 + 61, 1))
