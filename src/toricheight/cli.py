@@ -146,6 +146,8 @@ def _parse_place(text: str) -> Place:
         raise ParseError(f"place must be 'inf' or a prime, got {text!r}") from exc
     try:
         return Place.finite(p)
+    except FactorizationLimitError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -182,8 +184,13 @@ def _emit(args, payload: dict, value: LogLinearNumber | None):
             print(f"  {place}: {data['symbolic']}")
 
 
-def _per_place_payload(per_place, bits):
-    return {str(place): _value_fields(val, bits) for place, val in per_place}
+def _report(args, payload: dict, value: LogLinearNumber, per_place=None) -> int:
+    """Emit ``payload`` with the value's fields, and per place if given."""
+    payload.update(_value_fields(value, args.bits))
+    if per_place is not None:
+        payload["per_place"] = {str(place): _value_fields(val, args.bits) for place, val in per_place}
+    _emit(args, payload, value)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +217,7 @@ def cmd_height(args) -> int:
     if name:
         payload["name"] = name
     payload.update({"dim": rep.dim, "degree": rep.degree, "scale": rep.scale})
-    payload.update(_value_fields(rep.value, args.bits))
-    payload["per_place"] = _per_place_payload(rep.per_place, args.bits)
-    _emit(args, payload, rep.value)
-    return 0
+    return _report(args, payload, rep.value, rep.per_place)
 
 
 def cmd_degree(args) -> int:
@@ -232,21 +236,14 @@ def cmd_degree(args) -> int:
 
 def cmd_chow(args) -> int:
     exps, weights = parse_weight_document(_read_json(args.input))
-    val = chow_weight(exps, weights)
-    payload = {"command": "chow-weight"}
-    payload.update(_value_fields(val, args.bits))
-    _emit(args, payload, val)
-    return 0
+    return _report(args, {"command": "chow-weight"}, chow_weight(exps, weights))
 
 
 def cmd_hilbert(args) -> int:
     _at_least("--degree", args.degree, 0)
     exps, weights = parse_weight_document(_read_json(args.input))
     val = hilbert_weight(exps, weights, args.degree, _cap(args))
-    payload = {"command": "hilbert", "degree": args.degree}
-    payload.update(_value_fields(val, args.bits))
-    _emit(args, payload, val)
-    return 0
+    return _report(args, {"command": "hilbert", "degree": args.degree}, val)
 
 
 def cmd_hnorm(args) -> int:
@@ -256,9 +253,7 @@ def cmd_hnorm(args) -> int:
     payload = {"command": "hnorm", "degree": args.degree}
     if name:
         payload["name"] = name
-    payload.update(_value_fields(val, args.bits))
-    _emit(args, payload, val)
-    return 0
+    return _report(args, payload, val)
 
 
 def cmd_mixed_volume(args) -> int:
@@ -275,11 +270,7 @@ def cmd_mixed_volume(args) -> int:
         if bad is not None:
             raise ParseError(f"need n polytopes in dimension n; got {n} and the point {bad!r}")
         polys.append(convex_hull([tuple(_parse_rational(x) for x in pt) for pt in row]))
-    val = as_loglinear(mixed_volume(polys))
-    payload = {"command": "mixed-volume"}
-    payload.update(_value_fields(val, args.bits))
-    _emit(args, payload, val)
-    return 0
+    return _report(args, {"command": "mixed-volume"}, as_loglinear(mixed_volume(polys)))
 
 
 def cmd_mixed_integral(args) -> int:
@@ -295,11 +286,7 @@ def cmd_mixed_integral(args) -> int:
         raise ParseError(
             f"need {dims[0] + 1} weight documents for exponent dimension {dims[0]}; got {len(docs)}"
         )
-    val = mixed_integral([roof_from_weight(exps, weights) for exps, weights in docs])
-    payload = {"command": "mixed-integral"}
-    payload.update(_value_fields(val, args.bits))
-    _emit(args, payload, val)
-    return 0
+    return _report(args, {"command": "mixed-integral"}, mixed_integral([roof_from_weight(e, w) for e, w in docs]))
 
 
 def cmd_multiheight(args) -> int:
@@ -314,10 +301,7 @@ def cmd_multiheight(args) -> int:
         raise ParseError(str(exc)) from exc
     rep = multiheight(family)
     payload = {"command": "multiheight", "dim": rep.dim, "degree": rep.degree, "scale": rep.scale}
-    payload.update(_value_fields(rep.value, args.bits))
-    payload["per_place"] = _per_place_payload(rep.per_place, args.bits)
-    _emit(args, payload, rep.value)
-    return 0
+    return _report(args, payload, rep.value, rep.per_place)
 
 
 def cmd_orbits(args) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
+from operator import mul
 
 import mpmath
 
@@ -89,25 +90,44 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _spend(steps: int, count: int, m: int, n: int) -> int:
+    """``steps`` plus ``count`` steps modulo m, each counting 1 + (b // 256) ** 2
+    for m of b bits, about its cost; past ``MAX_RHO_STEPS`` raise, naming n."""
+    if (steps := steps + count * (1 + (m.bit_length() // 256) ** 2)) > MAX_RHO_STEPS:
+        raise FactorizationLimitError(f"{abs(n)} was not factored within {MAX_RHO_STEPS:,} steps of Pollard rho "
+                                      "and primality tests (exactnum.MAX_RHO_STEPS)")
+    return steps
+
+
+def _probable_prime(m: int, steps: int, n: int) -> tuple[bool, int]:
+    """Miller-Rabin below ``_MR_BOUND``; above it BPSW (base 2, then strong
+    Lucas), with ``steps`` counted for factoring n: a pass on b bits
+    spends b steps (3b for Lucas) before it starts."""
+    if m < 2 or any(m % p == 0 for p in _BASES):
+        return m in _BASES, steps
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    for a in _BASES if m < _MR_BOUND else (2,):
+        steps = _spend(steps, m.bit_length(), m, n)
+        x = pow(a, (m - 1) >> s, m)  # a strong probable prime: x is 1 or x^(2^i) is -1, i < s
+        if x != 1 and m - 1 not in accumulate(range(s - 1), lambda y, _: y * y % m, initial=x):
+            return False, steps
+    if m < _MR_BOUND or isqrt(m) ** 2 == m:
+        return m < _MR_BOUND, steps
+    steps = _spend(steps, 3 * m.bit_length(), m, n)
+    return _strong_lucas(m), steps
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin below ``_MR_BOUND``; above it BPSW (base 2, then strong Lucas)."""
-    if n < 2 or any(n % p == 0 for p in _BASES):
-        return n in _BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    for a in _BASES if n < _MR_BOUND else (2,):
-        x = pow(a, (n - 1) >> s, n)  # a strong probable prime: x is 1 or x^(2^i) is -1, i < s
-        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
-            return False
-    return n < _MR_BOUND or (isqrt(n) ** 2 != n and _strong_lucas(n))
+    """Whether n is prime, within a ``MAX_RHO_STEPS`` count of its own."""
+    return _probable_prime(n, 0, n)[0]
 
 
 @functools.lru_cache(maxsize=1 << 12)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted ``(prime, exponent)`` pairs of |n| for a nonzero n: trial
     division, then Pollard-Brent rho (Brent, BIT 20, 1980) on composite
-    cofactors.  A rho step on b bits counts ``1 + (b // 256) ** 2`` steps,
-    about its cost; past ``MAX_RHO_STEPS`` in all it raises."""
+    cofactors.  Rho and the primality tests share one ``_spend`` count."""
     found, rest, steps = {}, abs(n), 0
     for p in (2, *range(3, min(isqrt(rest), 1023) + 1, 2)):
         while rest % p == 0:
@@ -116,17 +136,15 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     todo = [rest] if rest > 1 else []
     while todo:
         m = todo.pop()
-        if _is_prime(m):
+        prime, steps = _probable_prime(m, steps, n)
+        if prime:
             found[m] = found.get(m, 0) + 1
             continue
         c, g = 0, m
         while g == m:  # iterate x -> x^2 + c; a new c if the cycle gives no proper divisor
             c, y, r, g = c + 1, 2, 1, 1
             while g == 1:
-                steps += 2 * r * (1 + (m.bit_length() // 256) ** 2)
-                if steps > MAX_RHO_STEPS:
-                    raise FactorizationLimitError(f"{abs(n)} was not factored within {MAX_RHO_STEPS:,} "
-                                                  "Pollard rho steps (exactnum.MAX_RHO_STEPS)")
+                steps = _spend(steps, 2 * r, m, n)
                 x, q = y, 1
                 for _ in range(r):
                     y = (y * y + c) % m
@@ -336,27 +354,11 @@ class LogLinearNumber:
         return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.constant != 0:
-            parts.append((self.constant, None))
-        for p, c in self.logterms:
-            parts.append((c, p))
-        out = []
-        for i, (c, p) in enumerate(parts):
-            mag = -c if c < 0 else c
-            if p is None:
-                body = str(mag)
-            elif mag == 1:
-                body = f"log({p})"
-            else:
-                body = f"{mag}*log({p})"
-            if i == 0:
-                out.append(("-" if c < 0 else "") + body)
-            else:
-                out.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(out)
+        parts = [(c, f"log({p})" if abs(c) == 1 else f"{abs(c)}*log({p})") for p, c in self.logterms]
+        if self.constant:
+            parts.insert(0, (self.constant, str(abs(self.constant))))
+        text = " ".join(("- " if c < 0 else "+ ") + body for c, body in parts)
+        return "0" if not parts else text[2:] if parts[0][0] > 0 else "-" + text[2:]
 
     def __repr__(self):
         return f"LogLinearNumber({self})"
@@ -426,6 +428,27 @@ def certified_sign(x: LogLinearNumber) -> int:
         if hi < 0:
             return -1
         prec *= 2
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _float_logs(primes: tuple[int, ...]) -> tuple[float, ...]:
+    with mpmath.workprec(80):
+        return tuple(float(mpmath.log(p)) for p in primes)
+
+
+def _row_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
+    """Sign of ``row[0] + sum(row[i + 1] * log(primes[i]))`` for integers:
+    in doubles, each term is within 3 rounding units (the integer, the log,
+    the product) and summing adds len(row) - 1 units of the absolute sum, so
+    a sum past 8 * len(row) units of it has the exact sign.  Otherwise, or
+    on an integer too large for a double, ``certified_sign`` decides."""
+    try:
+        terms = [float(row[0]), *map(mul, row[1:], _float_logs(primes))]
+        if abs(total := sum(terms)) > sum(map(abs, terms)) * len(row) * 2.0**-50:
+            return 1 if total > 0 else -1
+    except OverflowError:
+        pass
+    return certified_sign(LogLinearNumber._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))))
 
 
 def value_sign(x) -> int:

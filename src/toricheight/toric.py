@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
+from operator import add, sub
 
 from .errors import EnumerationCapError, LatticeHypothesisError
 from .exactnum import (
@@ -16,11 +17,10 @@ from .exactnum import (
     approximate,
     as_fraction,
     as_loglinear,
-    certified_sign,
+    _row_sign,
     log_abs,
     padic_order,
     relevant_places,
-    value_sign,
 )
 from .geomkernel import Face, FaceLattice, Polytope, _as_value, convex_hull, face_lattice, lattice_normalize
 from .roof import roof_from_weight, roof_integral
@@ -191,33 +191,50 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _check_cap(parts: int, degree_d: int, cap: int) -> None:
-    """Refuse to enumerate more than ``cap`` compositions of degree_d."""
-    count = comb(degree_d + parts - 1, parts - 1)
+def _check_cap(count: int, what: str, cap: int) -> None:
+    """Refuse work of ``count`` units past ``cap``, before it starts."""
     if count > cap:
-        raise EnumerationCapError(
-            f"{count} monomials of degree {degree_d} exceed the cap {cap} (--cap or TORIC_HEIGHT_CAP)"
-        )
+        raise EnumerationCapError(f"{count} {what} exceed the cap {cap} (--cap or TORIC_HEIGHT_CAP)")
 
 
 def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Sum over the degree-d monomial fibers of the maximal weight of a
-    representative, enumerated exhaustively."""
+    representative, by a dynamic program over the degree: the best weight
+    of exponent sum m in degree k is F_k(m) = max_i F_{k-1}(m - a_i) + w_i.
+
+    A key m is one integer, mixed radix over the exponents' box at degree
+    d; a weight is an integer row over (1, log p_1, ..., log p_k) times one
+    common denominator, so rational rows compare as integers and the others
+    through ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
+    prod_j (k * width_j + 1)) keys: their sum over k <= d must fit ``cap``."""
     exponents, n = _require_full_lattice(exponents)
-    weights = [_as_value(w) for w in weights]
+    weights = [as_loglinear(_as_value(w)) for w in weights]
     if len(weights) != len(exponents):
         raise ValueError("exponents and weights must have equal length")
     if degree_d < 0:
         raise ValueError("degree must be nonnegative")
-    _check_cap(len(exponents), degree_d, cap)
-    fibers: dict[tuple[int, ...], object] = {}
-    for lam in _compositions(degree_d, len(exponents)):
-        key = tuple(sum(l * a[j] for l, a in zip(lam, exponents)) for j in range(n))
-        val = sum((l * w for l, w in zip(lam, weights)), Fraction(0))
-        cur = fibers.get(key)
-        if cur is None or value_sign(val - cur) > 0:
-            fibers[key] = val
-    return as_loglinear(sum(fibers.values(), Fraction(0)))
+    low, widths = [min(col) for col in zip(*exponents)], [max(col) - min(col) for col in zip(*exponents)]
+    entries = 0
+    for k in range(1, degree_d + 1):
+        entries += min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths))
+        _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
+    primes = tuple(sorted({p for w in weights for p, _ in w.logterms}))
+    values = [[w.constant, *(dict(w.logterms).get(p, 0) for p in primes)] for w in weights]
+    scale = lcm(*(x.denominator for row in values for x in row))
+    strides = [prod(degree_d * w + 1 for w in widths[:j]) for j in range(n)]
+    steps = [(sum((x - lo) * t for x, lo, t in zip(a, low, strides)), tuple(int(x * scale) for x in row))
+             for a, row in zip(exponents, values)]
+    table = {0: (0,) * (len(primes) + 1)}
+    for _ in range(degree_d):
+        table, last = {}, table
+        for m, v in last.items():
+            for c, w in steps:
+                new, old = tuple(map(add, v, w)), table.get(m + c)
+                if old is None or (new != old and (new > old if not primes else
+                                                   _row_sign(tuple(map(sub, new, old)), primes) > 0)):
+                    table[m + c] = new
+    constant, *logs = (Fraction(sum(col), scale) for col in zip(*table.values()))
+    return LogLinearNumber._make(constant, dict(zip(primes, logs)))
 
 
 def arithmetic_hilbert_norm(
@@ -326,7 +343,7 @@ def veronese(pair: MonomialPair, degree_d: int, cap: int = DEFAULT_ENUMERATION_C
     total degree d in the original coordinates, at most ``cap`` of them."""
     if degree_d < 1:
         raise ValueError("degree must be positive")
-    _check_cap(pair.size, degree_d, cap)
+    _check_cap(comb(degree_d + pair.size - 1, degree_d), f"monomials of degree {degree_d}", cap)
     rows = list(_compositions(degree_d, pair.size))
     return monomial_image(pair, rows, [1] * len(rows))
 

@@ -5,7 +5,9 @@ with the library paths they check: floating-point Riemann sums with sound
 error bounds, exhaustive float enumeration for Hilbert weights, a
 grid/separating-axis volume sandwich, determinants and ranks by
 cofactor expansion over the basis {1, log p}, and factorization by trial
-division.
+division.  ``hilbert_weight_enumerated`` is the exact exhaustive
+enumeration that ``toric.hilbert_weight``'s dynamic program replaced; it
+shares only the exact log-linear arithmetic with the package.
 """
 
 from __future__ import annotations
@@ -187,6 +189,23 @@ def hilbert_weight_oracle(exponents, weights_float, degree_d):
         if key not in fibers or val > fibers[key]:
             fibers[key] = val
     return sum(fibers.values())
+
+
+def hilbert_weight_enumerated(exponents, weights, degree_d):
+    """Exact Hilbert weight by enumerating every degree-d monomial: per
+    fiber key the largest weight, compared by ``value_sign``, summed."""
+    from toricheight.exactnum import as_loglinear, value_sign
+    from toricheight.geomkernel import _as_value
+
+    weights = [_as_value(w) for w in weights]
+    fibers = {}
+    for chosen in itertools.combinations_with_replacement(range(len(exponents)), degree_d):
+        key = tuple(sum(exponents[i][k] for i in chosen) for k in range(len(exponents[0])))
+        val = sum((weights[i] for i in chosen), Fraction(0))
+        cur = fibers.get(key)
+        if cur is None or value_sign(val - cur) > 0:
+            fibers[key] = val
+    return as_loglinear(sum(fibers.values(), Fraction(0)))
 
 
 def grid_volume_bounds(poly, cells_per_side=10):

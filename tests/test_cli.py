@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import toricheight
 from toricheight import exactnum
-from toricheight.cli import main, pair_document, parse_pair_document, roof_to_json
-from toricheight.exactnum import LogLinearNumber, Place
+from oracles import hilbert_weight_enumerated
+from toricheight.cli import main, pair_document, parse_pair_document, parse_weight_document, roof_to_json
+from toricheight.exactnum import LogLinearNumber, Place, relevant_places
+from toricheight.geomkernel import lattice_normalize
 from toricheight.roof import roof_from_weight
 from toricheight.toric import MonomialPair, weight_vector
 
@@ -257,6 +259,19 @@ class TestExitCodes:
         monkeypatch.setenv("TORIC_HEIGHT_CAP", "10")
         assert run(capsys, "hnorm", cubic_path, "--degree", "9")[0] == 4
 
+    def test_cap_counts_table_entries(self, capsys, cubic_path, tmp_path):
+        # sum_k (3k + 1) = 6,304 entries up to degree 64, where the
+        # enumeration had C(67, 3) = 47,905 compositions
+        code, out, _ = run(capsys, "--format", "symbolic", "hnorm", cubic_path, "--degree", "64", "--cap", "20000")
+        assert code == 0 and out.strip() == "14175*log(2) + 6048*log(3)"
+        # the segment needs about D^2 / 2 entries: refused before any work
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["3", "5"]}))
+        started = time.monotonic()
+        code, out, err = run(capsys, "hnorm", str(path), "--degree", "100000")
+        assert time.monotonic() - started < 1
+        assert code == 4 and out == "" and "--cap" in err and "TORIC_HEIGHT_CAP" in err
+
     def test_veronese_cap(self, capsys, cubic_path):
         # 20 monomials of degree 3 in the cubic's 4 coordinates
         code, out, err = run(capsys, "compose", "veronese", cubic_path, "--degree", "3", "--cap", "10")
@@ -341,6 +356,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "height", str(path))
         assert time.monotonic() - started < 10
         assert code == 0 or (code == 6 and err.count("\n") == 1)
+
+    def test_primality_test_is_bounded(self, capsys, tmp_path):
+        # a 3,376-digit Mersenne prime: one base-2 pass alone is past the count
+        path = tmp_path / "mersenne.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", str(2**11213 - 1)]}))
+        started = time.monotonic()
+        code, out, err = run(capsys, "height", str(path))
+        assert time.monotonic() - started < 1
+        assert code == 6 and out == "" and "MAX_RHO_STEPS" in err
+        code, out, err = run(capsys, "plot", str(path), "--place", str(2**11213 - 1), "--out", str(tmp_path / "o.svg"))
+        assert code == 6 and out == "" and "MAX_RHO_STEPS" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -430,6 +456,34 @@ def mixed_document(command, entries):
     return {"pairs": [{"exponents": p, "coefficients": v} for p, v in entries]}
 
 
+@st.composite
+def hilbert_documents(draw, field):
+    """Weight (``field="weights"``) or pair documents over 1-D or 2-D
+    exponents with repeats, mostly on the full lattice; sometimes malformed
+    by a bad scalar, a short value list or a missing field."""
+    n = draw(st.integers(1, 2))
+    point = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    exponents = draw(st.lists(point, min_size=1, max_size=3))
+    if draw(st.sampled_from([True] * 4 + [False])):  # the origin and the unit vectors generate Z^n
+        exponents += [[0] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
+    exponents = draw(st.permutations(exponents + draw(st.lists(st.sampled_from(exponents), max_size=2))))
+    scalars = RATIONALS
+    if draw(st.sampled_from([False] * 7 + [True])):
+        scalars = RATIONALS + BAD_SCALARS + ["0"]
+    values = draw(st.lists(st.sampled_from(scalars), min_size=len(exponents), max_size=len(exponents)))
+    flaw = draw(st.sampled_from([None] * 9 + ["short", "missing"]))
+    doc = {"exponents": exponents, field: values[:-1] if flaw == "short" else values}
+    if flaw == "missing":
+        del doc[field]
+    return doc
+
+
+def hnorm_enumerated(pair, d):
+    coords, _, _ = lattice_normalize(pair.exponents)
+    places = relevant_places(pair.coefficients)
+    return sum((hilbert_weight_enumerated(coords, weight_vector(pair, v), d) for v in places), LogLinearNumber())
+
+
 class TestFuzz:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -451,6 +505,30 @@ class TestFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in {0, 2, 3, 4, 5}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["hilbert", "hnorm"]),
+        data=st.data(),
+        d=st.integers(0, 10),
+        cap=st.integers(0, 60),
+    )
+    def test_hilbert_documents(self, command, data, d, cap):
+        # exit 0 prints exactly the exhaustive enumeration's value
+        doc = data.draw(hilbert_documents("weights" if command == "hilbert" else "coefficients"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["--format", "symbolic", command, path, "--degree", str(d), "--cap", str(cap)])
+        assert code in {0, 2, 3, 4}
+        if code == 0 and command == "hilbert":
+            exps, weights = parse_weight_document(doc)
+            assert out.getvalue() == f"{hilbert_weight_enumerated(exps, weights, d)}\n"
+        elif code == 0:
+            assert out.getvalue() == f"{hnorm_enumerated(parse_pair_document(doc)[0], d)}\n"
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(entries=mixed_entries())

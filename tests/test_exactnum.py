@@ -292,6 +292,16 @@ class TestFactorizer:
                 call()
         assert issubclass(FactorizationLimitError, ToricHeightError)
         assert issubclass(FactorizationLimitError, ValueError)
-        # trial division and the primality test need no rho steps
+        # trial division needs no steps; the 13 passes on the 54-bit cofactor spend 702
         assert _prime_factors(2**40 * 3**5 * 1009) == ((2, 40), (3, 5), (1009, 1))
         assert _prime_factors(7 * (10**16 + 61)) == ((7, 1), (10**16 + 61, 1))
+        # a pass on the 607-bit prime 2^607 - 1 is charged 607 * (1 + 2^2) steps before it runs
+        with pytest.raises(FactorizationLimitError, match=f"{2**607 - 1} .*MAX_RHO_STEPS"):
+            _prime_factors(2**607 - 1)
+
+    def test_primality_steps(self):
+        # BPSW on 3,217 bits spends (1 + 3) * 3217 * (1 + 12^2) = 1,865,860 steps, under the limit;
+        # on 11,213 bits the base-2 pass alone would spend 20,744,050
+        assert _prime_factors(2**3217 - 1) == ((2**3217 - 1, 1),)
+        with pytest.raises(FactorizationLimitError, match="MAX_RHO_STEPS"):
+            _prime_factors(2**11213 - 1)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 
 from toricheight.errors import EnumerationCapError, LatticeHypothesisError
+from toricheight import exactnum
 from toricheight.exactnum import LogLinearNumber, Place, certified_sign, log_abs, relevant_places
 from toricheight.roof import roof_eval, roof_from_weight
 from toricheight.toric import (
@@ -29,7 +31,7 @@ from toricheight.toric import (
     weight_vector,
 )
 
-from oracles import hilbert_weight_oracle
+from oracles import hilbert_weight_enumerated, hilbert_weight_oracle
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -248,6 +250,71 @@ class TestHilbertWeight:
             assert abs(float(exact + LL()) - approx) < 1e-6 * max(1, abs(approx))
 
 
+def full_lattice_points(rng, n, extra, span=3):
+    """The origin, the unit vectors and ``extra`` random points of the box
+    [0, span]^n, shuffled: their differences generate Z^n."""
+    points = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    points += [tuple(rng.randint(0, span) for _ in range(n)) for _ in range(extra)]
+    rng.shuffle(points)
+    return points
+
+
+def rand_weight(rng, kind):
+    if kind == "integer":
+        return rng.randint(-6, 6)
+    if kind == "rational":
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+    logs = sum((rng.randint(-2, 2) * LL.log_prime(p) for p in rng.sample([2, 3, 5], 2)), LL())
+    return logs + (F(rng.randint(-7, 7), rng.randint(1, 4)) if kind == "constant" else 0)
+
+
+class TestHilbertDynamicProgram:
+    """The dynamic program against the exhaustive enumeration it replaced,
+    exactly, on full-lattice exponent sets in dimensions 1 to 3."""
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "loglinear", "constant"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_enumeration(self, n, kind):
+        rng = random.Random(100 * n + len(kind))
+        for d in range(11):
+            exps = full_lattice_points(rng, n, rng.randint(0, 3 - n // 2))
+            if rng.random() < 0.4:  # a repeated exponent with its own weight
+                exps.append(rng.choice(exps))
+            tau = [rand_weight(rng, kind) for _ in exps]
+            assert hilbert_weight(exps, tau, d) == hilbert_weight_enumerated(exps, tau, d), (exps, tau, d)
+
+    def test_near_tie_takes_the_exact_path(self, monkeypatch):
+        # a rational within 10^-20 of log 2: no double sum separates them
+        q = F(693147180559945309417232121458, 10**30)
+        assert abs(float(exactnum.approximate(q - log2, 128)[0])) < 1e-20
+        calls = []
+        certified = exactnum.certified_sign
+        monkeypatch.setattr(exactnum, "certified_sign", lambda x: calls.append(x) or certified(x))
+        for exps, tau, d in [
+            ([(0,), (1,), (1,)], [0, log2, q], 3),
+            ([(0,), (1,), (2,)], [0, q, 2 * log2], 4),
+            ([(0, 0), (1, 0), (0, 1), (0, 1)], [1, 0, q, log2], 3),
+        ]:
+            calls.clear()
+            value = hilbert_weight(exps, tau, d)
+            assert calls, (exps, tau)
+            assert value == hilbert_weight_enumerated(exps, tau, d)
+
+    def test_table_cap(self):
+        # the cubic's table at degree 64 has sum_k (3k + 1) = 6,304 entries,
+        # against C(67, 3) = 47,905 compositions; with weight i at exponent i
+        # every monomial of a fiber weighs its key m, so H = 0 + 1 + ... + 192
+        exps, tau = [(0,), (1,), (2,), (3,)], [0, 1, 2, 3]
+        assert hilbert_weight(exps, tau, 64, cap=6304) == 192 * 193 // 2
+        with pytest.raises(EnumerationCapError, match="6304 Hilbert table entries up to degree 64 .*--cap"):
+            hilbert_weight(exps, tau, 64, cap=6303)
+        # the segment adds k + 1 entries at degree k: the count stops early
+        started = time.monotonic()
+        with pytest.raises(EnumerationCapError, match="up to degree 4471 .*TORIC_HEIGHT_CAP"):
+            hilbert_weight([(0,), (1,)], [3, 5], 10**9)
+        assert time.monotonic() - started < 1
+
+
 class TestArithmeticHilbert:
     def test_distinct_exponents_degree_one(self):
         assert arithmetic_hilbert_norm(CUBIC, 1) == LL()
@@ -276,6 +343,14 @@ class TestArithmeticHilbert:
         g8 = hilbert_asymptotic_gap_exact(CUBIC, 8)
         assert certified_sign(g8 - g2) < 0
         assert certified_sign(g8 - g4) < 0
+
+    def test_gap_shrinks_at_high_degree(self):
+        gaps = []
+        for d in (8, 32, 128):
+            started = time.monotonic()
+            gaps.append(hilbert_asymptotic_gap_exact(CUBIC, d))
+            assert time.monotonic() - started < 10, d
+        assert certified_sign(gaps[1] - gaps[0]) < 0 and certified_sign(gaps[2] - gaps[1]) < 0
 
     def test_gap_zero_for_units(self):
         pair = MonomialPair.make([(0,), (1,), (2,)], [1, 1, 1])
