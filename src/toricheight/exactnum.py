@@ -401,13 +401,14 @@ def _interval(x: LogLinearNumber, prec: int):
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def certified_sign(x: LogLinearNumber) -> int:
-    """Sign of the real number represented by x: -1, 0 or +1.
+def certified_sign(x) -> int:
+    """Sign (-1, 0 or +1) of the real number x, log-linear or rational.
 
     Zero is decided exactly (all coefficients zero).  Otherwise intervals
     at doubling precision eventually exclude zero, since a nonzero
     coefficient vector represents a nonzero real.
     """
+    x = as_loglinear(x)
     if x.is_zero:
         return 0
     coeff_signs = set()

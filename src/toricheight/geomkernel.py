@@ -1,15 +1,15 @@
 """Exact convex geometry over Q^n, with one optional lifted coordinate.
 
 Points are tuples of exact values.  All coordinates are rationals except
-possibly the last one, which may be a :class:`LogLinearNumber`; every
-predicate is decided exactly (certified sign for the lifted coordinate).
-Determinants, kernel vectors (facet normals, linear solves) and ranks
-share one exact elimination, ``_Echelon``.  Ambient dimensions are small
-(<= 6): hulls are built with an incremental beneath-beyond scheme.  One
-fan of a rational polytope's simplicial boundary from its least vertex
-serves volumes, ``triangulate`` and cell integrals; a lifted polytope
-lies between two upper envelopes, of its points and of their negation,
-and its volume integrates the two.
+possibly the last one, which may be a :class:`LogLinearNumber`.  Hulls
+(dimension <= 6, one more if lifted) are built beneath-beyond on integers
+only: points scaled by one denominator, the last coordinate an integer row
+over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
+``exactnum._row_sign`` when m > 0.  Determinants, linear solves and ranks
+share one exact elimination, ``_Echelon``.  One fan of a rational
+polytope's simplicial boundary serves volumes, ``triangulate`` and cell
+integrals; a lifted polytope lies between the upper and lower cells of one
+hull, and its volume integrates the two.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import DimensionLimitError
-from .exactnum import LogLinearNumber, as_fraction, as_loglinear, value_sign
+from .exactnum import LogLinearNumber, _row_sign, as_fraction, as_loglinear, value_sign
 
 __all__ = [
     "Polytope",
@@ -104,28 +105,15 @@ class _Echelon:
 
 
 def det(rows):
-    """Exact determinant; at most one column may contain irrational
-    log-linear entries, and the result is then log-linear."""
-    m = [[_as_value(x) for x in r] for r in rows]
-    lifted = {j for r in m for j, x in enumerate(r) if isinstance(x, LogLinearNumber)}
-    if len(lifted) > 1:
-        raise ValueError("more than one lifted column in a determinant")
-    total = Fraction(1)
-    if lifted:
-        (j,) = lifted
-        if j != len(m) - 1:
-            for r in m:
-                r[j], r[-1] = r[-1], r[j]
-            total = -total
+    """Exact determinant of a rational matrix."""
     echelon = _Echelon()
-    if not all(echelon.add(r) for r in m):
-        return LogLinearNumber() if lifted else Fraction(0)
+    if not all(echelon.add([as_fraction(x) for x in r]) for r in rows):
+        return Fraction(0)
     cols = [c for c, _, _ in echelon.pivots]
-    if sum(a > b for a, b in itertools.combinations(cols, 2)) % 2:
-        total = -total
+    total = Fraction(-1 if sum(a > b for a, b in itertools.combinations(cols, 2)) % 2 else 1)
     for _, piv, _ in echelon.pivots:
         total = total * piv
-    return as_loglinear(total) if lifted else total
+    return total
 
 
 def _kernel_vector(rows):
@@ -166,57 +154,88 @@ def _affine_basis(points):
 
 
 # ---------------------------------------------------------------------------
-# beneath-beyond hull core (full-dimensional input)
+# beneath-beyond hull core on integers (full-dimensional input)
+
+
+def _integer_points(points):
+    """The points times one common denominator, as integer tuples: the base
+    coordinates, then the last coordinate as a row over (1, log p_1, ...,
+    log p_m).  Returns the tuples, the primes p_1 < ... < p_m and the
+    denominator."""
+    lasts = [as_loglinear(p[-1]) for p in points]
+    primes = tuple(sorted({q for x in lasts for q, _ in x.logterms}))
+    flat = [(*p[:-1], x.constant, *map(dict(x.logterms).get, primes, itertools.repeat(0))) for p, x in zip(points, lasts)]
+    scale = lcm(*(c.denominator for p in flat for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in flat], primes, scale
+
+
+def _functionals(points, k):
+    """Integer functionals ``(*normal, offset)`` of the hyperplane through
+    k+1 integer points of k base coordinates and a row: functional t is the
+    cross product of the differences with row entry t as the last column,
+    placed at that entry.  Fraction-free Gauss-Jordan (Bareiss) pivots on
+    base columns only; a vertical hyperplane gets one rational functional."""
+    p0 = points[0]
+    m = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    prev, pivots, free = 1, [], None
+    for c in range(k):
+        r = len(pivots)
+        i = next((i for i in range(r, k) if m[i][c]), None)
+        if i is None:
+            free = c
+            continue
+        m[r], m[i] = m[i], m[r]
+        piv = m[r][c]
+        for i in range(k):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev = piv
+        pivots.append(c)
+    width = len(p0) - k
+    if free is None:  # the normal is (-m[r][k + t] at column r, prev)
+        normals = [[-row[k + t] for row in m] + [prev * (s == t) for s in range(width)] for t in range(width)]
+    elif len(pivots) == k - 1:
+        u = [-m[pivots.index(c)][free] if c in pivots else prev for c in range(k)]
+        normals = [u + [0] * width] + [[0] * len(p0)] * (width - 1)
+    else:
+        raise ValueError("degenerate facet")
+    return [(*n, sum(map(mul, n, p0))) for n in normals]
 
 
 @dataclass(frozen=True)
 class _SimplicialFacet:
     ids: frozenset
-    normal: tuple
-    offset: object
+    fn: tuple  # functionals of ``_functionals``, primitive and outward
 
 
-def _hyperplane(points):
-    """Outward-unoriented hyperplane through d affinely independent points
-    in R^d, as (normal, offset) with normal a kernel vector of their
-    differences.  Only the last coordinate of a point may be lifted, so the
-    normal's last coordinate is rational (1, or 0 for a vertical
-    hyperplane); callers orient the normal and remove its scale."""
-    normal = tuple(_kernel_vector([_vsub(p, points[0]) for p in points[1:]])[0])
-    return normal, _dot(normal, points[0])
+def _hull_core(points, basis, primes):
+    """Simplicial boundary facets of the hull of full-dimensional integer
+    points (``_integer_points``), given the indices of d+1 affinely
+    independent ones; facets are primitive and oriented against the sum of
+    those, d+1 times an interior point."""
+    k = len(points[0]) - len(primes) - 1
+    inside = tuple(map(sum, zip(*(points[i] for i in basis))))
 
+    def side(fn, q, times=1):
+        row = [sum(map(mul, f, q)) - times * f[-1] for f in fn]
+        if not primes:
+            return (row[0] > 0) - (row[0] < 0)
+        return _row_sign(row, primes) if any(row) else 0
 
-def _oriented_facet(ids, points, interior):
-    normal, offset = _hyperplane([points[i] for i in ids])
-    s = value_sign(_dot(normal, interior) - offset)
-    if s == 0:
-        raise ValueError("degenerate facet")
-    if s > 0:
-        normal = tuple(-x for x in normal)
-        offset = -offset
-    return _SimplicialFacet(frozenset(ids), normal, offset)
+    def facet(ids):
+        fn = _functionals([points[i] for i in ids], k)
+        s = side(fn, inside, k + 2)
+        if s == 0:
+            raise ValueError("degenerate facet")
+        g = -s * gcd(*(x for f in fn for x in f))
+        return _SimplicialFacet(frozenset(ids), tuple(tuple(x // g for x in f) for f in fn))
 
-
-def _hull_core(points, basis):
-    """Simplicial boundary facets of the hull of full-dimensional points,
-    given the indices of d+1 affinely independent ones."""
-    d = len(points[0])
-    interior = tuple(
-        sum((points[i][j] for i in basis), Fraction(0)) / (d + 1) for j in range(d)
-    )
-    facets = [
-        _oriented_facet([b for t, b in enumerate(basis) if t != s], points, interior)
-        for s in range(d + 1)
-    ]
-    basis_set = set(basis)
-    for ip in range(len(points)):
-        if ip in basis_set:
+    facets = [facet([b for t, b in enumerate(basis) if t != s]) for s in range(k + 2)]
+    for ip in sorted(set(range(len(points))) - set(basis)):
+        visible_ids = {id(F) for F in facets if side(F.fn, points[ip]) > 0}
+        if not visible_ids:
             continue
-        p = points[ip]
-        visible = [F for F in facets if value_sign(_dot(F.normal, p) - F.offset) > 0]
-        if not visible:
-            continue
-        visible_ids = {id(F) for F in visible}
         ridge_map = {}
         for F in facets:
             for drop in F.ids:
@@ -225,7 +244,7 @@ def _hull_core(points, basis):
         for ridge, shared in ridge_map.items():
             flags = [id(F) in visible_ids for F in shared]
             if any(flags) and not all(flags):
-                new_facets.append(_oriented_facet(sorted(ridge) + [ip], points, interior))
+                new_facets.append(facet(sorted(ridge) + [ip]))
         facets = [F for F in facets if id(F) not in visible_ids] + new_facets
     return facets
 
@@ -400,36 +419,21 @@ def _fan(p: Polytope):
 # construction
 
 
-def _merge_facets(points, simplicial, keep_ids):
-    """Group simplicial facets by hyperplane, compute true vertex set and
-    per-facet vertex lists.  All data rational."""
+def _merge_facets(points, simplicial, scale):
+    """Group simplicial facets of rational integer points (``_integer_points``
+    with denominator ``scale``) by their primitive functional, compute the
+    true vertex set and per-facet vertex lists.  Merged normals and offsets
+    are primitive integers in the unscaled coordinates."""
     d = len(points[0])
-    groups = {}
-    for F in simplicial:
-        coeffs = [as_fraction(x) for x in F.normal] + [as_fraction(F.offset)]
-        scale = lcm(*(q.denominator for q in coeffs))
-        ints = [int(q * scale) for q in coeffs]
-        g = gcd(*ints)
-        key = tuple(z // g for z in ints)
-        groups.setdefault(key, []).append(F)
     merged = []
-    for key, fs in groups.items():
-        normal = tuple(Fraction(z) for z in key[:-1])
-        offset = Fraction(key[-1])
-        members = frozenset(
-            i for i in keep_ids if _dot(normal, points[i]) == offset
-        )
-        merged.append((normal, offset, members))
+    for *normal, offset in dict.fromkeys(F.fn[0] for F in simplicial):
+        members = frozenset(i for i, p in enumerate(points) if sum(map(mul, normal, p)) == offset)
+        g = gcd(scale, offset)
+        merged.append((tuple(Fraction(scale * z // g) for z in normal), Fraction(offset // g), members))
     # vertex test: active merged normals span the ambient space
-    candidates = set()
-    for _, _, members in merged:
-        candidates |= members
-    vertex_ids = []
-    for i in sorted(candidates):
-        active = [normal for normal, offset, members in merged if i in members]
-        if len(active) >= d and _rank(active) == d:
-            vertex_ids.append(i)
-    return merged, vertex_ids
+    candidates = sorted(frozenset().union(*(members for _, _, members in merged)))
+    actives = ([normal for normal, _, members in merged if i in members] for i in candidates)
+    return merged, [i for i, active in zip(candidates, actives) if len(active) >= d and _rank(active) == d]
 
 
 def _build_rational(points):
@@ -441,8 +445,9 @@ def _build_rational(points):
     if rank < d:
         chart = _Chart(points[basis[0]], [_vsub(points[b], points[basis[0]]) for b in basis[1:]])
         return _embed(chart, _build_rational([chart.to_chart(p) for p in points]))
-    simplicial = _hull_core(points, basis)
-    merged, vertex_ids = _merge_facets(points, simplicial, range(len(points)))
+    ints, _, scale = _integer_points(points)
+    simplicial = _hull_core(ints, basis, ())
+    merged, vertex_ids = _merge_facets(ints, simplicial, scale)
     if len(frozenset().union(*(F.ids for F in simplicial))) > len(vertex_ids):
         # a non-extreme point entered the boundary: rebuild from the vertices
         return _build_rational([points[i] for i in vertex_ids])
@@ -462,33 +467,33 @@ def _embed(chart, inner):
     return Polytope(len(chart.origin), inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
 
 
-def _env_cells_from_facets(points, facets):
-    """Merged graph cells (projected) of the upper facets of a
-    full-dimensional lifted hull."""
+def _graph_cells(points, basis, lower=False):
+    """Merged graph cells (projected) of the hull of full-dimensional lifted
+    points: the upper ones, and the lower ones if asked (else empty).
+    Facets group by functional, and each cell's gradient and offset are
+    built once, log-linear when the lift is."""
     k = len(points[0]) - 1
+    ints, primes, scale = _integer_points(points)
     groups = {}
-    for F in facets:
-        nu_last = as_fraction(F.normal[k])
-        if nu_last <= 0:
-            continue
-        gradient = tuple(-F.normal[j] / nu_last for j in range(k))
-        offset = F.offset / nu_last
-        groups.setdefault((gradient, offset), set()).update(F.ids)
-    cells = []
-    for (gradient, offset), ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
-        bases = [points[i][:k] for i in sorted(ids)]
-        cells.append(AffineCell(_build_rational(_dedup(bases)), gradient, offset))
-    return cells
+    for F in _hull_core(ints, basis, primes):
+        if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
+            groups.setdefault(F.fn, set()).update(F.ids)
+
+    def value(coeffs, denominator):
+        q = [Fraction(c, denominator) for c in coeffs]
+        return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
+
+    upper, below = [], []
+    for fn, ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
+        a = fn[0][k]
+        gradient = tuple(value([-f[j] for f in fn], a) for j in range(k))
+        cell = _build_rational(_dedup([points[i][:k] for i in sorted(ids)]))
+        (upper if a > 0 else below).append(AffineCell(cell, gradient, value([f[-1] for f in fn], a * scale)))
+    return upper, below
 
 
 def _dedup(points):
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(points))
 
 
 def _flat_affine(points, basis):
@@ -505,27 +510,21 @@ def _flat_affine(points, basis):
 
 def _build_lifted(points):
     """Polytope of deduplicated points whose last coordinate is lifted:
-    the region between the upper envelope of the points and minus that of
-    the negated points, over bases that must span their space.  It is the
-    graph of one affine function (flat) or full-dimensional, with the
-    integral of the upper envelope minus the lower as its volume."""
+    the region between the upper and the lower cells of one hull of the
+    points, over bases that must span their space.  It is the graph of one
+    affine function (flat) or full-dimensional, with the integral of the
+    upper envelope minus the lower as its volume."""
     d = len(points[0])
     k = d - 1
     proj = _build_rational(_dedup([p[:k] for p in points]))
     if proj.affine_dim < k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
-    # negating the lift keeps the points' affine basis
     basis, rank = _affine_basis(points)
     if rank == k:
         flat = [AffineCell(proj, *_flat_affine(points, basis))]
         verts = tuple((*b, flat[0].value_at(b)) for b in proj.vertices)
         return Polytope(d, k, verts, _lifted_facets(flat, flat, proj, verts), "lifted-flat")
-    upper = _env_cells_from_facets(points, _hull_core(points, basis))
-    negated = [(*p[:k], -p[k]) for p in points]
-    lower = [
-        AffineCell(cell.polytope, tuple(-g for g in cell.gradient), -cell.offset)
-        for cell in _env_cells_from_facets(negated, _hull_core(negated, basis))
-    ]
+    upper, lower = _graph_cells(points, basis, lower=True)
     verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
     lifted = Polytope(d, d, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
     lifted._volume = sum(c.integral() for c in upper) - sum(c.integral() for c in lower)
@@ -541,7 +540,7 @@ def _upper_cells(points):
     if rank == k:
         bases = _build_rational(_dedup([p[:k] for p in points]))
         return [AffineCell(bases, *_flat_affine(points, basis))]
-    return _env_cells_from_facets(points, _hull_core(points, basis))
+    return _graph_cells(points, basis)[0]
 
 
 def _lifted_facets(upper, lower, proj, vertices):

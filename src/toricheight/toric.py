@@ -271,12 +271,9 @@ def symmetric_height_sum(pair: MonomialPair) -> LogLinearNumber:
     volumes; equals the height of the pair plus the height of its
     coefficient-wise inverse."""
     coords, r, _ = lattice_normalize(pair.exponents)
-    total = LogLinearNumber()
-    for v in relevant_places(pair.coefficients):
-        tau = weight_vector(pair, v)
-        pts = [(*map(Fraction, b), t) for b, t in zip(coords, tau)]
-        total = total + as_loglinear(convex_hull(pts).volume())
-    return total * factorial(r + 1)
+    bases = [tuple(map(Fraction, b)) for b in coords]
+    lifted_volume = lambda w: convex_hull([(*b, t) for b, t in zip(bases, w)]).volume()
+    return _over_places([pair.coefficients], lifted_volume)[1] * factorial(r + 1)
 
 
 def invert(pair: MonomialPair) -> MonomialPair:

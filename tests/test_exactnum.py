@@ -102,6 +102,12 @@ class TestCertifiedSign:
         assert certified_sign(3 * log2 - log3) == 1
         assert certified_sign(1 - log3) == -1
 
+    def test_rationals_in_a_fresh_cache(self):
+        # the answer must not depend on an equal log-linear number signed earlier
+        certified_sign.cache_clear()
+        assert [certified_sign(Fraction(3, 2)), certified_sign(Fraction(-3, 2)), certified_sign(Fraction(0))] == [1, -1, 0]
+        assert certified_sign(2) == 1
+
     def test_close_call(self):
         # log(9) - 2 log(3) is exactly zero only coefficient-wise; a nearby
         # nonzero combination must still resolve

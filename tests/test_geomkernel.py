@@ -12,7 +12,9 @@ from toricheight.geomkernel import (
     Facet,
     _affine_basis,
     _Chart,
-    _hyperplane,
+    _functionals,
+    _integer_points,
+    _kernel_vector,
     _rank,
     _solve_linear,
     convex_hull,
@@ -545,6 +547,31 @@ class TestLiftedRationalModel:
         assert [Fc.vertex_ids for Fc in P.facets[:2]] == [everything, everything]
         assert [Fc.normal[:-1] for Fc in P.facets[2:]] == [Fc.normal for Fc in base.facets]
 
+    @pytest.mark.parametrize(
+        "bases, lift",
+        [
+            (list(itertools.product(range(3), repeat=2)), lambda b: b[0] * b[1] * log2),
+            ([(a,) for a in range(5)], lambda b: (b[0] % 2) * log2 - b[0] * log3),
+        ],
+        ids=["grid", "segment"],
+    )
+    def test_full_lift_hulls_lifted_points_once(self, monkeypatch, bases, lift):
+        # the upper and the lower cells are read from the facets of one hull
+        lifted = []
+        real = geomkernel._hull_core
+
+        def counted(points, basis, primes):
+            if primes:
+                lifted.append(primes)
+            return real(points, basis, primes)
+
+        monkeypatch.setattr(geomkernel, "_hull_core", counted)
+        P = convex_hull([(*b, lift(b)) for b in bases])
+        assert (P._kind, len(lifted)) == ("lifted-full", 1)
+        upper = upper_envelope([(b, lift(b)) for b in bases])
+        lower = upper_envelope([(b, -lift(b)) for b in bases])
+        assert volume(P) == sum(c.integral() for c in upper) + sum(c.integral() for c in lower)
+
 
 class TestMinkowski:
     def test_segments(self):
@@ -675,65 +702,67 @@ def rand_rows(rng, count, dim, lifted_col=None, singular=False):
 
 
 def cofactor_hyperplane(points):
-    """Hyperplane through d points in R^d with the cofactor vector of their
-    differences as its normal: the construction kernel normals replaced."""
+    """Normal of the hyperplane through d points in R^d as the cofactor
+    vector of their differences, over {1, log p} by ``log_basis_det``."""
     d = len(points[0])
     rows = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     normal = []
     for j in range(d):
-        cof = det([[r[k] for k in range(d) if k != j] for r in rows])
-        normal.append(cof if j % 2 == 0 else -cof)
-    return normal, sum((a * b for a, b in zip(normal, points[0])), F(0))
+        cof = log_basis_det([[r[k] for k in range(d) if k != j] for r in rows])
+        value = sum((c * LL.log_prime(p) if p else LL(c) for p, c in cof.items()), LL())
+        normal.append(value if j % 2 == 0 else -value)
+    return normal
+
+
+def assert_proportional(normal, other):
+    """``other`` is a nonzero multiple of ``normal``, whose last or else first
+    nonzero coordinate is rational."""
+    j = len(normal) - 1 if normal[-1] else next(j for j, x in enumerate(normal) if x)
+    c = as_loglinear(other[j]) / as_loglinear(normal[j]).constant
+    assert c and all(as_loglinear(y) == c * x for x, y in zip(normal, other))
 
 
 class TestEchelonKernel:
     """``det``, ``_solve_linear``, ``_rank`` and ``_affine_basis`` share one
-    elimination; each is checked against cofactor expansion over {1, log p}."""
+    elimination, checked against cofactor expansion over {1, log p}; the
+    hull core's integer facet functionals are checked against it."""
 
-    def test_hyperplane_against_cofactor_normal(self):
+    def test_facet_functionals_against_kernel_vector(self):
         rng = random.Random(79)
         counts = {"rational": 0, "lifted": 0, "vertical": 0}
         while min(counts.values()) < 60:
-            d = rng.randint(2, 5)
+            d = rng.randint(2, 7)
             lifted = rng.random() < 0.6
             points = rand_rows(rng, d, d, d - 1 if lifted else None)
-            vertical = lifted and rng.random() < 0.3
-            if vertical:  # one shared coordinate: a vertical hyperplane
+            if rng.random() < 0.3:  # one shared coordinate: a vertical hyperplane
                 points = [(F(2), *p[1:]) for p in points]
-            old_normal, old_offset = cofactor_hyperplane(points)
-            if not any(old_normal):  # affinely dependent draw
+            kernel = _kernel_vector([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+            if kernel is None:  # affinely dependent draw
                 continue
-            normal, offset = _hyperplane(points)
-            new, old = [*normal, offset], [*old_normal, old_offset]
-            assert as_loglinear(normal[-1]).is_rational
-            if old_normal[-1]:
-                # the last coordinates are rational: so is the factor
-                q = as_loglinear(normal[-1]).constant / old_normal[-1]
-                assert q and all(as_loglinear(x) == as_loglinear(y) * q for x, y in zip(new, old))
-            else:
-                # vertical: the kernel normal is rational, the cofactor one a
-                # (possibly log-linear) multiple of it
-                assert normal[-1] == 0 and all(as_loglinear(x).is_rational for x in new)
-                j = next(j for j, x in enumerate(normal) if x)
-                c = as_loglinear(old_normal[j]) / normal[j]
-                assert all(as_loglinear(y) == c * as_loglinear(x).constant for x, y in zip(new, old))
-            counts["vertical" if not old_normal[-1] else "lifted" if lifted else "rational"] += 1
+            ints, primes, scale = _integer_points(points)
+            fn = _functionals(ints, d - 1)
+            # functional t carries the shared last coordinate at row entry t
+            a = fn[0][d - 1]
+            assert all(f[d - 1 + s] == a * (s == t) for t, f in enumerate(fn) for s in range(len(fn)))
+            weights = [1] + [LL.log_prime(p) for p in primes]
+            normal = [sum((w * f[j] for w, f in zip(weights, fn)), LL()) for j in range(d - 1)] + [F(a)]
+            offset = sum((w * f[-1] for w, f in zip(weights, fn)), LL()) / scale
+            for p in points:
+                assert sum((x * y for x, y in zip(normal, p)), LL()) == offset
+            assert_proportional(normal, kernel[0])
+            if d <= 5:
+                assert_proportional(normal, cofactor_hyperplane(points))
+            counts["vertical" if not a else "lifted" if primes else "rational"] += 1
 
     def test_det_against_log_basis_oracle(self):
         rng = random.Random(83)
         assert det([]) == 1
         for _ in range(400):
             n = rng.randint(1, 6)
-            lifted_col = rng.randrange(n) if rng.random() < 0.6 else None
-            rows = rand_rows(rng, n, n, lifted_col, singular=rng.random() < 0.3)
+            rows = rand_rows(rng, n, n, singular=rng.random() < 0.3)
             value = det(rows)
             assert log_basis(value) == log_basis_det(rows)
-            irrational = any(isinstance(x, LL) and not x.is_rational for r in rows for x in r)
-            assert type(value) is (LL if irrational else F)
-
-    def test_det_two_lifted_columns(self):
-        with pytest.raises(ValueError, match="more than one lifted column"):
-            det([(log2, F(1)), (F(1), log3)])
+            assert type(value) is F
 
     def test_solve_linear(self):
         rng = random.Random(89)
