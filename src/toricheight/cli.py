@@ -13,6 +13,7 @@ exceeded, 5 ambient dimension above the supported bound, 6 factorization limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -48,11 +49,44 @@ CAP_ENV_VAR = "TORIC_HEIGHT_CAP"
 # parsing
 
 
+# Python's bound on the digits of an integer converted from or to text, 4300
+# unless PYTHONINTMAXSTRDIGITS sets it (0 lifts it); Pythons before 3.10.7
+# have none, and inputs get the default bound there.
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
+@contextlib.contextmanager
+def _unbounded_digits():
+    """Lift the digit bound while exact results are written: the inputs are
+    bounded, but an exact result may have more digits than any of them."""
+    bound = _get_digits()
+    _set_digits(0)
+    try:
+        yield
+    finally:
+        _set_digits(bound)
+
+
+def _written_digits(text: str):
+    """Digits of the numerator and the denominator that ``Fraction(text)``
+    builds before it reduces them, counted without building 10**e."""
+    num, _, den = text.replace("_", "").partition("/")
+    mantissa, _, exp = num.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)
+    return len((whole + frac).lstrip("+-").lstrip("0")) + max(shift, 0), len(den.lstrip("0")) + max(-shift, 0)
+
+
 def _parse_rational(text) -> Fraction:
     if type(text) is int:  # JSON true/false arrive as bool, a subclass of int
         return Fraction(text)
     if isinstance(text, str):
         try:
+            bound, digits = _get_digits(), max(_written_digits(text.strip()))
+            if bound and digits > bound:
+                raise ParseError(f"a numerator or denominator of {digits} digits exceeds the bound of {bound} "
+                                 "digits (sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {text!r}") from exc
@@ -65,7 +99,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: also an integer past the digit bound
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -121,6 +155,7 @@ def parse_weight_document(doc):
     return exps, [_parse_rational(w) for w in weights]
 
 
+@_unbounded_digits()
 def pair_document(pair: MonomialPair, name=None) -> dict:
     doc = {
         "exponents": [list(a) for a in pair.exponents],
@@ -165,6 +200,7 @@ def _value_fields(x: LogLinearNumber, bits: int) -> dict:
     return {"value": _value_map(x), "symbolic": str(x), "decimal": text, "error": err}
 
 
+@_unbounded_digits()
 def _emit(args, payload: dict, value: LogLinearNumber | None):
     fmt = args.format
     if fmt == "json":
@@ -184,6 +220,7 @@ def _emit(args, payload: dict, value: LogLinearNumber | None):
             print(f"  {place}: {data['symbolic']}")
 
 
+@_unbounded_digits()
 def _report(args, payload: dict, value: LogLinearNumber, per_place=None) -> int:
     """Emit ``payload`` with the value's fields, and per place if given."""
     payload.update(_value_fields(value, args.bits))
@@ -228,7 +265,8 @@ def cmd_degree(args) -> int:
         payload["name"] = name
     payload["degree"] = d
     if args.format in ("symbolic", "decimal"):
-        print(d)
+        with _unbounded_digits():
+            print(d)
     else:
         _emit(args, payload, None)
     return 0
@@ -306,32 +344,33 @@ def cmd_multiheight(args) -> int:
 
 def cmd_orbits(args) -> int:
     pair, name = parse_pair_document(_read_json(args.input))
-    orbits = orbit_decomposition(pair)
-    entries = []
-    for face, sub in orbits:
-        rep = normalized_height(sub)
-        entries.append(
-            {
-                "face_dim": face.dim,
-                "face_vertices": sorted(face.vertex_ids),
-                "pair": pair_document(sub),
-                "degree": rep.degree,
-                "height": _value_map(rep.value),
-                "symbolic": str(rep.value),
-            }
-        )
-    if args.format == "json":
-        payload = {"command": "orbits", "orbits": entries}
-        if name:
-            payload["name"] = name
-        _emit(args, payload, None)
-    else:
-        print(f"orbits: {len(entries)}")
-        for e in entries:
-            print(
-                f"  dim {e['face_dim']}  monomials {len(e['pair']['coefficients'])}  "
-                f"degree {e['degree']}  height {e['symbolic']}"
+    with _unbounded_digits():
+        orbits = orbit_decomposition(pair)
+        entries = []
+        for face, sub in orbits:
+            rep = normalized_height(sub)
+            entries.append(
+                {
+                    "face_dim": face.dim,
+                    "face_vertices": sorted(face.vertex_ids),
+                    "pair": pair_document(sub),
+                    "degree": rep.degree,
+                    "height": _value_map(rep.value),
+                    "symbolic": str(rep.value),
+                }
             )
+        if args.format == "json":
+            payload = {"command": "orbits", "orbits": entries}
+            if name:
+                payload["name"] = name
+            _emit(args, payload, None)
+        else:
+            print(f"orbits: {len(entries)}")
+            for e in entries:
+                print(
+                    f"  dim {e['face_dim']}  monomials {len(e['pair']['coefficients'])}  "
+                    f"degree {e['degree']}  height {e['symbolic']}"
+                )
     return 0
 
 

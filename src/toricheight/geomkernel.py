@@ -5,8 +5,9 @@ possibly the last one, which may be a :class:`LogLinearNumber`.  Hulls
 (dimension <= 6, one more if lifted) are built beneath-beyond on integers
 only: points scaled by one denominator, the last coordinate an integer row
 over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
-``exactnum._row_sign`` when m > 0.  Determinants, linear solves and ranks
-share one exact elimination, ``_Echelon``.  One fan of a rational
+``exactnum._row_sign`` when m > 0.  Facet functionals, affine bases,
+ranks, determinants and rational linear solves share one fraction-free
+elimination on integer rows, ``_Echelon``.  One fan of a rational
 polytope's simplicial boundary serves volumes, ``triangulate`` and cell
 integrals; a lifted polytope lies between the upper and lower cells of one
 hull, and its volume integrates the two.
@@ -73,84 +74,90 @@ def _is_lifted(x) -> bool:
 
 
 class _Echelon:
-    """Incremental row echelon form of vectors over Q whose last coordinate
-    may be log-linear: the one elimination behind determinants, kernel
-    vectors and ranks.
+    """Incremental fraction-free Gauss-Jordan elimination (Bareiss, *Math.
+    Comp.* 22, 1968) of integer rows, pivoting on the first k columns: the
+    one elimination behind determinants, solves, ranks, affine bases and
+    facet functionals.
 
-    Each added vector is reduced by the stored pivots in insertion order and
-    pivots on its first nonzero coordinate.  A pivot keeps its column, its
-    value and the row's entries after the column, scaled by the inverse of
-    the pivot.  Every coordinate but the last is rational, so those pivots
-    are rational; a vector left nonzero only in its last entry pivots there,
-    irrational or not, and keeps an empty row: it spans that coordinate, so
-    at most one such pivot counts toward the rank.
+    Every pivot row holds the common pivot ``det`` at its own column and 0
+    at the other pivot columns; ``det`` is the minor of the pivot rows, as
+    added, at the pivot columns, in pivot order, so every division is
+    exact.  A row left nonzero only past column k (a lift over 1, log p_1,
+    ..., which are linearly independent over Q) raises the rank once and is
+    not kept.
     """
 
-    def __init__(self):
-        self.pivots = []  # (column, pivot, row after the column / pivot)
+    def __init__(self, k):
+        self.k, self.det, self.cols, self.rows, self.rank = k, 1, [], [], 0
 
     def add(self, vec) -> bool:
-        """Reduce ``vec``; True (and a new pivot) if it raises the rank."""
-        v = list(vec)
-        for col, _, tail in self.pivots:
-            f = v[col]
+        """Reduce the integer row ``vec``; True if it raises the rank."""
+        p = self.det
+        v = [p * x for x in vec] if self.rows else list(vec)
+        for c, row in zip(self.cols, self.rows):
+            f = vec[c]
             if f:
-                v[col] = 0
-                v[col + 1 :] = [a - f * b for a, b in zip(v[col + 1 :], tail)]
-        for col, x in enumerate(v):
-            if x:
-                self.pivots.append((col, x, [y / x for y in v[col + 1 :]]))
-                return True
-        return False
+                v = [x - f * y for x, y in zip(v, row)]
+        c = next((c for c in range(self.k) if v[c]), None)
+        if c is None:  # dependent, or in the lift's span if a lift raised the rank
+            if self.rank > len(self.cols) or not any(v):
+                return False
+        else:
+            q = v[c]
+            self.rows = [[(q * x - row[c] * y) // p for x, y in zip(row, v)] for row in self.rows]
+            self.rows.append(v)
+            self.cols.append(c)
+            self.det = q
+        self.rank += 1
+        return True
+
+
+def _integer_row(values):
+    """A rational row times the least common multiple of its denominators,
+    with that multiple."""
+    values = [as_fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def det(rows):
     """Exact determinant of a rational matrix."""
-    echelon = _Echelon()
-    if not all(echelon.add([as_fraction(x) for x in r]) for r in rows):
-        return Fraction(0)
-    cols = [c for c, _, _ in echelon.pivots]
-    total = Fraction(-1 if sum(a > b for a, b in itertools.combinations(cols, 2)) % 2 else 1)
-    for _, piv, _ in echelon.pivots:
-        total = total * piv
-    return total
+    echelon, scale = _Echelon(len(rows)), 1
+    for r in rows:
+        row, s = _integer_row(r)
+        if not echelon.add(row):
+            return Fraction(0)
+        scale *= s
+    sign = -1 if sum(a > b for a, b in itertools.combinations(echelon.cols, 2)) % 2 else 1
+    return Fraction(sign * echelon.det, scale)
 
 
-def _kernel_vector(rows):
-    """The kernel vector of k independent rows of length k+1 that has a 1
-    in the one column without a pivot, returned with that column; None if
-    the rows are dependent.  A pivot's row is zero at every earlier pivot's
-    column, so back-substitution runs in reverse insertion order."""
-    echelon = _Echelon()
-    if not all(echelon.add(r) for r in rows):
-        return None
-    free = min(set(range(len(rows) + 1)) - {c for c, _, _ in echelon.pivots})
-    x = {free: Fraction(1)}
-    for col, _, tail in reversed(echelon.pivots):
-        x[col] = -sum((t * x[j] for j, t in enumerate(tail, col + 1) if t), Fraction(0))
-    return [x[j] for j in range(len(rows) + 1)], free
-
-
-def _solve_linear(a_rows, b):
-    """Solve the square rational system ``A x = b`` as the kernel of
-    ``[A | -b]``; the right-hand side may hold log-linear values, so the
-    solution lives in the same span."""
-    kernel = _kernel_vector([[*map(as_fraction, r), -_as_value(y)] for r, y in zip(a_rows, b)])
-    if kernel is None or kernel[1] != len(a_rows):
+def _solve_linear(a_rows, b_rows):
+    """Solve the square rational system ``A X = B``; B and the solution X
+    are given by rows."""
+    n = len(a_rows)
+    echelon = _Echelon(n)
+    for r, y in zip(a_rows, b_rows):
+        echelon.add(_integer_row([*r, *y])[0])
+    if len(echelon.cols) < n:
         raise ValueError("singular system")
-    return kernel[0][:-1]
-
-
-def _rank(vectors) -> int:
-    echelon = _Echelon()
-    return sum(echelon.add(v) for v in vectors)
+    return [[Fraction(y, echelon.det) for y in row[n:]] for _, row in sorted(zip(echelon.cols, echelon.rows))]
 
 
 def _affine_basis(points):
-    """Indices of an affinely independent spanning subset, first point first."""
-    echelon = _Echelon()
-    basis = [0] + [i for i in range(1, len(points)) if echelon.add(_vsub(points[i], points[0]))]
-    return basis, len(echelon.pivots)
+    """Indices of an affinely independent spanning subset, first point
+    first, and its rank."""
+    if not points[0]:
+        return [0], 0
+    return _integer_basis(_integer_points(points)[0], len(points[0]) - 1)
+
+
+def _integer_basis(ints, k):
+    """``_affine_basis`` of integer points (``_integer_points``) of k base
+    coordinates and a row."""
+    echelon = _Echelon(k)
+    basis = [0] + [i for i in range(1, len(ints)) if echelon.add([x - y for x, y in zip(ints[i], ints[0])])]
+    return basis, echelon.rank
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +180,22 @@ def _functionals(points, k):
     """Integer functionals ``(*normal, offset)`` of the hyperplane through
     k+1 integer points of k base coordinates and a row: functional t is the
     cross product of the differences with row entry t as the last column,
-    placed at that entry.  Fraction-free Gauss-Jordan (Bareiss) pivots on
-    base columns only; a vertical hyperplane gets one rational functional."""
+    placed at that entry.  It reads them from the rows of ``_Echelon``; a
+    vertical hyperplane gets one rational functional, from the free base
+    column."""
     p0 = points[0]
-    m = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    prev, pivots, free = 1, [], None
-    for c in range(k):
-        r = len(pivots)
-        i = next((i for i in range(r, k) if m[i][c]), None)
-        if i is None:
-            free = c
-            continue
-        m[r], m[i] = m[i], m[r]
-        piv = m[r][c]
-        for i in range(k):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        prev = piv
-        pivots.append(c)
-    width = len(p0) - k
-    if free is None:  # the normal is (-m[r][k + t] at column r, prev)
-        normals = [[-row[k + t] for row in m] + [prev * (s == t) for s in range(width)] for t in range(width)]
-    elif len(pivots) == k - 1:
-        u = [-m[pivots.index(c)][free] if c in pivots else prev for c in range(k)]
-        normals = [u + [0] * width] + [[0] * len(p0)] * (width - 1)
-    else:
+    echelon = _Echelon(k)
+    if not all(echelon.add([x - y for x, y in zip(p, p0)]) for p in points[1:]):
         raise ValueError("degenerate facet")
+    free = [c for c in range(k) if c not in echelon.cols]
+    normals = []
+    for j in free or range(k, len(p0)):  # the normal is (-row[j] at the row's column, det at j)
+        n = [0] * len(p0)
+        for c, row in zip(echelon.cols, echelon.rows):
+            n[c] = -row[j]
+        n[j] = echelon.det
+        normals.append(n)
+    normals += [[0] * len(p0)] * (len(p0) - k - len(normals))
     return [(*n, sum(map(mul, n, p0))) for n in normals]
 
 
@@ -297,14 +293,7 @@ class _Chart:
         self.origin = origin
         self.basis = basis  # r linearly independent ambient vectors
         # rows of M = (B^T B)^{-1} B^T, a left inverse of B
-        r = len(basis)
-        gram = [[_dot(a, b) for b in basis] for a in basis]
-        self._left_inverse = []
-        for j in range(r):
-            y = _solve_linear(gram, [Fraction(int(i == j)) for i in range(r)])
-            self._left_inverse.append(
-                tuple(sum((y[i] * basis[i][c] for i in range(r)), Fraction(0)) for c in range(len(origin)))
-            )
+        self._left_inverse = [tuple(row) for row in _solve_linear([[_dot(a, b) for b in basis] for a in basis], basis)]
 
     def to_chart(self, point):
         rhs = _vsub(point, self.origin)
@@ -425,27 +414,27 @@ def _merge_facets(points, simplicial, scale):
     true vertex set and per-facet vertex lists.  Merged normals and offsets
     are primitive integers in the unscaled coordinates."""
     d = len(points[0])
-    merged = []
+    merged, actives = [], {}
     for *normal, offset in dict.fromkeys(F.fn[0] for F in simplicial):
         members = frozenset(i for i, p in enumerate(points) if sum(map(mul, normal, p)) == offset)
+        for i in members:
+            actives.setdefault(i, []).append(normal)
         g = gcd(scale, offset)
         merged.append((tuple(Fraction(scale * z // g) for z in normal), Fraction(offset // g), members))
-    # vertex test: active merged normals span the ambient space
-    candidates = sorted(frozenset().union(*(members for _, _, members in merged)))
-    actives = ([normal for normal, _, members in merged if i in members] for i in candidates)
-    return merged, [i for i, active in zip(candidates, actives) if len(active) >= d and _rank(active) == d]
+    # a vertex: the active normals span the ambient space
+    return merged, [i for i in sorted(actives) if len(actives[i]) >= d and sum(map(_Echelon(d).add, actives[i])) == d]
 
 
 def _build_rational(points):
     """Polytope of deduplicated rational points (any affine dimension)."""
     d = len(points[0])
-    basis, rank = _affine_basis(points)
-    if rank == 0:
+    if len(points) == 1:
         return Polytope(d, 0, (points[0],), (), "point")
+    ints, _, scale = _integer_points(points)
+    basis, rank = _integer_basis(ints, d - 1)
     if rank < d:
         chart = _Chart(points[basis[0]], [_vsub(points[b], points[basis[0]]) for b in basis[1:]])
         return _embed(chart, _build_rational([chart.to_chart(p) for p in points]))
-    ints, _, scale = _integer_points(points)
     simplicial = _hull_core(ints, basis, ())
     merged, vertex_ids = _merge_facets(ints, simplicial, scale)
     if len(frozenset().union(*(F.ids for F in simplicial))) > len(vertex_ids):
@@ -467,17 +456,25 @@ def _embed(chart, inner):
     return Polytope(len(chart.origin), inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
 
 
-def _graph_cells(points, basis, lower=False):
-    """Merged graph cells (projected) of the hull of full-dimensional lifted
-    points: the upper ones, and the lower ones if asked (else empty).
-    Facets group by functional, and each cell's gradient and offset are
-    built once, log-linear when the lift is."""
+def _graph_cells(points, lower=False):
+    """Merged graph cells (projected) of lifted points whose bases span
+    their space: the upper ones, and the lower ones if asked (else empty).
+    Facets of one hull group by functional; a flat lift is one cell, read
+    from the functionals of an affine basis, and is returned as both lists.
+    Each cell's gradient and offset are decoded once from its integer
+    functionals, log-linear when the lift is."""
     k = len(points[0]) - 1
     ints, primes, scale = _integer_points(points)
-    groups = {}
-    for F in _hull_core(ints, basis, primes):
-        if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
-            groups.setdefault(F.fn, set()).update(F.ids)
+    basis, rank = _integer_basis(ints, k)
+    if rank == k + 1:
+        groups = {}
+        for F in _hull_core(ints, basis, primes):
+            if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
+                groups.setdefault(F.fn, set()).update(F.ids)
+    elif rank == k and (fn := tuple(_functionals([ints[i] for i in basis], k)))[0][k]:
+        groups = {fn: range(len(points))}
+    else:
+        raise ValueError("lifted hull over a degenerate projection is unsupported")
 
     def value(coeffs, denominator):
         q = [Fraction(c, denominator) for c in coeffs]
@@ -487,25 +484,16 @@ def _graph_cells(points, basis, lower=False):
     for fn, ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
         a = fn[0][k]
         gradient = tuple(value([-f[j] for f in fn], a) for j in range(k))
-        cell = _build_rational(_dedup([points[i][:k] for i in sorted(ids)]))
-        (upper if a > 0 else below).append(AffineCell(cell, gradient, value([f[-1] for f in fn], a * scale)))
+        bases = _build_rational(_dedup([points[i][:k] for i in sorted(ids)]))
+        cell = AffineCell(bases, gradient, value([f[-1] for f in fn], a * scale))
+        if rank == k:
+            return [cell], [cell]
+        (upper if a > 0 else below).append(cell)
     return upper, below
 
 
 def _dedup(points):
     return list(dict.fromkeys(points))
-
-
-def _flat_affine(points, basis):
-    """Affine function through lifted points lying on one non-vertical
-    hyperplane, solved through an affine basis of the lifted points; the
-    bases span the base space, so the basis points' bases are affinely
-    independent."""
-    k = len(points[0]) - 1
-    rows = [list(points[i][:k]) + [Fraction(1)] for i in basis]
-    rhs = [points[i][k] for i in basis]
-    sol = _solve_linear(rows, rhs)
-    return tuple(sol[:k]), sol[k]
 
 
 def _build_lifted(points):
@@ -514,55 +502,29 @@ def _build_lifted(points):
     points, over bases that must span their space.  It is the graph of one
     affine function (flat) or full-dimensional, with the integral of the
     upper envelope minus the lower as its volume."""
-    d = len(points[0])
-    k = d - 1
+    k = len(points[0]) - 1
+    upper, lower = _graph_cells(points, lower=True)
+    if upper == lower:  # flat: one cell, both upper and lower
+        proj = upper[0].polytope
+        verts = tuple((*b, upper[0].value_at(b)) for b in proj.vertices)
+        return Polytope(k + 1, k, verts, _lifted_facets(upper, lower, proj, verts), "lifted-flat")
     proj = _build_rational(_dedup([p[:k] for p in points]))
-    if proj.affine_dim < k:
-        raise ValueError("lifted hull over a degenerate projection is unsupported")
-    basis, rank = _affine_basis(points)
-    if rank == k:
-        flat = [AffineCell(proj, *_flat_affine(points, basis))]
-        verts = tuple((*b, flat[0].value_at(b)) for b in proj.vertices)
-        return Polytope(d, k, verts, _lifted_facets(flat, flat, proj, verts), "lifted-flat")
-    upper, lower = _graph_cells(points, basis, lower=True)
     verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
-    lifted = Polytope(d, d, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
+    lifted = Polytope(k + 1, k + 1, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
     lifted._volume = sum(c.integral() for c in upper) - sum(c.integral() for c in lower)
     return lifted
-
-
-def _upper_cells(points):
-    """Upper graph cells of deduplicated lifted points whose bases span
-    their space: the regular subdivision a roof reads.  Builds no lower
-    cells and no lifted facets; the bases are hulled only for a flat lift."""
-    k = len(points[0]) - 1
-    basis, rank = _affine_basis(points)
-    if rank == k:
-        bases = _build_rational(_dedup([p[:k] for p in points]))
-        return [AffineCell(bases, *_flat_affine(points, basis))]
-    return _graph_cells(points, basis)[0]
 
 
 def _lifted_facets(upper, lower, proj, vertices):
     """Supporting halfspaces of a lifted polytope: one per graph cell plus
     the vertical extensions of the projection's facets."""
-    facets = []
-
-    def saturating(normal, offset):
-        return tuple(
-            i for i, v in enumerate(vertices) if not _dot(normal, v) - offset
-        )
-
-    for cell in upper:
-        normal = tuple(-g for g in cell.gradient) + (Fraction(1),)
-        facets.append(Facet(normal, cell.offset, saturating(normal, cell.offset)))
-    for cell in lower:
-        normal = tuple(cell.gradient) + (Fraction(-1),)
-        facets.append(Facet(normal, -cell.offset, saturating(normal, -cell.offset)))
-    for F in proj.facets:
-        normal = tuple(F.normal) + (Fraction(0),)
-        facets.append(Facet(normal, F.offset, saturating(normal, F.offset)))
-    return tuple(facets)
+    halfspaces = [((*(-g for g in cell.gradient), Fraction(1)), cell.offset) for cell in upper]
+    halfspaces += [((*cell.gradient, Fraction(-1)), -cell.offset) for cell in lower]
+    halfspaces += [((*F.normal, Fraction(0)), F.offset) for F in proj.facets]
+    return tuple(
+        Facet(normal, offset, tuple(i for i, v in enumerate(vertices) if not _dot(normal, v) - offset))
+        for normal, offset in halfspaces
+    )
 
 
 def _check_dimension(d, lifted):
@@ -604,10 +566,7 @@ def upper_envelope(points) -> list[AffineCell]:
     hull of the bases and carry the affine function of the envelope piece,
     all in the bases' ambient coordinates.
     """
-    gens = []
-    for base, lift in points:
-        gens.append((tuple(as_fraction(x) for x in base), _as_value(lift)))
-    gens = _dedup(gens)
+    gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
     if not gens:
         raise ValueError("need at least one point")
     k = len(gens[0][0])
@@ -615,7 +574,7 @@ def upper_envelope(points) -> list[AffineCell]:
         raise ValueError("dimension mismatch")
     _check_dimension(k, False)
     bases = _dedup([g[0] for g in gens])
-    basis, rank = _affine_basis(bases) if k else ([0], 0)
+    basis, rank = _affine_basis(bases)
     if rank == 0:
         best = gens[0][1]
         for _, lift in gens[1:]:
@@ -628,7 +587,7 @@ def upper_envelope(points) -> list[AffineCell]:
         origin = bases[basis[0]]
         chart = _Chart(origin, [_vsub(bases[b], origin) for b in basis[1:]])
         gens = [(chart.to_chart(b), lift) for b, lift in gens]
-    cells = _upper_cells([(*b, lift) for b, lift in gens])
+    cells = _graph_cells([(*b, lift) for b, lift in gens])[0]
     if chart is not None:
         cells = [
             AffineCell(_embed(chart, cell.polytope), *chart.pullback_affine(cell.gradient, cell.offset))
@@ -732,7 +691,7 @@ def intersect_polytopes(p: Polytope, q: Polytope):
     for subset in itertools.combinations(range(len(constraints)), d):
         rows, rhs = zip(*(constraints[i] for i in subset))
         try:
-            x = tuple(_solve_linear(rows, rhs))
+            x = tuple(row[0] for row in _solve_linear(rows, [[o] for o in rhs]))
         except ValueError:  # singular
             continue
         if all(_dot(n, x) <= o for n, o in constraints):

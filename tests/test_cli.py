@@ -19,9 +19,12 @@ from toricheight.cli import main, pair_document, parse_pair_document, parse_weig
 from toricheight.exactnum import LogLinearNumber, Place, relevant_places
 from toricheight.geomkernel import lattice_normalize
 from toricheight.roof import roof_from_weight
-from toricheight.toric import MonomialPair, weight_vector
+from toricheight.toric import MonomialPair, chow_weight, weight_vector
 
 LL = LogLinearNumber
+
+# Python's integer-string digit bound came with 3.10.7
+digit_bound = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-string digit bound")
 
 CUBIC_DOC = {
     "name": "cubic",
@@ -367,6 +370,55 @@ class TestExitCodes:
         assert code == 6 and out == "" and "MAX_RHO_STEPS" in err
         code, out, err = run(capsys, "plot", str(path), "--place", str(2**11213 - 1), "--out", str(tmp_path / "o.svg"))
         assert code == 6 and out == "" and "MAX_RHO_STEPS" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000, pytest.param('{"exponents": [[0], [1]], "coefficients": [1, ' + "9" * 4400 + "]}", marks=digit_bound)],
+        ids=["deep nesting", "long integer"],
+    )
+    def test_unreadable_json(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        started = time.monotonic()
+        code, out, err = run(capsys, "height", str(path))
+        assert time.monotonic() - started < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @digit_bound
+    @pytest.mark.parametrize("coefficient", ["1e50000", "-1E-50000", "2.5e4300"])
+    def test_exponent_notation_is_bounded(self, capsys, tmp_path, coefficient):
+        # Fraction would build 10**e before any digit bound applies
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", coefficient]}))
+        started = time.monotonic()
+        code, out, err = run(capsys, "height", str(path))
+        assert time.monotonic() - started < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(sys.get_int_max_str_digits()) in err and "PYTHONINTMAXSTRDIGITS" in err
+        path.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", "1e4299"]}))
+        assert run(capsys, "height", str(path))[0] == 0
+
+    @digit_bound
+    def test_exact_results_past_the_digit_bound(self, capsys, tmp_path):
+        # inputs of 2,168 to 3,001 digits whose exact results have more than 4,300
+        bound = sys.get_int_max_str_digits()
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"exponents": [[0], [1], [2]], "weights": ["0", f"1/{2**7200}", f"1/{3**4600}"]}))
+        code, out, err = run(capsys, "--format", "json", "chow-weight", str(weights))
+        assert code == 0 and err == "" and sys.get_int_max_str_digits() == bound
+        value = chow_weight([(0,), (1,), (2,)], [0, Fraction(1, 2**7200), Fraction(1, 3**4600)])
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["value"] == {"constant": str(value)} and len(str(value)) > bound
+        finally:
+            sys.set_int_max_str_digits(bound)
+        pair = tmp_path / "p.json"
+        pair.write_text(json.dumps({"exponents": [[0], [1]], "coefficients": ["1", "7" * 3001]}))
+        code, out, err = run(capsys, "compose", "veronese", str(pair), "--degree", "2")
+        assert code == 0 and err == "" and sys.get_int_max_str_digits() == bound
+        assert max(map(len, json.loads(out)["coefficients"])) > bound
 
     @pytest.mark.parametrize(
         "argv",

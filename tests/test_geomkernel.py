@@ -12,10 +12,9 @@ from toricheight.geomkernel import (
     Facet,
     _affine_basis,
     _Chart,
+    _Echelon,
     _functionals,
     _integer_points,
-    _kernel_vector,
-    _rank,
     _solve_linear,
     convex_hull,
     det,
@@ -27,6 +26,10 @@ from toricheight.geomkernel import (
     upper_envelope,
     volume,
 )
+
+from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
+from toricheight.roof import roof_from_weight
+from toricheight.toric import MonomialPair, normalized_height
 
 from oracles import grid_volume_bounds, log_basis_det, minor_rank
 
@@ -393,7 +396,7 @@ class TestChart:
                 for _ in range(8):
                     while True:
                         basis = rand_points(rng, d, r, span=3)
-                        if _rank(basis) == r:
+                        if minor_rank(basis) == r:
                             break
                     origin = rand_points(rng, d, 1)[0]
                     chart = _Chart(origin, basis)
@@ -403,15 +406,15 @@ class TestChart:
                         assert chart.to_chart(p) == coords
                         assert chart.to_ambient(chart.to_chart(p)) == p
                         off = rand_points(rng, d, 1)[0]
-                        if _rank(basis + [off]) > r:
+                        if minor_rank(basis + [off]) > r:
                             assert chart.to_chart(tuple(a + b for a, b in zip(p, off))) is None
                     gradient = tuple(F(rng.randint(-3, 3)) * log2 + F(rng.randint(-3, 3), 2) for _ in range(r))
                     offset = log3 - 1
                     g_amb, off_amb = chart.pullback_affine(gradient, offset)
                     # both the rational and the log(2) part lie in span(B)
                     g_ll = [as_loglinear(x) for x in g_amb]
-                    assert _rank(basis + [tuple(x.constant for x in g_ll)]) == r
-                    assert _rank(basis + [tuple(dict(x.logterms).get(2, F(0)) for x in g_ll)]) == r
+                    assert minor_rank(basis + [tuple(x.constant for x in g_ll)]) == r
+                    assert minor_rank(basis + [tuple(dict(x.logterms).get(2, F(0)) for x in g_ll)]) == r
                     for _ in range(4):
                         coords = rand_points(rng, r, 1)[0]
                         x = chart.to_ambient(coords)
@@ -723,21 +726,25 @@ def assert_proportional(normal, other):
 
 
 class TestEchelonKernel:
-    """``det``, ``_solve_linear``, ``_rank`` and ``_affine_basis`` share one
-    elimination, checked against cofactor expansion over {1, log p}; the
-    hull core's integer facet functionals are checked against it."""
+    """``det``, ``_solve_linear``, ranks, ``_affine_basis`` and the hull
+    core's facet functionals share one integer elimination, ``_Echelon``,
+    checked against cofactor expansion over {1, log p}."""
 
     def test_facet_functionals_against_kernel_vector(self):
+        # the kernel vector of the differences is their cofactor vector
         rng = random.Random(79)
         counts = {"rational": 0, "lifted": 0, "vertical": 0}
+        dims = set()
         while min(counts.values()) < 60:
             d = rng.randint(2, 7)
             lifted = rng.random() < 0.6
             points = rand_rows(rng, d, d, d - 1 if lifted else None)
             if rng.random() < 0.3:  # one shared coordinate: a vertical hyperplane
                 points = [(F(2), *p[1:]) for p in points]
-            kernel = _kernel_vector([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
-            if kernel is None:  # affinely dependent draw
+            cofactors = cofactor_hyperplane(points)
+            if not any(cofactors):  # affinely dependent draw
+                with pytest.raises(ValueError, match="degenerate facet"):
+                    _functionals(_integer_points(points)[0], d - 1)
                 continue
             ints, primes, scale = _integer_points(points)
             fn = _functionals(ints, d - 1)
@@ -749,10 +756,10 @@ class TestEchelonKernel:
             offset = sum((w * f[-1] for w, f in zip(weights, fn)), LL()) / scale
             for p in points:
                 assert sum((x * y for x, y in zip(normal, p)), LL()) == offset
-            assert_proportional(normal, kernel[0])
-            if d <= 5:
-                assert_proportional(normal, cofactor_hyperplane(points))
+            assert_proportional(normal, cofactors)
             counts["vertical" if not a else "lifted" if primes else "rational"] += 1
+            dims.add(d)
+        assert dims == set(range(2, 8))
 
     def test_det_against_log_basis_oracle(self):
         rng = random.Random(83)
@@ -769,22 +776,70 @@ class TestEchelonKernel:
         for _ in range(300):
             n = rng.randint(1, 6)
             a = rand_rows(rng, n, n, singular=rng.random() < 0.3)
-            b = [rand_lifted(rng) for _ in range(n)]
+            m = rng.randint(1, 3)
+            b = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)]
             if not log_basis_det(a):
                 with pytest.raises(ValueError, match="singular system"):
                     _solve_linear(a, b)
                 continue
             x = _solve_linear(a, b)
+            assert all(type(v) is F for xi in x for v in xi)
             for row, rhs in zip(a, b):
-                assert sum((c * xi for c, xi in zip(row, x)), F(0)) == rhs
+                assert [sum((c * xi[t] for c, xi in zip(row, x)), F(0)) for t in range(m)] == rhs
 
     def test_rank(self):
+        # the last column is a lift: integer rows over (1, log 2, log 3)
         rng = random.Random(97)
         for _ in range(250):
             dim = rng.randint(1, 6)
             count = rng.randint(1, 7)
             vectors = rand_rows(rng, count, dim, dim - 1 if rng.random() < 0.5 else None, singular=rng.random() < 0.5)
-            assert _rank(vectors) == minor_rank(vectors)
+            echelon = _Echelon(dim - 1)
+            assert sum(map(echelon.add, _integer_points(vectors)[0])) == echelon.rank == minor_rank(vectors)
+
+    def test_dependent_row_leaves_the_lift_unspanned(self):
+        # over (x, 1, log 2): a dependent row, then one that is nonzero only
+        # in the lift, then one that the lift spans
+        echelon = _Echelon(1)
+        assert echelon.add([2, 1, 0])
+        assert not echelon.add([4, 2, 0])
+        assert echelon.add([2, 1, 3]) and echelon.rank == 2
+        assert not echelon.add([0, 5, -1]) and echelon.rank == 2
+        assert echelon.cols == [0] and echelon.rows == [[2, 1, 0]]
+
+    def test_only_integer_rows_reach_the_elimination(self, monkeypatch):
+        # heights in 1-D to 4-D, a multiheight, a mixed integral and a mixed
+        # volume: no Fraction or log-linear entry reaches ``_Echelon``
+        rows = []
+        add = _Echelon.add
+
+        def spy(echelon, vec):
+            rows.append(tuple(vec))
+            return add(echelon, vec)
+
+        monkeypatch.setattr(_Echelon, "add", spy)
+        rng = random.Random(131)
+
+        def exponents(n, extra):
+            simplex = [tuple(int(i == j) for i in range(n)) for j in range(-1, n)]
+            return simplex + [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(extra)]
+
+        def coefficients(count):
+            return [F(rng.choice((1, 2, 3, 5, 6)), rng.choice((1, 2, 7))) * rng.choice((1, -1)) for _ in range(count)]
+
+        for n in (1, 2, 3, 4):
+            exps = exponents(n, 2)
+            normalized_height(MonomialPair.make(exps, coefficients(len(exps))))
+        exps = exponents(2, 1)
+        multiheight(EmbeddingFamily(tuple(MonomialPair.make(exps, coefficients(len(exps))) for _ in range(3))))
+        roofs = []
+        for _ in range(3):
+            exps = exponents(2, 2)
+            roofs.append(roof_from_weight(exps, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in exps]))
+        mixed_integral(roofs)
+        mixed_volume([convex_hull(rand_points(rng, 3, 6, span=3)) for _ in range(3)])
+        assert len(rows) > 1000
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_affine_basis_is_greedy(self):
         rng = random.Random(101)
