@@ -8,9 +8,10 @@ over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
 ``exactnum._row_sign`` when m > 0.  Facet functionals, affine bases,
 ranks, determinants and rational linear solves share one fraction-free
 elimination on integer rows, ``_Echelon``.  One fan of a rational
-polytope's simplicial boundary serves volumes, ``triangulate`` and cell
-integrals; a lifted polytope lies between the upper and lower cells of one
-hull, and its volume integrates the two.
+polytope's simplicial boundary serves volumes and ``triangulate``.  An
+upper envelope is one hull of the lifted points, whose projected facets
+give each cell's integral; a cell's polytope is built when read.  A lifted
+polytope lies between the upper and lower cells of one hull.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -203,6 +205,7 @@ def _functionals(points, k):
 class _SimplicialFacet:
     ids: frozenset
     fn: tuple  # functionals of ``_functionals``, primitive and outward
+    det: int  # |determinant| of the simplex projected on the base, 0 if vertical
 
 
 def _hull_core(points, basis, primes):
@@ -225,7 +228,8 @@ def _hull_core(points, basis, primes):
         if s == 0:
             raise ValueError("degenerate facet")
         g = -s * gcd(*(x for f in fn for x in f))
-        return _SimplicialFacet(frozenset(ids), tuple(tuple(x // g for x in f) for f in fn))
+        primitive = tuple(tuple(x // g for x in f) for f in fn)
+        return _SimplicialFacet(frozenset(ids), primitive, abs(fn[0][k]))
 
     facets = [facet([b for t, b in enumerate(basis) if t != s]) for s in range(k + 2)]
     for ip in sorted(set(range(len(points))) - set(basis)):
@@ -260,12 +264,24 @@ class Facet:
 
 @dataclass(frozen=True)
 class AffineCell:
-    """A cell of a regular subdivision: the rational polytope it covers
-    plus the affine function of the envelope over it."""
+    """A cell of a regular subdivision: its base points, and the affine
+    function of the envelope over it with its integral there.  The hull of
+    the points is built on first use; equal cells share vertices and
+    function."""
 
-    polytope: Polytope = field(hash=False)
+    points: tuple = field(compare=False)
     gradient: tuple
     offset: object
+    integral: object = field(compare=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineCell):
+            return NotImplemented
+        return self.gradient == other.gradient and self.offset == other.offset and self.polytope == other.polytope
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        return _build_rational(list(self.points))
 
     @property
     def vertices(self):
@@ -273,17 +289,6 @@ class AffineCell:
 
     def value_at(self, x):
         return _dot(self.gradient, x) + self.offset
-
-    def integral(self):
-        """Exact integral of the affine function over a full-dimensional
-        cell, or the offset over a point in R^0."""
-        r = self.polytope.ambient_dim
-        if r == 0:
-            return self.offset
-        total = Fraction(0)
-        for simplex, vol in _fan(self.polytope):
-            total = total + vol * sum((self.value_at(v) for v in simplex), Fraction(0))
-        return total / factorial(r + 1)
 
 
 class _Chart:
@@ -434,7 +439,9 @@ def _build_rational(points):
     basis, rank = _integer_basis(ints, d - 1)
     if rank < d:
         chart = _Chart(points[basis[0]], [_vsub(points[b], points[basis[0]]) for b in basis[1:]])
-        return _embed(chart, _build_rational([chart.to_chart(p) for p in points]))
+        inner = _build_rational([chart.to_chart(p) for p in points])
+        verts = tuple(chart.to_ambient(v) for v in inner.vertices)
+        return Polytope(d, inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
     simplicial = _hull_core(ints, basis, ())
     merged, vertex_ids = _merge_facets(ints, simplicial, scale)
     if len(frozenset().union(*(F.ids for F in simplicial))) > len(vertex_ids):
@@ -450,45 +457,48 @@ def _build_rational(points):
     return Polytope(d, d, vertices, facets, "full", boundary=boundary)
 
 
-def _embed(chart, inner):
-    """The polytope given in chart coordinates, in ambient coordinates."""
-    verts = tuple(chart.to_ambient(v) for v in inner.vertices)
-    return Polytope(len(chart.origin), inner.affine_dim, verts, inner.facets, "degenerate", chart=chart, inner=inner)
-
-
 def _graph_cells(points, lower=False):
     """Merged graph cells (projected) of lifted points whose bases span
     their space: the upper ones, and the lower ones if asked (else empty).
     Facets of one hull group by functional; a flat lift is one cell, read
     from the functionals of an affine basis, and is returned as both lists.
-    Each cell's gradient and offset are decoded once from its integer
-    functionals, log-linear when the lift is."""
+    A cell's integral sums |det| times the lifts over its simplices: its
+    projected facets, or the fan of a flat lift's one base hull.  Gradient,
+    offset and integral are decoded once, log-linear when the lift is."""
     k = len(points[0]) - 1
     ints, primes, scale = _integer_points(points)
     basis, rank = _integer_basis(ints, k)
-    if rank == k + 1:
-        groups = {}
-        for F in _hull_core(ints, basis, primes):
-            if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
-                groups.setdefault(F.fn, set()).update(F.ids)
-    elif rank == k and (fn := tuple(_functionals([ints[i] for i in basis], k)))[0][k]:
-        groups = {fn: range(len(points))}
-    else:
-        raise ValueError("lifted hull over a degenerate projection is unsupported")
 
     def value(coeffs, denominator):
         q = [Fraction(c, denominator) for c in coeffs]
         return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
 
-    upper, below = [], []
-    for fn, ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
+    def cell(fn, ids, simplices):
         a = fn[0][k]
-        gradient = tuple(value([-f[j] for f in fn], a) for j in range(k))
-        bases = _build_rational(_dedup([points[i][:k] for i in sorted(ids)]))
-        cell = AffineCell(bases, gradient, value([f[-1] for f in fn], a * scale))
-        if rank == k:
-            return [cell], [cell]
-        (upper if a > 0 else below).append(cell)
+        total = [sum(w * sum(ints[i][t] for i in s) for w, s in simplices) for t in range(k, len(ints[0]))]
+        return AffineCell(
+            tuple(_dedup([points[i][:k] for i in ids])),
+            tuple(value([-f[j] for f in fn], a) for j in range(k)),
+            value([f[-1] for f in fn], a * scale),
+            value(total, scale ** (k + 1) * factorial(k + 1)),
+        )
+
+    if rank == k and (fn := tuple(_functionals([ints[i] for i in basis], k)))[0][k]:
+        proj = _build_rational([p[:k] for p in points])
+        index = {p[:k]: i for i, p in enumerate(points)}
+        fan = _fan(proj) if k else [(proj.vertices, 1)]
+        flat = cell(fn, range(len(points)), [(vol * scale**k, [index[v] for v in s]) for s, vol in fan])
+        flat.__dict__["polytope"] = proj  # fills the cached property: the fan needed this hull
+        return [flat], [flat]
+    if rank <= k:
+        raise ValueError("lifted hull over a degenerate projection is unsupported")
+    groups = {}
+    for F in _hull_core(ints, basis, primes):
+        if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
+            groups.setdefault(F.fn, []).append((F.det, F.ids))
+    upper, below = [], []
+    for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
+        (upper if fn[0][k] > 0 else below).append(cell(fn, ids, simplices))
     return upper, below
 
 
@@ -511,7 +521,7 @@ def _build_lifted(points):
     proj = _build_rational(_dedup([p[:k] for p in points]))
     verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
     lifted = Polytope(k + 1, k + 1, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
-    lifted._volume = sum(c.integral() for c in upper) - sum(c.integral() for c in lower)
+    lifted._volume = sum(c.integral for c in upper) - sum(c.integral for c in lower)
     return lifted
 
 
@@ -580,20 +590,15 @@ def upper_envelope(points) -> list[AffineCell]:
         for _, lift in gens[1:]:
             if value_sign(lift - best) > 0:
                 best = lift
-        point = Polytope(k, 0, (bases[0],), (), "point")
-        return [AffineCell(point, tuple(Fraction(0) for _ in range(k)), best)]
-    chart = None
-    if rank < k:
-        origin = bases[basis[0]]
-        chart = _Chart(origin, [_vsub(bases[b], origin) for b in basis[1:]])
-        gens = [(chart.to_chart(b), lift) for b, lift in gens]
-    cells = _graph_cells([(*b, lift) for b, lift in gens])[0]
-    if chart is not None:
-        cells = [
-            AffineCell(_embed(chart, cell.polytope), *chart.pullback_affine(cell.gradient, cell.offset))
-            for cell in cells
-        ]
-    return cells
+        return [AffineCell((bases[0],), (Fraction(0),) * k, best, best if k == 0 else Fraction(0))]
+    if rank == k:
+        return _graph_cells([(*b, lift) for b, lift in gens])[0]
+    origin = bases[basis[0]]
+    chart = _Chart(origin, [_vsub(bases[b], origin) for b in basis[1:]])
+    return [  # measure zero in Q^k
+        AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0))
+        for c in _graph_cells([(*chart.to_chart(b), lift) for b, lift in gens])[0]
+    ]
 
 
 def volume(p: Polytope):

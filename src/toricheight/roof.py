@@ -116,15 +116,10 @@ def roof_eval(f: Roof, x):
 
 
 def roof_integral(f: Roof):
-    """Exact integral of the roof over its domain.
-
-    Over a zero-dimensional domain this is the roof value itself; a domain
-    that is degenerate in its ambient space has measure zero.
-    """
-    # cells are chart-embedded exactly when the bases are degenerate
-    if f.cells[0].polytope.affine_dim < f.base_dim:
-        return Fraction(0)
-    return sum((cell.integral() for cell in f.cells), Fraction(0))
+    """Exact integral of the roof over its domain, the sum of its cells'
+    integrals: the roof value over a zero-dimensional domain, and 0 over a
+    domain that is degenerate in its ambient space."""
+    return sum((cell.integral for cell in f.cells), Fraction(0))
 
 
 def sup_convolution(f: Roof, g: Roof) -> Roof:
@@ -165,8 +160,10 @@ def lifted_polytope(f: Roof, mu) -> Polytope:
 
 
 def roof_pointwise_sum(f: Roof, g: Roof) -> Roof:
-    """Pointwise sum of two roofs on the same domain, via the common
-    refinement of their subdivisions (base dimension <= 3)."""
+    """Pointwise sum of two roofs on the same domain (base dimension <= 3).
+    The sum is concave and affine on each cell of the common refinement of
+    their subdivisions, so it is the roof of its values at the vertices of
+    that refinement."""
     if frozenset(f.domain.vertices) != frozenset(g.domain.vertices):
         raise ValueError("domain mismatch")
     r = f.base_dim
@@ -176,16 +173,11 @@ def roof_pointwise_sum(f: Roof, g: Roof) -> Roof:
         gens = [(v, fv + roof_eval(g, v)) for v, fv in f.vertex_values().items()]
         gens += [(v, roof_eval(f, v) + gv) for v, gv in g.vertex_values().items()]
         return roof_from_generators(gens)
-    cells = []
+    gens = {}
     for cf in f.cells:
         for cg in g.cells:
             common = intersect_polytopes(cf.polytope, cg.polytope)
-            if common is None or common.affine_dim < r:
-                continue
-            gradient = tuple(a + b for a, b in zip(cf.gradient, cg.gradient))
-            cells.append(AffineCell(common, gradient, cf.offset + cg.offset))
-    gens = {}
-    for cell in cells:
-        for v in cell.vertices:
-            gens.setdefault(v, cell.value_at(v))
-    return Roof(tuple(cells), tuple(LiftedPoint(v, val) for v, val in sorted(gens.items())))
+            if common is not None and common.affine_dim == r:
+                for v in common.vertices:
+                    gens.setdefault(v, cf.value_at(v) + cg.value_at(v))
+    return roof_from_generators(sorted(gens.items()))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,11 @@ CUBIC_DOC = {
     "name": "cubic",
     "exponents": [[0], [1], [2], [3]],
     "coefficients": ["1", "4", "1/3", "1/2"],
+}
+
+HEXAGON_DOC = {
+    "exponents": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]],
+    "coefficients": ["2/5", "1", "4/3", "3", "3", "6"],
 }
 
 
@@ -227,6 +233,30 @@ class TestPlot:
         )
         out = tmp_path / "sq.svg"
         assert run(capsys, "plot", str(path), "--place", "2", "--out", str(out))[0] == 0
+
+    @pytest.mark.parametrize(
+        "doc, place, stdout_sha256, svg_sha256",
+        [
+            (CUBIC_DOC, "inf", "a90b79cc05b6faacf0cbcc09ba05330f6d2c8b9991c62f1207865d353bb4b36c",
+             "c6fbcab47fbb078c47c5d363ad9f7a515444b0ca0830b480fdc0f37582f79282"),
+            (CUBIC_DOC, "2", "b54e28fea04f419965476a585ab2948bae65f3864324945e0ff38cacab4cc68d",
+             "bbd1ed0e7b787257fa400e3b1e0169bf3ee7ffbadb3ace51cce3e02f5d0af441"),
+            (HEXAGON_DOC, "inf", "62596041cb855c0b347c5d14afebf41faebc0a802f90aee13d4508b15fd54c7a",
+             "91d23f1ae1a4227389ab641a25f8090c6c27ba55620dde178f9f7d3350db2110"),
+            (HEXAGON_DOC, "2", "37852579b2a65d70835b1aeef51501e5da409dea5c32107d1e28d17d7f7a8fe2",
+             "497ccbc1847ef12bff95a6135aadcf86da75d90839418e3177b6c70b3e52f873"),
+        ],
+        ids=["cubic-inf", "cubic-2", "hexagon-inf", "hexagon-2"],
+    )
+    def test_pinned_bytes(self, capsys, tmp_path, doc, place, stdout_sha256, svg_sha256):
+        # the order of each cell's vertices reaches both outputs; the
+        # hexagon has four cells at each place
+        path, out = tmp_path / "doc.json", tmp_path / "doc.svg"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "--format", "json", "plot", str(path), "--place", place, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == svg_sha256
 
     def test_unsupported_dimension(self, capsys, tmp_path):
         path = tmp_path / "c3.json"

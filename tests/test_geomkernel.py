@@ -28,10 +28,11 @@ from toricheight.geomkernel import (
 )
 
 from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
-from toricheight.roof import roof_from_weight
+from toricheight.roof import roof_from_generators, roof_from_weight
 from toricheight.toric import MonomialPair, normalized_height
 
 from oracles import grid_volume_bounds, log_basis_det, minor_rank
+from test_roof import rebuilt_cell_integral
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -349,21 +350,35 @@ class TestUpperEnvelope:
             assert cell.polytope.affine_dim == rebuilt.affine_dim
             assert volume(cell.polytope) == volume(rebuilt)
 
-    def test_cell_polytopes_each_branch(self):
+    @staticmethod
+    def branches():
         flat_2d = [(b, b[0] * log2 + b[1] * log3) for b in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]]
-        branches = [
+        return [
             ([((), log2), ((), -log3)], 0),  # rank 0, no base coordinates
             ([((1, 2), log2), ((1, 2), -log3)], 0),  # rank 0
             ([((0,), 1 + log3), ((2,), 1 + log3 + 2 * log2), ((5,), 1 + log3 + 5 * log2)], 1),  # flat 1-D
             (flat_2d, 2),
             ([((0, 0), LL()), ((1, 1), log3), ((2, 2), log2), ((4, 4), -log3)], 1),  # collinear 2-D (chart)
         ]
+
+    def test_cell_polytopes_each_branch(self):
+        branches = self.branches()
         for gens, cell_dim in branches:
             cells = upper_envelope(gens)
             assert all(c.polytope.affine_dim == cell_dim for c in cells)
             self.assert_cells_keep_their_hulls(cells)
         assert len(upper_envelope(branches[2][0])) == len(upper_envelope(branches[3][0])) == 1
         assert len(upper_envelope(branches[4][0])) == 3
+
+    def test_cell_integrals_each_branch(self):
+        # a point in R^0 integrates to its value, a measure-zero cell in Q^2
+        # to 0, and a flat lift as over its rebuilt hull
+        gens = [g for g, _ in self.branches()]
+        point, point_2d, flat_1d, flat_2d, chart = (upper_envelope(g) for g in gens)
+        assert [c.integral for c in point + point_2d + chart] == [log2, 0, 0, 0, 0]
+        for g, cells in zip(gens[2:4], (flat_1d, flat_2d)):
+            assert [c.integral for c in cells] == [rebuilt_cell_integral(roof_from_generators(g))]
+        assert flat_1d[0].integral == 5 + 5 * log3 + F(25, 2) * log2
 
     def test_cell_polytopes_random_full_lifts(self):
         rng = random.Random(79)
@@ -573,7 +588,7 @@ class TestLiftedRationalModel:
         assert (P._kind, len(lifted)) == ("lifted-full", 1)
         upper = upper_envelope([(b, lift(b)) for b in bases])
         lower = upper_envelope([(b, -lift(b)) for b in bases])
-        assert volume(P) == sum(c.integral() for c in upper) + sum(c.integral() for c in lower)
+        assert volume(P) == sum(c.integral for c in upper) + sum(c.integral for c in lower)
 
 
 class TestMinkowski:

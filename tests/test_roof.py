@@ -6,8 +6,10 @@ from operator import mul
 
 import pytest
 
+import toricheight.geomkernel as geomkernel
+import toricheight.toric as toric
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, det, face_lattice, triangulate, volume
+from toricheight.geomkernel import convex_hull, det, face_lattice, lattice_normalize, triangulate, volume
 from toricheight.roof import (
     lifted_polytope,
     restrict_to_face,
@@ -224,6 +226,61 @@ class TestRoofIntegral:
             assert abs(exact - approx) <= bound
 
 
+class TestOneHullPerRoof:
+    """A roof's integral is read from its lifted hull: no cell polytope and
+    no fan is built for it."""
+
+    def test_integrals_build_no_cell_hull(self, monkeypatch):
+        rng = random.Random(109)
+        calls, roofs = [], []
+        for name in ("_build_rational", "_fan"):
+            real = getattr(geomkernel, name)
+            monkeypatch.setattr(
+                geomkernel, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        for n in (1, 2, 3, 4):
+            grid = list(itertools.product(range(3 if n < 4 else 2), repeat=n))
+            for _ in range(3):
+                lifts = [rng.randint(-3, 3) * log2 + F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in grid]
+                f = roof_from_weight(grid, lifts)
+                roofs.append((f, roof_integral(f)))
+        assert calls == []
+        assert all(len(f.cells) >= 2 for f, _ in roofs)
+        for f, value in roofs:
+            assert value == rebuilt_cell_integral(f)
+
+    def test_heights_hull_only_the_domain(self, monkeypatch):
+        # outside degree()'s domain hull, a height builds one hull per flat
+        # roof, whose one cell is the whole domain
+        rng = random.Random(113)
+        calls, inside = [], []
+
+        def nested(real, record=None):
+            def wrapper(*args):
+                if record and not inside:
+                    record(*args)
+                inside.append(real)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        build = nested(geomkernel._build_rational, lambda points: calls.append(set(points)))
+        monkeypatch.setattr(geomkernel, "_build_rational", build)
+        monkeypatch.setattr(toric, "degree", nested(toric.degree))
+        for n in (2, 3):
+            for _ in range(3):
+                exps = {(0,) * n} | {tuple(int(i == j) for i in range(n)) for j in range(n)}
+                exps = sorted(exps | {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n + 2)})
+                coeffs = [F(rng.randint(1, 12), rng.randint(1, 12)) for _ in exps]
+                domain = {tuple(map(F, b)) for b in lattice_normalize(exps)[0]}
+                calls.clear()
+                toric.normalized_height(toric.MonomialPair.make(exps, coeffs))
+                assert all(points == domain for points in calls)
+
+
 class TestSupConvolution:
     def test_worked_example(self):
         f = roof_from_weight([(0,), (1,)], [-log2, 2 * log2])
@@ -393,6 +450,7 @@ class TestPointwiseSum:
             f = roof_from_weight(pts, wf)
             g = roof_from_weight(pts, wg)
             s = roof_pointwise_sum(f, g)
+            assert set(s.cells) == set(roof_from_generators(s.generators).cells)
             for _ in range(5):
                 x = (F(rng.randint(0, 4), 2), F(rng.randint(0, 4), 2))
                 if not f.domain.contains(x):
