@@ -3,15 +3,19 @@
 Points are tuples of exact values.  All coordinates are rationals except
 possibly the last one, which may be a :class:`LogLinearNumber`.  Hulls
 (dimension <= 6, one more if lifted) are built beneath-beyond on integers
-only: points scaled by one denominator, the last coordinate an integer row
+only, farthest point first, each ridge keeping the two facets that share
+it: points scaled by one denominator, the last coordinate an integer row
 over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
-``exactnum._row_sign`` when m > 0.  Facet functionals, affine bases,
-ranks, determinants and rational linear solves share one fraction-free
+``exactnum._row_sign`` when m > 0.  On rational points a new facet's
+functional is the pencil of the two facets at its horizon ridge.  The
+first simplex's and lifted facets' functionals, affine bases, ranks,
+determinants and rational linear solves share one fraction-free
 elimination on integer rows, ``_Echelon``.  One fan of a rational
 polytope's simplicial boundary serves volumes and ``triangulate``.  An
-upper envelope is one hull of the lifted points, whose projected facets
-give each cell's integral; a cell's polytope is built when read.  A lifted
-polytope lies between the upper and lower cells of one hull.
+upper envelope is one hull of the lifted points, whose one elimination
+also gives the bases' rank and whose projected facets give each cell's
+integral; a cell's polytope is built when read.  A lifted polytope lies
+between the upper and lower cells of one hull.
 """
 
 from __future__ import annotations
@@ -151,15 +155,20 @@ def _affine_basis(points):
     first, and its rank."""
     if not points[0]:
         return [0], 0
-    return _integer_basis(_integer_points(points)[0], len(points[0]) - 1)
+    return _integer_basis(_integer_points(points)[0], len(points[0]) - 1)[:2]
 
 
 def _integer_basis(ints, k):
     """``_affine_basis`` of integer points (``_integer_points``) of k base
-    coordinates and a row."""
-    echelon = _Echelon(k)
-    basis = [0] + [i for i in range(1, len(ints)) if echelon.add([x - y for x, y in zip(ints[i], ints[0])])]
-    return basis, echelon.rank
+    coordinates and a row, then the indices in it whose bases are affinely
+    independent."""
+    echelon, basis, base = _Echelon(k), [0], [0]
+    for i in range(1, len(ints)):
+        if echelon.add([x - y for x, y in zip(ints[i], ints[0])]):
+            basis.append(i)
+            if len(echelon.cols) == len(base):  # a new pivot among the base columns
+                base.append(i)
+    return basis, echelon.rank, base
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +210,31 @@ def _functionals(points, k):
     return [(*n, sum(map(mul, n, p0))) for n in normals]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: the hull core keys facets by object
 class _SimplicialFacet:
     ids: frozenset
     fn: tuple  # functionals of ``_functionals``, primitive and outward
-    det: int  # |determinant| of the simplex projected on the base, 0 if vertical
 
 
 def _hull_core(points, basis, primes):
     """Simplicial boundary facets of the hull of full-dimensional integer
     points (``_integer_points``), given the indices of d+1 affinely
     independent ones; facets are primitive and oriented against the sum of
-    those, d+1 times an interior point."""
+    those, d+1 times an interior point.  Beneath-beyond, farthest point
+    first; each ridge keeps the two facets sharing it.  A new facet spans a
+    horizon ridge (of a visible F and an invisible G) and the new point p.
+    On rational points its functional is the pencil f_F(p) f_G - f_G(p) f_F
+    made primitive: it vanishes on the ridge and at p and is outward, so it
+    is the one ``_functionals`` would give.  Only the first simplex, and
+    every facet of a lifted hull (log-linear values), is eliminated; the
+    projected |det| a cell weighs a facet by is computed in ``_graph_cells``."""
     k = len(points[0]) - len(primes) - 1
     inside = tuple(map(sum, zip(*(points[i] for i in basis))))
 
-    def side(fn, q, times=1):
+    def side(fn, q, times=1):  # the value on rational points, else its sign
         row = [sum(map(mul, f, q)) - times * f[-1] for f in fn]
         if not primes:
-            return (row[0] > 0) - (row[0] < 0)
+            return row[0]
         return _row_sign(row, primes) if any(row) else 0
 
     def facet(ids):
@@ -227,26 +242,42 @@ def _hull_core(points, basis, primes):
         s = side(fn, inside, k + 2)
         if s == 0:
             raise ValueError("degenerate facet")
-        g = -s * gcd(*(x for f in fn for x in f))
-        primitive = tuple(tuple(x // g for x in f) for f in fn)
-        return _SimplicialFacet(frozenset(ids), primitive, abs(fn[0][k]))
+        g = gcd(*(x for f in fn for x in f)) * (-1 if s > 0 else 1)
+        return _SimplicialFacet(frozenset(ids), tuple(tuple(x // g for x in f) for f in fn))
 
-    facets = [facet([b for t, b in enumerate(basis) if t != s]) for s in range(k + 2)]
-    for ip in sorted(set(range(len(points))) - set(basis)):
-        visible_ids = {id(F) for F in facets if side(F.fn, points[ip]) > 0}
-        if not visible_ids:
-            continue
-        ridge_map = {}
-        for F in facets:
+    def pencil(F, s, G, ridge, ip):
+        t = side(G.fn, points[ip])
+        fn = [s * y - t * x for x, y in zip(F.fn[0], G.fn[0])]
+        g = gcd(*fn)
+        if not g:  # antiparallel neighbours
+            raise ValueError("degenerate facet")
+        return _SimplicialFacet(ridge | {ip}, (tuple(x // g for x in fn),))
+
+    facets, ridges = {}, {}  # the live facets, in order; ridge -> the facets sharing it
+
+    def add(F):
+        facets[F] = None
+        for drop in F.ids:
+            ridges.setdefault(F.ids - {drop}, []).append(F)
+
+    def far(i):  # farthest from the interior point first, then by index
+        return -sum(((k + 2) * x - c) ** 2 for x, c in zip(points[i][: k + 1], inside)), i
+
+    for s in range(k + 2):
+        add(facet([b for t, b in enumerate(basis) if t != s]))
+    for ip in sorted(set(range(len(points))) - set(basis), key=far):
+        visible = {F: s for F in facets if (s := side(F.fn, points[ip])) > 0}
+        for F, s in visible.items():
+            del facets[F]
             for drop in F.ids:
-                ridge_map.setdefault(F.ids - {drop}, []).append(F)
-        new_facets = []
-        for ridge, shared in ridge_map.items():
-            flags = [id(F) in visible_ids for F in shared]
-            if any(flags) and not all(flags):
-                new_facets.append(facet(sorted(ridge) + [ip]))
-        facets = [F for F in facets if id(F) not in visible_ids] + new_facets
-    return facets
+                ridge = F.ids - {drop}
+                pair = ridges[ridge]
+                pair.remove(F)
+                if not pair:
+                    del ridges[ridge]
+                elif pair[0] not in visible:  # a horizon ridge
+                    add(facet(sorted(ridge) + [ip]) if primes else pencil(F, s, pair[0], ridge, ip))
+    return list(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +467,7 @@ def _build_rational(points):
     if len(points) == 1:
         return Polytope(d, 0, (points[0],), (), "point")
     ints, _, scale = _integer_points(points)
-    basis, rank = _integer_basis(ints, d - 1)
+    basis, rank, _ = _integer_basis(ints, d - 1)
     if rank < d:
         chart = _Chart(points[basis[0]], [_vsub(points[b], points[basis[0]]) for b in basis[1:]])
         inner = _build_rational([chart.to_chart(p) for p in points])
@@ -457,17 +488,23 @@ def _build_rational(points):
     return Polytope(d, d, vertices, facets, "full", boundary=boundary)
 
 
-def _graph_cells(points, lower=False):
-    """Merged graph cells (projected) of lifted points whose bases span
-    their space: the upper ones, and the lower ones if asked (else empty).
+def _lifted_integers(points):
+    """``_integer_points`` of lifted points, then their ``_integer_basis``."""
+    ints, primes, scale = _integer_points(points)
+    return ints, primes, scale, *_integer_basis(ints, len(points[0]) - 1)
+
+
+def _graph_cells(points, integers, lower=False):
+    """Merged graph cells (projected) of lifted points (``_lifted_integers``
+    of them given) whose bases span their space: the upper ones, and the
+    lower ones if asked (else empty).
     Facets of one hull group by functional; a flat lift is one cell, read
     from the functionals of an affine basis, and is returned as both lists.
     A cell's integral sums |det| times the lifts over its simplices: its
     projected facets, or the fan of a flat lift's one base hull.  Gradient,
     offset and integral are decoded once, log-linear when the lift is."""
     k = len(points[0]) - 1
-    ints, primes, scale = _integer_points(points)
-    basis, rank = _integer_basis(ints, k)
+    ints, primes, scale, basis, rank, _ = integers
 
     def value(coeffs, denominator):
         q = [Fraction(c, denominator) for c in coeffs]
@@ -495,7 +532,11 @@ def _graph_cells(points, lower=False):
     groups = {}
     for F in _hull_core(ints, basis, primes):
         if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
-            groups.setdefault(F.fn, []).append((F.det, F.ids))
+            i, *rest = F.ids
+            echelon = _Echelon(k)  # |det| of the projected simplex
+            for j in rest:
+                echelon.add([ints[j][c] - ints[i][c] for c in range(k)])
+            groups.setdefault(F.fn, []).append((abs(echelon.det), F.ids))
     upper, below = [], []
     for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
         (upper if fn[0][k] > 0 else below).append(cell(fn, ids, simplices))
@@ -513,7 +554,7 @@ def _build_lifted(points):
     affine function (flat) or full-dimensional, with the integral of the
     upper envelope minus the lower as its volume."""
     k = len(points[0]) - 1
-    upper, lower = _graph_cells(points, lower=True)
+    upper, lower = _graph_cells(points, _lifted_integers(points), lower=True)
     if upper == lower:  # flat: one cell, both upper and lower
         proj = upper[0].polytope
         verts = tuple((*b, upper[0].value_at(b)) for b in proj.vertices)
@@ -583,21 +624,22 @@ def upper_envelope(points) -> list[AffineCell]:
     if any(len(b) != k for b, _ in gens):
         raise ValueError("dimension mismatch")
     _check_dimension(k, False)
-    bases = _dedup([g[0] for g in gens])
-    basis, rank = _affine_basis(bases)
-    if rank == 0:
+    lifted = [(*b, lift) for b, lift in gens]
+    integers = _lifted_integers(lifted)
+    base, origin = integers[-1], gens[0][0]  # base: the gens whose bases are affinely independent
+    if len(base) == 1:
         best = gens[0][1]
         for _, lift in gens[1:]:
             if value_sign(lift - best) > 0:
                 best = lift
-        return [AffineCell((bases[0],), (Fraction(0),) * k, best, best if k == 0 else Fraction(0))]
-    if rank == k:
-        return _graph_cells([(*b, lift) for b, lift in gens])[0]
-    origin = bases[basis[0]]
-    chart = _Chart(origin, [_vsub(bases[b], origin) for b in basis[1:]])
+        return [AffineCell((origin,), (Fraction(0),) * k, best, best if k == 0 else Fraction(0))]
+    if len(base) == k + 1:
+        return _graph_cells(lifted, integers)[0]
+    chart = _Chart(origin, [_vsub(gens[b][0], origin) for b in base[1:]])
+    lifted = [(*chart.to_chart(b), lift) for b, lift in gens]
     return [  # measure zero in Q^k
         AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0))
-        for c in _graph_cells([(*chart.to_chart(b), lift) for b, lift in gens])[0]
+        for c in _graph_cells(lifted, _lifted_integers(lifted))[0]
     ]
 
 
@@ -640,14 +682,10 @@ class FaceLattice:
         n = len(polytope.vertices)
         sets = {frozenset(F.vertex_ids) for F in base.facets}
         sets.add(frozenset(range(n)))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(sets), 2):
-                c = a & b
-                if c and c not in sets:
-                    sets.add(c)
-                    changed = True
+        new = sets
+        while new:  # close under intersection
+            new = {a & b for a in sets for b in new} - sets - {frozenset()}
+            sets |= new
         faces = []
         for ids in sets:
             _, dim = _affine_basis([polytope.vertices[i] for i in sorted(ids)])
@@ -701,10 +739,7 @@ def intersect_polytopes(p: Polytope, q: Polytope):
             continue
         if all(_dot(n, x) <= o for n, o in constraints):
             candidates.append(x)
-    candidates = _dedup(candidates)
-    if not candidates:
-        return None
-    return convex_hull(candidates)
+    return convex_hull(candidates) if candidates else None
 
 
 # ---------------------------------------------------------------------------
@@ -714,36 +749,17 @@ def intersect_polytopes(p: Polytope, q: Polytope):
 def _integer_row_hnf(rows):
     """Row-style Hermite normal form basis of the row lattice: echelon rows
     with positive pivots and reduced entries above each pivot."""
-    m = [list(map(int, r)) for r in rows]
-    n_cols = len(m[0])
-    pr = 0
-    pivots = []
-    for col in range(n_cols):
-        while True:
-            nz = [i for i in range(pr, len(m)) if m[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(m[i][col]))
-            m[pr], m[i0] = m[i0], m[pr]
-            done = True
-            for i in range(pr + 1, len(m)):
-                if m[i][col] != 0:
-                    f = m[i][col] // m[pr][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-                    if m[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if pr < len(m) and m[pr][col] != 0:
-            if m[pr][col] < 0:
-                m[pr] = [-a for a in m[pr]]
-            for i in range(pr):
-                f = m[i][col] // m[pr][col]
-                if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+    rest, basis, pivots = [list(map(int, r)) for r in rows], [], []
+    for col in range(len(rest[0])):
+        while len(nz := [r for r in rest if r[col]]) > 1:  # Euclid on the column
+            p = min(nz, key=lambda r: abs(r[col]))
+            rest = [r if r is p else [a - r[col] // p[col] * b for a, b in zip(r, p)] for r in rest]
+        if nz:
+            rest.remove(nz[0])
+            p = nz[0] if nz[0][col] > 0 else [-a for a in nz[0]]
+            basis = [[a - r[col] // p[col] * b for a, b in zip(r, p)] for r in basis] + [p]
             pivots.append(col)
-            pr += 1
-    return [m[i] for i in range(pr)], pivots
+    return basis, pivots
 
 
 def lattice_normalize(vectors):

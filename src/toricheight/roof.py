@@ -160,24 +160,26 @@ def lifted_polytope(f: Roof, mu) -> Polytope:
 
 
 def roof_pointwise_sum(f: Roof, g: Roof) -> Roof:
-    """Pointwise sum of two roofs on the same domain (base dimension <= 3).
+    """Pointwise sum of two roofs on the same domain (of dimension <= 3).
     The sum is concave and affine on each cell of the common refinement of
     their subdivisions, so it is the roof of its values at the vertices of
-    that refinement."""
+    that refinement, which is refined in the domain's chart coordinates
+    when the domain is degenerate in its ambient space."""
     if frozenset(f.domain.vertices) != frozenset(g.domain.vertices):
         raise ValueError("domain mismatch")
-    r = f.base_dim
-    if r > 3:
+    domain = f.domain
+    if domain.affine_dim > 3:
         raise ValueError("pointwise sums are supported only up to dimension 3")
-    if r == 0 or f.domain.affine_dim < r:
-        gens = [(v, fv + roof_eval(g, v)) for v, fv in f.vertex_values().items()]
-        gens += [(v, roof_eval(f, v) + gv) for v, gv in g.vertex_values().items()]
-        return roof_from_generators(gens)
+    if domain.affine_dim == 0:
+        v = domain.vertices[0]
+        return roof_from_generators([(v, roof_eval(f, v) + roof_eval(g, v))])
+    chart = domain._chart  # None on a full-dimensional domain
+    pieces = [[(c, convex_hull([*map(chart.to_chart, c.vertices)]) if chart else c.polytope) for c in r.cells] for r in (f, g)]
     gens = {}
-    for cf in f.cells:
-        for cg in g.cells:
-            common = intersect_polytopes(cf.polytope, cg.polytope)
-            if common is not None and common.affine_dim == r:
-                for v in common.vertices:
+    for cf, pf in pieces[0]:
+        for cg, pg in pieces[1]:
+            common = intersect_polytopes(pf, pg)
+            if common is not None and common.affine_dim == domain.affine_dim:
+                for v in map(chart.to_ambient, common.vertices) if chart else common.vertices:
                     gens.setdefault(v, cf.value_at(v) + cg.value_at(v))
     return roof_from_generators(sorted(gens.items()))

@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
 import pytest
 
 from toricheight.errors import DimensionLimitError
-from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
+from toricheight.exactnum import LogLinearNumber, _row_sign, as_loglinear, certified_sign
 import toricheight.geomkernel as geomkernel
 from toricheight.geomkernel import (
     Facet,
@@ -14,7 +15,10 @@ from toricheight.geomkernel import (
     _Chart,
     _Echelon,
     _functionals,
+    _hull_core,
+    _integer_basis,
     _integer_points,
+    _merge_facets,
     _solve_linear,
     convex_hull,
     det,
@@ -236,6 +240,28 @@ class TestUpperEnvelope:
         simplex = [(0,) * 7] + [tuple(int(i == j) for i in range(7)) for j in range(7)]
         with pytest.raises(DimensionLimitError, match="supported bound 6"):
             upper_envelope([(b, k * log2) for k, b in enumerate(simplex)])
+
+    def test_one_integer_pass_per_envelope(self, monkeypatch):
+        # the lifted points' elimination also gives the bases' rank: one
+        # pass for a full or rank-0 envelope, one more in a chart
+        calls = []
+        integer_points = geomkernel._integer_points
+
+        def spy(points):
+            calls.append(len(points[0]))
+            return integer_points(points)
+
+        monkeypatch.setattr(geomkernel, "_integer_points", spy)
+        cases = [
+            ([((0, 0), log2), ((2, 0), F(1)), ((0, 2), log3), ((1, 1), F(3))], 1),  # full, log-linear
+            ([((0, 0), F(0)), ((2, 0), F(1)), ((0, 2), F(1, 2)), ((1, 1), F(3))], 1),  # full, rational
+            ([((1, 1), log2), ((1, 1), F(2))], 1),  # rank 0
+            ([((0, 0), log2), ((1, 2), F(1)), ((3, 6), F(0))], 2),  # collinear: chart
+        ]
+        for points, passes in cases:
+            del calls[:]
+            upper_envelope(points)
+            assert len(calls) == passes
 
     def test_two_points_flat(self):
         cells = upper_envelope([((0,), 0), ((1,), 0)])
@@ -868,3 +894,176 @@ class TestEchelonKernel:
                     basis.append(i)
                     rank += 1
             assert _affine_basis(points) == (basis, rank)
+
+
+def reference_facet(points, ids, basis, primes):
+    """The primitive outward functionals of the hyperplane through integer
+    points ``ids``, eliminated by ``_functionals`` and oriented against the
+    interior point of ``basis``, the way the hull core made every facet
+    before pencil facets."""
+    k = len(points[0]) - len(primes) - 1
+    inside = tuple(map(sum, zip(*(points[i] for i in basis))))
+    fn = _functionals([points[i] for i in ids], k)
+    row = [sum(map(mul, f, inside)) - (k + 2) * f[-1] for f in fn]
+    s = _row_sign(row, primes) if primes else (row[0] > 0) - (row[0] < 0)
+    g = -s * gcd(*(x for f in fn for x in f))
+    return tuple(tuple(x // g for x in f) for f in fn)
+
+
+def reference_hull_core(points, basis, primes):
+    """``_hull_core`` before pencil facets: the points inserted in index
+    order (callers sort them), the ridge map rebuilt from all facets on
+    every insertion and every facet eliminated (``reference_facet``).  It is
+    a differential reference, not an oracle: it shares ``_functionals``."""
+    k = len(points[0]) - len(primes) - 1
+
+    def facet(ids):
+        return geomkernel._SimplicialFacet(frozenset(ids), reference_facet(points, ids, basis, primes))
+
+    def visible(F, q):
+        row = [sum(map(mul, f, q)) - f[-1] for f in F.fn]
+        return (_row_sign(row, primes) if any(row) else 0) > 0 if primes else row[0] > 0
+
+    facets = [facet([b for t, b in enumerate(basis) if t != s]) for s in range(k + 2)]
+    for ip in sorted(set(range(len(points))) - set(basis)):
+        visible_ids = {id(F) for F in facets if visible(F, points[ip])}
+        if not visible_ids:
+            continue
+        ridge_map = {}
+        for F in facets:
+            for drop in F.ids:
+                ridge_map.setdefault(F.ids - {drop}, []).append(F)
+        new_facets = []
+        for ridge, shared in ridge_map.items():
+            flags = [id(F) in visible_ids for F in shared]
+            if any(flags) and not all(flags):
+                new_facets.append(facet(sorted(ridge) + [ip]))
+        facets = [F for F in facets if id(F) not in visible_ids] + new_facets
+    return facets
+
+
+def hull_core_inputs(seed):
+    """Sorted point lists, rational ones in 1-D to 4-D and lifted ones over
+    1-D to 3-D bases with one or two log primes: random sets, grids and
+    their random subsets (collinear and coplanar points), Minkowski sums
+    of lattice polytopes (repeated points) and explicit repeats."""
+    rng = random.Random(seed)
+    rational = [rand_points(rng, d, rng.randint(d + 2, d + 9), span=3) for d in (1, 2, 3, 4) for _ in range(6)]
+    for d, m in ((1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        grid = list(itertools.product(range(m + 1), repeat=d))
+        rational += [grid, rng.sample(grid, max(d + 1, len(grid) * 2 // 3))]
+    for d in (2, 3, 4):
+        for _ in range(3):
+            p, q = ([tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(2, 4))] for _ in "pq")
+            rational.append([tuple(a + b for a, b in zip(x, y)) for x in p for y in q])
+    rational += [pts + rng.sample(pts, 3) for pts in rational[:24:4]]
+    lifted = []
+    for k in (1, 2, 3):
+        for primes in ((2,), (2, 3)):
+            for _ in range(4):
+                bases = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(rng.randint(k + 2, k + 7))]
+                lifts = [sum((rng.randint(-2, 2) * LL.log_prime(p) for p in primes), LL(F(rng.randint(-2, 2), 2))) for _ in bases]
+                lifted.append(geomkernel._dedup([(*map(F, b), w) for b, w in zip(bases, lifts)]))
+    return [sorted(map(tuple, (map(F, p) for p in pts))) for pts in rational], lifted
+
+
+def cell_fields(cells):
+    return [(c.polytope.vertices, c.gradient, c.offset, c.integral) for c in cells]
+
+
+class TestHullCoreDifferential:
+    """The hull core (far-first insertion, kept ridges, pencil facets)
+    against ``reference_hull_core`` on the same integer points."""
+
+    def core_pairs(self, pts):
+        ints, primes, scale = _integer_points(pts)
+        basis, rank, _ = _integer_basis(ints, len(pts[0]) - 1)
+        if rank < len(ints[0]) - len(primes):
+            return None
+        return ints, primes, scale, basis
+
+    def test_same_facets_vertices_and_volumes(self, monkeypatch):
+        rational, lifted = hull_core_inputs(139)
+        compared = 0
+        for pts in rational + lifted:
+            data = self.core_pairs(pts)
+            if data is None:
+                continue
+            ints, primes, scale, basis = data
+            new, ref = _hull_core(ints, basis, primes), reference_hull_core(ints, basis, primes)
+            assert {F.fn for F in new} == {F.fn for F in ref}
+            assert len({F.ids for F in new}) == len(new)
+            compared += 1
+            if primes:
+                continue
+            (merged_new, vertices_new), (merged_ref, vertices_ref) = (
+                _merge_facets(ints, facets, scale) for facets in (new, ref)
+            )
+            assert vertices_new == vertices_ref
+            assert sorted(merged_new) == sorted(merged_ref)
+        assert compared >= 70
+        unique = [sorted(set(pts)) for pts in rational] + [pts for pts in lifted if self.core_pairs(pts)]
+        hulls = [convex_hull(pts) for pts in unique]
+        monkeypatch.setattr(geomkernel, "_hull_core", reference_hull_core)
+        for pts, hull in zip(unique, hulls):
+            before = convex_hull(pts)
+            assert (hull.vertices, hull.affine_dim, volume(hull)) == (before.vertices, before.affine_dim, volume(before))
+            assert {(f.normal, f.offset, f.vertex_ids) for f in hull.facets} == {
+                (f.normal, f.offset, f.vertex_ids) for f in before.facets
+            }
+
+    def test_same_graph_cells(self, monkeypatch):
+        # rational lifts go through pencil facets, log-linear ones do not
+        rng = random.Random(149)
+        rational, lifted = hull_core_inputs(151)
+        sets = lifted + [[(*p[:-1], F(rng.randint(-3, 3), rng.randint(1, 2))) for p in pts] for pts in lifted]
+        sets += [[(*p, F(rng.randint(-4, 4))) for p in sorted(set(pts))] for pts in rational if len(pts[0]) < 4]
+        sets = [pts for pts in map(geomkernel._dedup, sets) if self.core_pairs(pts)]
+        assert len(sets) > 60
+        cells = [geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True) for pts in sets]
+        monkeypatch.setattr(geomkernel, "_hull_core", reference_hull_core)
+        for pts, (upper, lower) in zip(sets, cells):
+            ref_upper, ref_lower = geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True)
+            assert cell_fields(upper) == cell_fields(ref_upper)
+            assert cell_fields(lower) == cell_fields(ref_lower)
+
+    def test_every_facet_made_is_the_eliminated_one(self, monkeypatch):
+        # pencil facets included, even those a later point removes
+        made = []
+        record = geomkernel._SimplicialFacet
+
+        def spy(ids, fn):
+            made.append(record(ids, fn))
+            return made[-1]
+
+        monkeypatch.setattr(geomkernel, "_SimplicialFacet", spy)
+        rational, lifted = hull_core_inputs(157)
+        for pts in rational + lifted:
+            data = self.core_pairs(pts)
+            if data is None:
+                continue
+            ints, primes, _, basis = data
+            del made[:]
+            final = _hull_core(ints, basis, primes)
+            assert len(made) >= len(final)
+            for F in made:
+                assert F.fn == reference_facet(ints, sorted(F.ids), basis, primes)
+
+    def test_rational_hull_eliminates_only_the_first_simplex(self, monkeypatch):
+        calls = []
+        functionals = geomkernel._functionals
+
+        def spy(points, k):
+            calls.append(k)
+            return functionals(points, k)
+
+        monkeypatch.setattr(geomkernel, "_functionals", spy)
+        rational, _ = hull_core_inputs(163)
+        for pts in rational:
+            data = self.core_pairs(pts)
+            if data is None:
+                continue
+            ints, _, _, basis = data
+            del calls[:]
+            _hull_core(ints, basis, ())
+            assert len(calls) == len(ints[0]) + 1  # k + 2 with k = d - 1 base coordinates

@@ -21,7 +21,7 @@ from toricheight.roof import (
     sup_convolution,
 )
 
-from oracles import riemann_roof_oracle
+from oracles import minor_rank, riemann_roof_oracle
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -456,6 +456,49 @@ class TestPointwiseSum:
                 if not f.domain.contains(x):
                     continue
                 assert roof_eval(s, x) == roof_eval(f, x) + roof_eval(g, x)
+
+    def test_degenerate_domain(self):
+        # the unit square at height 1 in Q^3: f and g are each 1/2 at the
+        # centre, so their sum is 1 there, as over Q^2
+        square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        f = roof_from_weight([(*b, 1) for b in square], [0, 0, 0, 1])
+        g = roof_from_weight([(*b, 1) for b in square], [0, 1, 0, 0])
+        assert roof_eval(roof_pointwise_sum(f, g), (F(1, 2), F(1, 2), 1)) == 1
+
+    def test_embedded_roofs_against_their_chart(self):
+        # roofs over r = 1, 2 dimensional bases, embedded in Q^3 and Q^4 by
+        # an injective integer affine map, sum as they do in Q^r
+        rng = random.Random(113)
+        checked = set()
+        for r, n in [(1, 3), (1, 4), (2, 3), (2, 4)] * 4:
+            while True:
+                A = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+                if minor_rank(A) == r:
+                    break
+            origin = [rng.randint(-2, 2) for _ in range(n)]
+
+            def embed(x):
+                return tuple(o + sum(map(mul, row, x)) for o, row in zip(origin, A))
+
+            bases = list({tuple(rng.randint(0, 2) for _ in range(r)) for _ in range(rng.randint(r + 2, 6))})
+            if len(bases) < r + 1 or convex_hull(bases).affine_dim < r:
+                continue
+            lifts = [[rng.randint(-2, 2) * log2 + F(rng.randint(-2, 2), 2) for _ in bases] for _ in "fg"]
+            flat_f, flat_g = (roof_from_weight(bases, w) for w in lifts)
+            f, g = (roof_from_weight([embed(b) for b in bases], w) for w in lifts)
+            flat_s, s = roof_pointwise_sum(flat_f, flat_g), roof_pointwise_sum(f, g)
+            samples = list(flat_s.vertex_values())
+            for _ in range(6):
+                w = [F(rng.randint(0, 3)) for _ in bases]
+                w[0] += 1
+                samples.append(tuple(sum(c * b[j] for c, b in zip(w, bases)) / sum(w) for j in range(r)))
+            for x in samples:
+                expected = roof_eval(flat_f, x) + roof_eval(flat_g, x)
+                assert roof_eval(flat_s, x) == expected
+                assert roof_eval(f, embed(x)) + roof_eval(g, embed(x)) == expected
+                assert roof_eval(s, embed(x)) == expected
+            checked.add((r, n))
+        assert len(checked) == 4
 
     def test_domain_mismatch(self):
         f = roof_from_weight(CUBIC_A, CUBIC_INF)
