@@ -14,8 +14,9 @@ elimination on integer rows, ``_Echelon``.  One fan of a rational
 polytope's simplicial boundary serves volumes and ``triangulate``.  An
 upper envelope is one hull of the lifted points, whose one elimination
 also gives the bases' rank and whose projected facets give each cell's
-integral; a cell's polytope is built when read.  A lifted polytope lies
-between the upper and lower cells of one hull.
+integral; a cell's polytope is built when read, and a cell of one
+simplicial facet reads its vertices from its points without it.  A lifted
+polytope lies between the upper and lower cells of one hull.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _vadd(a, b):
 
 
 def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def _is_lifted(x) -> bool:
@@ -297,8 +298,8 @@ class Facet:
 class AffineCell:
     """A cell of a regular subdivision: its base points, and the affine
     function of the envelope over it with its integral there.  The hull of
-    the points is built on first use; equal cells share vertices and
-    function."""
+    the points is built on first use; a simplex's vertices are its points.
+    Equal cells share vertices and function."""
 
     points: tuple = field(compare=False)
     gradient: tuple
@@ -308,13 +309,13 @@ class AffineCell:
     def __eq__(self, other):
         if not isinstance(other, AffineCell):
             return NotImplemented
-        return self.gradient == other.gradient and self.offset == other.offset and self.polytope == other.polytope
+        return self.gradient == other.gradient and self.offset == other.offset and set(self.vertices) == set(other.vertices)
 
     @cached_property
     def polytope(self) -> Polytope:
         return _build_rational(list(self.points))
 
-    @property
+    @cached_property
     def vertices(self):
         return self.polytope.vertices
 
@@ -539,7 +540,10 @@ def _graph_cells(points, integers, lower=False):
             groups.setdefault(F.fn, []).append((abs(echelon.det), F.ids))
     upper, below = [], []
     for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
-        (upper if fn[0][k] > 0 else below).append(cell(fn, ids, simplices))
+        c = cell(fn, ids, simplices)
+        if len(simplices) == 1:  # one simplicial facet: its points are the vertices
+            c.__dict__["vertices"] = c.points
+        (upper if fn[0][k] > 0 else below).append(c)
     return upper, below
 
 

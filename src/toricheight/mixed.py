@@ -1,13 +1,17 @@
 """Mixed volumes, mixed integrals, polarized Chow weights, and the
 normalized multiheight of the torus under several monomial embeddings.
 
-Mixed volumes and mixed integrals are one polarization: of the volume
-under Minkowski sums and of the roof integral under sup-convolution.  It
-runs over nonempty index subsets S in order of size with the sign
-(-1)^(count - |S|), which reproduces the diagonal identities
-MV(Q,...,Q) = n! Vol(Q) and MI(f,...,f) = (n+1)! Int(f).  Each subset is
-built from the subset one size smaller and its last member; a single
-member is the input itself.
+Mixed volumes of rational polytopes and mixed integrals are one facet
+recursion, MV_n(K_1, ..., K_n) = sum over the primitive outer facet
+normals w of K_2 + ... + K_n of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w),
+the faces read in the lattice w^perp.  A mixed integral of n+1 roofs is
+that recursion applied to their lifted polytopes; it runs on vertex-value
+maps and, at each level, builds the sup-convolution of all roofs but the
+first (n - 1 upper envelopes, none in dimension 1).  Both keep the
+diagonal identities MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) =
+(n+1)! Int(f).  Mixed volumes of lifted polytopes, whose normals are not
+rational, are the polarization of the volume under Minkowski sums, each
+subset built from the subset one size smaller.
 """
 
 from __future__ import annotations
@@ -15,11 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, as_loglinear, value_sign
 from .geomkernel import convex_hull, lattice_normalize, minkowski_sum, volume
-from .roof import lifted_polytope, roof_from_weight, roof_integral, sup_convolution
+from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
+from .roof import lifted_polytope, roof_from_generators, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
 __all__ = [
@@ -47,30 +54,174 @@ def _polarize(items, combine, measure):
     return total
 
 
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    s = lcm(*(x.denominator for x in v))
+    v = [int(x * s) for x in v]
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _complement(w):
+    """Integer rows completing the primitive integer vector w to a
+    unimodular matrix, so that they map the lattice w^perp of Z^n onto
+    Z^(n-1): Euclid on w's entries, applying the inverse operations to the
+    rows of the identity, so that w stays the sum of its entries times the
+    rows and ends as one of them."""
+    cur, rows = list(w), [[int(i == j) for j in range(len(w))] for i in range(len(w))]
+    while len(nz := [j for j, x in enumerate(cur) if x]) > 1:
+        i = min(nz, key=lambda j: abs(cur[j]))
+        for j in nz:
+            if j != i:
+                q = cur[j] // cur[i]
+                cur[j] -= q * cur[i]
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    return [r for r, x in zip(rows, cur) if not x]
+
+
+def _exact(v):
+    """A rational point with its integral coordinates as ints."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in v)
+
+
+def _sum_normals(sets, n):
+    """Primitive integer outer facet normals of the Minkowski sum of
+    rational point sets in Q^n: in the plane, the summands' edge normals;
+    else its hull's when it is n-dimensional, plus or minus its
+    hyperplane's when (n-1)-dimensional, none when lower."""
+    if n == 1:
+        return [(1,), (-1,)]
+    if n == 2:
+        normals = {}
+        for s in sets:
+            for p, q in itertools.combinations(s, 2):
+                w = _primitive((q[1] - p[1], p[0] - q[0]))
+                for w in (w, (-w[0], -w[1])):
+                    if _dot(w, p) == max(_dot(w, v) for v in s):
+                        normals[w] = None
+        return list(normals)
+    points = _dedup(tuple(map(sum, zip(*c))) for c in itertools.product(*sets))
+    ints = _integer_points(points)[0]
+    basis, rank, _ = _integer_basis(ints, n - 1)
+    if rank == n - 1:
+        w = _primitive(_functionals([ints[i] for i in basis], n - 1)[0][:-1])
+        return [w, tuple(-x for x in w)]
+    return [_primitive(F.normal) for F in convex_hull(points).facets] if rank == n else []
+
+
+def _face(points, w):
+    """The points maximizing <w, .>."""
+    top = max(dots := [_dot(w, v) for v in points])
+    return [v for v, t in zip(points, dots) if t == top]
+
+
+def _project(points, rows):
+    return [tuple(_dot(r, v) for r in rows) for v in points]
+
+
+def _split(items):
+    """The first of the longest items, and the others."""
+    i = max(range(len(items)), key=lambda j: (len(items[j]), -j))
+    return items[i], items[:i] + items[i + 1 :]
+
+
+def _mixed_volume(sets):
+    """MV_n of n rational point sets in Q^n by the facet recursion
+    MV_n(K_1, ..., K_n) = sum over the facet normals w of K_2 + ... + K_n
+    of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w), MV_0 = 1, each face K^w (the
+    points maximizing <w, .>) read in the lattice w^perp.  K_1 is the
+    longest set, and a term with a one-point face vanishes."""
+    if not sets:
+        return 1
+    first, rest = _split(sets)
+    total = 0
+    for w in _sum_normals(rest, len(sets)):
+        faces = [_face(s, w) for s in rest]
+        if all(len(f) > 1 for f in faces):
+            rows = _complement(w)
+            total += max(_dot(w, v) for v in first) * _mixed_volume([_project(f, rows) for f in faces])
+    return total
+
+
+def _top(values, x):
+    """The points of a vertex-value map maximizing value - <x, point>, and
+    that maximum."""
+    best, top, neg = None, [], [-c for c in x]
+    for v, y in values.items():
+        t = sum(map(mul, neg, v), y)
+        s = 1 if best is None else value_sign(t - best)
+        if s > 0:
+            best, top = t, [v]
+        elif s == 0:
+            top.append(v)
+    return best, top
+
+
+def _mixed_integral(maps):
+    """MI_n of n+1 roofs over Q^n given by their vertex-value maps: the
+    facet recursion on their lifted polytopes.  With g_0 the roof with the
+    most vertices and Delta_i the domains, the sum over the facet normals w
+    of Delta_1 + ... + Delta_n of h_{Delta_0}(w) MI_(n-1)(g_1 on
+    Delta_1^w, ..., g_n on Delta_n^w), read in w^perp, plus the sum over
+    the cells of g_1 sup ... sup g_n, of gradient x, of
+    max_v (g_0(v) - <x, v>) MV_n(C_1, ..., C_n), C_i the vertices of g_i
+    maximizing g_i(v) - <x, v>; MI_0(g) = g(point).  In dimension 1 the
+    cells are g_1's consecutive vertices."""
+    n = len(maps) - 1
+    if n == 0:
+        return next(iter(maps[0].values()))
+    first, rest = _split(maps)
+    normals = _sum_normals([list(m) for m in rest], n)
+    total = 0
+    for w in normals:
+        rows = _complement(w)
+        faces = [{v: m[v] for v in _face(list(m), w)} for m in rest]
+        total += max(_dot(w, v) for v in first) * _mixed_integral([dict(zip(_project(f, rows), f.values())) for f in faces])
+    if n == 1:
+        xs = sorted(m := rest[0])
+        for a, b in zip(xs, xs[1:]):
+            total += _top(first, ((m[b] - m[a]) / (b[0] - a[0]),))[0] * (b[0] - a[0])
+    elif len(normals) > 2:  # the sum is n-dimensional
+        conv = rest[0]
+        for m in rest[1:]:
+            conv = roof_from_generators((_vadd(p, q), a + b) for p, a in conv.items() for q, b in m.items())
+            conv = conv if m is rest[-1] else {_exact(v): y for v, y in conv.vertex_values().items()}
+        for c in conv.cells:
+            faces = []
+            for m in rest:
+                if len(face := _top(m, c.gradient)[1]) == 1:
+                    break
+                faces.append(face)
+            else:
+                total += _top(first, c.gradient)[0] * _mixed_volume(faces)
+    return total
+
+
 def mixed_volume(polytopes):
-    """Polarization of the volume with respect to Minkowski sums; n
-    polytopes in dimension n (the empty family has mixed volume 1).
-    Lifted polytopes are accepted, in which case the result is a
-    log-linear number."""
+    """Mixed volume of n polytopes in dimension n, MV(Q, ..., Q) =
+    n! Vol(Q) (the empty family has mixed volume 1): by the facet recursion
+    for rational polytopes, by polarization of the volume under Minkowski
+    sums for lifted ones, whose result is a log-linear number."""
     polys = list(polytopes)
     n = len(polys)
-    if n == 0:
-        return Fraction(1)
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
-    return _polarize(polys, minkowski_sum, volume)
+    if any(p._kind.startswith("lifted") for p in polys):
+        return _polarize(polys, minkowski_sum, volume)
+    return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
 
 
 def mixed_integral(roofs):
-    """Polarization of the roof integral with respect to sup-convolution;
-    n+1 roofs over bases of dimension n."""
+    """Mixed integral of n+1 roofs over bases of dimension n, the
+    polarization of the roof integral under sup-convolution (MI(f, ..., f)
+    = (n+1)! Int(f)), computed by the facet recursion."""
     roofs = list(roofs)
     n = len(roofs) - 1
     if n < 0:
         raise ValueError("need at least one roof")
     if any(f.base_dim != n for f in roofs):
         raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
-    return as_loglinear(_polarize(roofs, sup_convolution, roof_integral))
+    return as_loglinear(_mixed_integral([{_exact(v): y for v, y in f.vertex_values().items()} for f in roofs]))
 
 
 def mixed_integral_via_mv(roofs, floors):

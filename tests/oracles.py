@@ -4,8 +4,9 @@ These recompute quantities from raw data along routes that share no code
 with the library paths they check: floating-point Riemann sums with sound
 error bounds, exhaustive float enumeration for Hilbert weights, a
 grid/separating-axis volume sandwich, determinants and ranks by
-cofactor expansion over the basis {1, log p}, and factorization by trial
-division.  ``hilbert_weight_enumerated`` is the exact exhaustive
+cofactor expansion over the basis {1, log p}, the mixed area of two
+polygons from monotone-chain hulls and the shoelace formula, and
+factorization by trial division.  ``hilbert_weight_enumerated`` is the exact exhaustive
 enumeration that ``toric.hilbert_weight``'s dynamic program replaced; it
 shares only the exact log-linear arithmetic with the package.
 """
@@ -268,6 +269,44 @@ def grid_volume_bounds(poly, cells_per_side=10):
             boundary += 1
     cell_vol = h**d
     return full * cell_vol, (full + boundary) * cell_vol
+
+
+def _chain_hull(points):
+    """Vertices of the convex hull of plane points in counterclockwise
+    order, by Andrew's monotone chain; collinear points are dropped."""
+    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def shoelace_area(points):
+    """Area of the convex hull of plane points (0 for a segment or point)."""
+    hull = _chain_hull(points)
+    twice = sum(
+        (a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])),
+        Fraction(0),
+    )
+    return abs(twice) / 2
+
+
+def mixed_area(p_points, q_points):
+    """Mixed area MV(P, Q) = A(P + Q) - A(P) - A(Q) of the hulls of two
+    plane point sets, so that MV(P, P) = 2 A(P)."""
+    sums = [(a[0] + b[0], a[1] + b[1]) for a in p_points for b in q_points]
+    return shoelace_area(sums) - shoelace_area(p_points) - shoelace_area(q_points)
 
 
 def _edges_of(poly):

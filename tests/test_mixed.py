@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,9 +8,10 @@ import pytest
 
 from toricheight.errors import LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, volume
+from toricheight.geomkernel import convex_hull, minkowski_sum, volume
 from toricheight.mixed import (
     EmbeddingFamily,
+    _polarize,
     mixed_integral,
     mixed_integral_via_mv,
     mixed_volume,
@@ -24,6 +26,8 @@ from toricheight.roof import (
     sup_convolution,
 )
 from toricheight.toric import MonomialPair, chow_weight, normalized_height
+
+from oracles import _int_det, mixed_area
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -141,48 +145,165 @@ class TestAgainstFullSums:
                 assert mixed_volume(lifted) == full_sum_mixed_volume(lifted)
                 done += 1
 
+    def test_rational_vertices(self):
+        """Vertices and bases off the integer lattice, in halves and thirds."""
+        rng = random.Random(127)
+        for n, count in ((2, 12), (3, 3)):
+            for _ in range(count):
+                polys = [
+                    convex_hull([tuple(F(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(rng.randint(1, n + 2))])
+                    for _ in range(n)
+                ]
+                assert mixed_volume(polys) == full_sum_mixed_volume(polys)
+        for n, count in ((1, 15), (2, 6)):
+            for _ in range(count):
+                roofs = [
+                    roof_from_generators(
+                        [(tuple(F(rng.randint(0, 3), 2) for _ in range(n)), rng.randint(-2, 2) * log2 + F(rng.randint(-3, 3), 3)) for _ in range(rng.randint(1, 4))]
+                    )
+                    for _ in range(n + 1)
+                ]
+                assert mixed_integral(roofs) == full_sum_mixed_integral(roofs)
+
+    def test_common_hyperplane(self):
+        """Summands in translates of one hyperplane: every polytope, or all
+        but the first, so that the sum of the others is flat."""
+        rng = random.Random(131)
+        for n, count in ((2, 10), (3, 4)):
+            for _ in range(count):
+                normal = tuple(rng.randint(-1, 2) for _ in range(n - 1)) + (1,)
+                flat = [self.in_hyperplane(rng, normal, n) for _ in range(n)]
+                assert mixed_volume(flat) == full_sum_mixed_volume(flat) == 0
+                full = [convex_hull([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n + 2)])] + flat[1:]
+                assert mixed_volume(full) == full_sum_mixed_volume(full)
+        for n, count in ((1, 5), (2, 8)):
+            for _ in range(count):
+                normal = tuple(rng.randint(-1, 2) for _ in range(n - 1)) + (1,)
+                roofs = [
+                    roof_from_generators([(v, rng.randint(-2, 2) * log3 + rng.randint(-2, 2)) for v in self.in_hyperplane(rng, normal, n).vertices])
+                    for _ in range(n + 1)
+                ]
+                roofs[0] = rand_any_roof(rng, n) if rng.random() < 0.5 else roofs[0]
+                assert mixed_integral(roofs) == full_sum_mixed_integral(roofs)
+
+    @staticmethod
+    def in_hyperplane(rng, normal, n):
+        """A polytope of up to four points on <normal, x> = c, for a random c."""
+        c = rng.randint(-2, 2)
+        points = []
+        for _ in range(rng.randint(1, 4)):
+            head = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+            points.append(head + (c - sum(a * b for a, b in zip(normal, head)),))
+        return convex_hull(points)
+
+    def test_point_domains(self):
+        """Roofs over one point and point polytopes, mixed with others."""
+        rng = random.Random(137)
+        for n, count in ((1, 10), (2, 8), (3, 2)):
+            for _ in range(count):
+                roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
+                for i in rng.sample(range(n + 1), rng.randint(1, n + 1)):
+                    roofs[i] = roof_from_weight([tuple(rng.randint(0, 2) for _ in range(n))], [rng.randint(-2, 2) * log2 + 1])
+                assert mixed_integral(roofs) == full_sum_mixed_integral(roofs)
+                polys = [rand_polytope(rng, n) for _ in range(n)]
+                polys[rng.randrange(n)] = convex_hull([tuple(rng.randint(0, 2) for _ in range(n))])
+                assert mixed_volume(polys) == full_sum_mixed_volume(polys) == 0
+
+    def test_four_dimensional_mixed_volume(self):
+        rng = random.Random(139)
+        for _ in range(2):
+            polys = [convex_hull([tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(rng.randint(2, 4))]) for _ in range(4)]
+            assert mixed_volume(polys) == full_sum_mixed_volume(polys)
+        cube = convex_hull(list(itertools.product((0, 1), repeat=4)))
+        assert mixed_volume([cube] * 4) == full_sum_mixed_volume([cube] * 4) == factorial(4)
+
+    def test_cli_point_domain(self, capsys, tmp_path):
+        """The CLI's mixed-integral of a segment roof and a point roof."""
+        from toricheight.cli import main
+
+        roofs = [roof_from_weight([(0,), (1,)], [1, 2]), roof_from_weight([(0,)], [3])]
+        assert mixed_integral(roofs) == full_sum_mixed_integral(roofs) == 3
+        path = tmp_path / "mi.json"
+        path.write_text(json.dumps([{"exponents": [[0], [1]], "weights": ["1", "2"]}, {"exponents": [[0]], "weights": ["3"]}]))
+        assert main(["--format", "symbolic", "mixed-integral", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_against_mixed_area_oracle(self):
+        """Plane mixed volumes of rational polygons, segments and points
+        against A(P + Q) - A(P) - A(Q) by the shoelace formula."""
+        rng = random.Random(149)
+        for _ in range(60):
+            sets = [
+                [tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(2)) for _ in range(rng.choice((1, 2, 2, 3, 5, 7)))]
+                for _ in range(2)
+            ]
+            assert mixed_volume([convex_hull(s) for s in sets]) == mixed_area(*sets)
+
 
 class TestPolarizationStructure:
-    """Each subset is built from the subset one size smaller, and single
-    members are not rebuilt."""
+    """Polarization, kept for lifted polytopes and as the reference: each
+    subset is built from the subset one size smaller, and single members
+    are not rebuilt."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_envelopes_per_mixed_integral(self, monkeypatch, n):
-        import toricheight.geomkernel
-        import toricheight.roof
-
         rng = random.Random(109 + n)
         roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
-        calls = []
-        real = toricheight.geomkernel.upper_envelope
-
-        def counting(points):
-            calls.append(1)
-            return real(points)
-
-        monkeypatch.setattr(toricheight.geomkernel, "upper_envelope", counting)
-        monkeypatch.setattr(toricheight.roof, "upper_envelope", counting)
-        mixed_integral(roofs)
+        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof"))
+        value = as_loglinear(_polarize(roofs, sup_convolution, roof_integral))
         assert len(calls) == 2 ** (n + 1) - n - 2
+        assert value == mixed_integral(roofs)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hulls_per_mixed_volume(self, monkeypatch, n):
-        import toricheight.geomkernel
-        import toricheight.mixed
-
         rng = random.Random(113 + n)
         polys = [rand_polytope(rng, n) for _ in range(n)]
-        calls = []
-        real = toricheight.geomkernel.convex_hull
-
-        def counting(points):
-            calls.append(1)
-            return real(points)
-
-        monkeypatch.setattr(toricheight.geomkernel, "convex_hull", counting)
-        monkeypatch.setattr(toricheight.mixed, "convex_hull", counting)
-        mixed_volume(polys)
+        calls = count_calls(monkeypatch, "convex_hull", ("geomkernel", "mixed"))
+        value = _polarize(polys, minkowski_sum, volume)
         assert len(calls) == 2**n - n - 1
+        assert value == mixed_volume(polys)
+
+
+def count_calls(monkeypatch, name, modules):
+    """Count the calls of a geomkernel function made through the named
+    modules' bindings."""
+    import importlib
+
+    real = getattr(importlib.import_module("toricheight.geomkernel"), name)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(importlib.import_module(f"toricheight.{module}"), name, counting)
+    return calls
+
+
+class TestFacetRecursionWork:
+    """The recursion makes n - 1 sup-convolutions for a mixed integral and
+    no hull for a plane mixed volume."""
+
+    @pytest.mark.parametrize("n, envelopes", [(1, 0), (2, 1)])
+    def test_envelopes_per_mixed_integral(self, monkeypatch, n, envelopes):
+        rng = random.Random(151 + n)
+        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof"))
+        for _ in range(10):
+            roofs = [rand_roof(rng, n) for _ in range(n + 1)]
+            calls.clear()
+            mixed_integral(roofs)
+            assert len(calls) == envelopes
+
+    def test_no_hull_for_plane_mixed_volume(self, monkeypatch):
+        rng = random.Random(157)
+        calls = count_calls(monkeypatch, "convex_hull", ("geomkernel", "mixed"))
+        for _ in range(20):
+            polys = [rand_polytope(rng, 2) for _ in range(2)]
+            polys[rng.randrange(2)] = convex_hull([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))])
+            calls.clear()
+            mixed_volume(polys)
+            assert not calls
 
 
 class TestMixedVolume:
@@ -214,6 +335,22 @@ class TestMixedVolume:
             P, Q, R = (rand_polytope(rng) for _ in range(3))
             assert mixed_volume([P, Q]) == mixed_volume([Q, P])
             assert mixed_volume([minkowski_sum(P, R), Q]) == mixed_volume([P, Q]) + mixed_volume([R, Q])
+
+    def test_lattice_completion(self):
+        """The rows of ``_complement(w)`` and w form a unimodular matrix."""
+        from math import gcd
+
+        from toricheight.mixed import _complement
+
+        rng = random.Random(163)
+        for n in range(1, 6):
+            for _ in range(40):
+                w = [rng.randint(-9, 9) for _ in range(n)]
+                if gcd(*w) != 1:
+                    continue
+                rows = _complement(w)
+                assert len(rows) == n - 1
+                assert abs(_int_det([list(r) for r in rows] + [w])) == 1
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,6 @@ class TestFinitePlacesAreRational:
         calls = _record(monkeypatch, toricheight.roof, "upper_envelope", lambda a: [g[1] for g in a[0]])
         multiheight(family)
         places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
-        # n+1 member roofs and 2^(n+1)-n-2 sup-convolutions per place
+        # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
         assert calls[0]
-        _only_first_place(calls, places, 2 ** (n + 1) - 1)
+        _only_first_place(calls, places, 2 * n)
