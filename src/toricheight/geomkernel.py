@@ -15,8 +15,11 @@ polytope's simplicial boundary serves volumes and ``triangulate``.  An
 upper envelope is one hull of the lifted points, whose one elimination
 also gives the bases' rank and whose projected facets give each cell's
 integral; a cell's polytope is built when read, and a cell of one
-simplicial facet reads its vertices from its points without it.  A lifted
-polytope lies between the upper and lower cells of one hull.
+simplicial facet reads its vertices from its points without it.  Where
+only the integral is wanted, ``_envelope_integral`` sums those projected
+simplices into one integer row and decodes it once; their |det| also sum
+to k! times the volume of the bases' hull.  A lifted polytope lies
+between the upper and lower cells of one hull.
 """
 
 from __future__ import annotations
@@ -180,12 +183,15 @@ def _integer_points(points):
     """The points times one common denominator, as integer tuples: the base
     coordinates, then the last coordinate as a row over (1, log p_1, ...,
     log p_m).  Returns the tuples, the primes p_1 < ... < p_m and the
-    denominator."""
-    lasts = [as_loglinear(p[-1]) for p in points]
-    primes = tuple(sorted({q for x in lasts for q, _ in x.logterms}))
-    flat = [(*p[:-1], x.constant, *map(dict(x.logterms).get, primes, itertools.repeat(0))) for p, x in zip(points, lasts)]
-    scale = lcm(*(c.denominator for p in flat for c in p))
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in flat], primes, scale
+    denominator.  Points without a log-linear coordinate are read as they
+    are."""
+    primes = ()
+    if any(isinstance(p[-1], LogLinearNumber) for p in points):
+        lasts = [as_loglinear(p[-1]) for p in points]
+        primes = tuple(sorted({q for x in lasts for q, _ in x.logterms}))
+        points = [(*p[:-1], x.constant, *map(dict(x.logterms).get, primes, itertools.repeat(0))) for p, x in zip(points, lasts)]
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points], primes, scale
 
 
 def _functionals(points, k):
@@ -495,49 +501,67 @@ def _lifted_integers(points):
     return ints, primes, scale, *_integer_basis(ints, len(points[0]) - 1)
 
 
-def _graph_cells(points, integers, lower=False):
-    """Merged graph cells (projected) of lifted points (``_lifted_integers``
-    of them given) whose bases span their space: the upper ones, and the
-    lower ones if asked (else empty).
-    Facets of one hull group by functional; a flat lift is one cell, read
-    from the functionals of an affine basis, and is returned as both lists.
-    A cell's integral sums |det| times the lifts over its simplices: its
-    projected facets, or the fan of a flat lift's one base hull.  Gradient,
-    offset and integral are decoded once, log-linear when the lift is."""
+def _decode(coeffs, denominator, primes):
+    """The exact value of an integer row over (1, log p_1, ...) divided by
+    ``denominator``: log-linear when there are primes, else a fraction."""
+    q = [Fraction(c, denominator) for c in coeffs]
+    return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
+
+
+def _graph_simplices(points, integers, lower=False):
+    """Simplices of the graph of lifted points (``_lifted_integers`` of them
+    given) whose bases span their space, as ``(fn, w, ids)``: w is the
+    projected |det| of an upper (and, if asked, lower) simplicial facet of
+    one hull, fn its functionals.  A flat lift gives the fan of its one base
+    hull under the functionals of an affine basis, and that hull (else
+    None)."""
     k = len(points[0]) - 1
     ints, primes, scale, basis, rank, _ = integers
-
-    def value(coeffs, denominator):
-        q = [Fraction(c, denominator) for c in coeffs]
-        return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
-
-    def cell(fn, ids, simplices):
-        a = fn[0][k]
-        total = [sum(w * sum(ints[i][t] for i in s) for w, s in simplices) for t in range(k, len(ints[0]))]
-        return AffineCell(
-            tuple(_dedup([points[i][:k] for i in ids])),
-            tuple(value([-f[j] for f in fn], a) for j in range(k)),
-            value([f[-1] for f in fn], a * scale),
-            value(total, scale ** (k + 1) * factorial(k + 1)),
-        )
-
     if rank == k and (fn := tuple(_functionals([ints[i] for i in basis], k)))[0][k]:
         proj = _build_rational([p[:k] for p in points])
         index = {p[:k]: i for i, p in enumerate(points)}
         fan = _fan(proj) if k else [(proj.vertices, 1)]
-        flat = cell(fn, range(len(points)), [(vol * scale**k, [index[v] for v in s]) for s, vol in fan])
-        flat.__dict__["polytope"] = proj  # fills the cached property: the fan needed this hull
-        return [flat], [flat]
+        return [(fn, int(vol * scale**k), [index[v] for v in s]) for s, vol in fan], proj
     if rank <= k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
-    groups = {}
+    simplices = []
     for F in _hull_core(ints, basis, primes):
         if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
             i, *rest = F.ids
             echelon = _Echelon(k)  # |det| of the projected simplex
             for j in rest:
                 echelon.add([ints[j][c] - ints[i][c] for c in range(k)])
-            groups.setdefault(F.fn, []).append((abs(echelon.det), F.ids))
+            simplices.append((F.fn, abs(echelon.det), F.ids))
+    return simplices, None
+
+
+def _graph_cells(points, integers, lower=False):
+    """Merged graph cells (projected) of ``_graph_simplices``: the upper
+    ones, and the lower ones if asked (else empty).  Simplices group by
+    functional; a flat lift is one cell, returned as both lists.  A cell's
+    integral sums |det| times the lifts over its simplices.  Gradient,
+    offset and integral are decoded once, log-linear when the lift is."""
+    k = len(points[0]) - 1
+    ints, primes, scale = integers[:3]
+
+    def cell(fn, ids, simplices):
+        a = fn[0][k]
+        total = [sum(w * sum(ints[i][t] for i in s) for w, s in simplices) for t in range(k, len(ints[0]))]
+        return AffineCell(
+            tuple(_dedup([points[i][:k] for i in ids])),
+            tuple(_decode([-f[j] for f in fn], a, primes) for j in range(k)),
+            _decode([f[-1] for f in fn], a * scale, primes),
+            _decode(total, scale ** (k + 1) * factorial(k + 1), primes),
+        )
+
+    simplices, proj = _graph_simplices(points, integers, lower)
+    if proj is not None:
+        flat = cell(simplices[0][0], range(len(points)), [(w, ids) for _, w, ids in simplices])
+        flat.__dict__["polytope"] = proj  # fills the cached property: the fan needed this hull
+        return [flat], [flat]
+    groups = {}
+    for fn, w, ids in simplices:
+        groups.setdefault(fn, []).append((w, ids))
     upper, below = [], []
     for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
         c = cell(fn, ids, simplices)
@@ -545,6 +569,23 @@ def _graph_cells(points, integers, lower=False):
             c.__dict__["vertices"] = c.points
         (upper if fn[0][k] > 0 else below).append(c)
     return upper, below
+
+
+def _envelope_integral(points):
+    """Integral of the upper envelope of lifted points over the hull of
+    their bases, which must span their space, and k! times the volume of
+    that hull: the sums over ``_graph_simplices`` of |det| times the lift
+    rows, decoded once, and of |det|."""
+    k = len(points[0]) - 1
+    _check_dimension(k, False)
+    points = _dedup(points)
+    integers = _lifted_integers(points)
+    ints, primes, scale = integers[:3]
+    total, dets = [0] * (len(ints[0]) - k), 0
+    for _, w, ids in _graph_simplices(points, integers)[0]:
+        dets += w
+        total = [t + w * sum(col) for t, col in zip(total, zip(*(ints[i][k:] for i in ids)))]
+    return _decode(total, scale ** (k + 1) * factorial(k + 1), primes), Fraction(dets, scale**k)
 
 
 def _dedup(points):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add, sub
 
 from .errors import EnumerationCapError, LatticeHypothesisError
@@ -22,8 +22,8 @@ from .exactnum import (
     padic_order,
     relevant_places,
 )
-from .geomkernel import Face, FaceLattice, Polytope, _as_value, convex_hull, face_lattice, lattice_normalize
-from .roof import roof_from_weight, roof_integral
+from .geomkernel import Face, FaceLattice, Polytope, convex_hull, face_lattice, lattice_normalize
+from .geomkernel import _as_value, _envelope_integral, _integer_points
 
 __all__ = [
     "MonomialPair",
@@ -155,11 +155,21 @@ def _over_places(coefficient_lists, local):
 
 def normalized_height(pair: MonomialPair) -> HeightReport:
     """Canonical height of the projective monomial variety: (r+1)! times
-    the sum over places of the local roof integrals."""
+    the sum over places of the local roof integrals.  Each is read from one
+    hull of its place's lifted points, and the first place's also gives the
+    degree: r! times the volume of the domain, an integer sum of |det| over
+    the integer coordinates."""
     coords, r, _ = lattice_normalize(pair.exponents)
-    per, total = _over_places([pair.coefficients], lambda w: roof_integral(roof_from_weight(coords, w)))
+    volumes = []
+
+    def local(w):
+        integral, volume = _envelope_integral([(*b, t) for b, t in zip(coords, w)])
+        volumes.append(volume)
+        return integral
+
+    per, total = _over_places([pair.coefficients], local)
     scale = factorial(r + 1)
-    return HeightReport(total * scale, per, degree(pair), r, scale)
+    return HeightReport(total * scale, per, int(volumes[0]), r, scale)
 
 
 def _require_full_lattice(exponents):
@@ -178,8 +188,10 @@ def chow_weight(exponents, weights) -> LogLinearNumber:
     """Weighted degree of the associated one-parameter degeneration:
     (n+1)! times the integral of the roof of the weights."""
     exponents, n = _require_full_lattice(exponents)
-    roof = roof_from_weight(exponents, weights)
-    return as_loglinear(roof_integral(roof) * factorial(n + 1))
+    weights = list(weights)
+    if len(weights) != len(exponents):
+        raise ValueError("exponents and weights must have equal length")
+    return as_loglinear(_envelope_integral([(*a, _as_value(w)) for a, w in zip(exponents, weights)])[0] * factorial(n + 1))
 
 
 def _compositions(total: int, parts: int):
@@ -204,11 +216,12 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
 
     A key m is one integer, mixed radix over the exponents' box at degree
     d; a weight is an integer row over (1, log p_1, ..., log p_k) times one
-    common denominator, so rational rows compare as integers and the others
-    through ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
+    common denominator.  Rational weights (every finite place's) keep a
+    table of plain integers; the others compare their rows through
+    ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
     prod_j (k * width_j + 1)) keys: their sum over k <= d must fit ``cap``."""
     exponents, n = _require_full_lattice(exponents)
-    weights = [as_loglinear(_as_value(w)) for w in weights]
+    weights = [_as_value(w) for w in weights]
     if len(weights) != len(exponents):
         raise ValueError("exponents and weights must have equal length")
     if degree_d < 0:
@@ -218,20 +231,29 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
     for k in range(1, degree_d + 1):
         entries += min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths))
         _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
-    primes = tuple(sorted({p for w in weights for p, _ in w.logterms}))
-    values = [[w.constant, *(dict(w.logterms).get(p, 0) for p in primes)] for w in weights]
-    scale = lcm(*(x.denominator for row in values for x in row))
+    rows, primes, scale = _integer_points([(w,) for w in weights])
     strides = [prod(degree_d * w + 1 for w in widths[:j]) for j in range(n)]
-    steps = [(sum((x - lo) * t for x, lo, t in zip(a, low, strides)), tuple(int(x * scale) for x in row))
-             for a, row in zip(exponents, values)]
+    steps = [(sum((x - lo) * t for x, lo, t in zip(a, low, strides)), row if primes else row[0])
+             for a, row in zip(exponents, rows)]
+    if not primes:  # rational weights: a table of plain integers
+        table = {0: 0}
+        for _ in range(degree_d):
+            table, last = {}, table
+            get = table.get
+            for m, v in last.items():
+                for c, w in steps:
+                    key, new = m + c, v + w
+                    old = get(key)
+                    if old is None or new > old:
+                        table[key] = new
+        return LogLinearNumber._make(Fraction(sum(table.values()), scale), {})
     table = {0: (0,) * (len(primes) + 1)}
     for _ in range(degree_d):
         table, last = {}, table
         for m, v in last.items():
             for c, w in steps:
                 new, old = tuple(map(add, v, w)), table.get(m + c)
-                if old is None or (new != old and (new > old if not primes else
-                                                   _row_sign(tuple(map(sub, new, old)), primes) > 0)):
+                if old is None or (new != old and _row_sign(tuple(map(sub, new, old)), primes) > 0):
                     table[m + c] = new
     constant, *logs = (Fraction(sum(col), scale) for col in zip(*table.values()))
     return LogLinearNumber._make(constant, dict(zip(primes, logs)))
@@ -271,8 +293,8 @@ def symmetric_height_sum(pair: MonomialPair) -> LogLinearNumber:
     volumes; equals the height of the pair plus the height of its
     coefficient-wise inverse."""
     coords, r, _ = lattice_normalize(pair.exponents)
-    bases = [tuple(map(Fraction, b)) for b in coords]
-    lifted_volume = lambda w: convex_hull([(*b, t) for b, t in zip(bases, w)]).volume()
+    envelope = lambda w: _envelope_integral([(*b, t) for b, t in zip(coords, w)])[0]
+    lifted_volume = lambda w: envelope(w) + envelope([-t for t in w])  # upper minus lower integral
     return _over_places([pair.coefficients], lifted_volume)[1] * factorial(r + 1)
 
 

@@ -11,18 +11,21 @@ from math import factorial
 
 import pytest
 
+import toricheight.geomkernel
 import toricheight.roof
 import toricheight.toric
 from toricheight.exactnum import LogLinearNumber, Place, as_loglinear, relevant_places
-from toricheight.geomkernel import convex_hull, lattice_normalize
+from toricheight.geomkernel import _envelope_integral, convex_hull, lattice_normalize
 from toricheight.mixed import EmbeddingFamily, _common_normalization, mixed_integral, mixed_volume, multiheight
 from toricheight.roof import roof_from_weight, roof_integral
 from toricheight.toric import (
     MonomialPair,
     arithmetic_hilbert_norm,
+    chow_weight,
     degree,
     hilbert_weight,
     normalized_height,
+    symmetric_height_sum,
     weight_vector,
 )
 
@@ -109,6 +112,19 @@ def rand_pair(rng, n, style):
     return MonomialPair.make(exps, coefficients(rng, count, style))
 
 
+def sublattice_pair(rng, n, style):
+    """Exponents in a proper sublattice of Z^(n+1): the simplex of Z^n (with
+    extra points) mapped by a random integer matrix that keeps them
+    distinct, then shifted."""
+    exps = simplex_exponents(rng, n, rng.randint(0, 2))
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(n)]
+        if len({tuple(sum(a * row[j] for a, row in zip(e, m)) for j in range(n + 1)) for e in exps}) == len(set(exps)):
+            break
+    image = [tuple(sum(a * row[j] for a, row in zip(e, m)) + 1 for j in range(n + 1)) for e in exps]
+    return MonomialPair.make(image, coefficients(rng, len(image), style))
+
+
 def rand_family(rng, n, style):
     members = []
     for _ in range(n + 1):
@@ -123,12 +139,12 @@ STYLES = ("prime powers", "flat", "units", "single")
 class TestAgainstLogLinearLoop:
     """Per-place values, totals and degrees equal the log-linear loop's."""
 
-    @pytest.mark.parametrize("n, draws", [(1, 12), (2, 6), (3, 2)])
+    @pytest.mark.parametrize("n, draws", [(1, 12), (2, 6), (3, 2), (4, 1)])
     @pytest.mark.parametrize("style", STYLES)
     def test_normalized_height(self, n, draws, style):
         rng = random.Random(f"height {n} {style}")
-        for _ in range(draws):
-            pair = rand_pair(rng, n, style)
+        pairs = [rand_pair(rng, n, style) for _ in range(draws)]
+        for pair in pairs + [sublattice_pair(rng, n, style) for _ in range(draws // 2 + 1)]:
             rep = normalized_height(pair)
             assert (rep.value, rep.per_place, rep.degree) == loglinear_height(pair)
 
@@ -197,7 +213,7 @@ class TestFinitePlacesAreRational:
     def test_height_envelopes(self, monkeypatch, n):
         rng = random.Random(127 + n)
         pair = MonomialPair.make(simplex_exponents(rng, n, 1), coefficients(rng, n + 2, "prime powers"))
-        calls = _record(monkeypatch, toricheight.roof, "upper_envelope", lambda a: [g[1] for g in a[0]])
+        calls = _record(monkeypatch, toricheight.toric, "_envelope_integral", lambda a: [p[-1] for p in a[0]])
         normalized_height(pair)
         places = relevant_places(pair.coefficients)
         assert len(places) > 2 and calls[0]
@@ -220,3 +236,102 @@ class TestFinitePlacesAreRational:
         # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
         assert calls[0]
         _only_first_place(calls, places, 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# each place's term from one hull of its lifted points
+
+
+def rand_lift(rng, kind, base):
+    if kind == "integer":
+        return rng.randint(-4, 4)
+    if kind == "rational":
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+    logs = sum((rng.randint(-2, 2) * LL.log_prime(p) for p in rng.sample([2, 3, 5], 2)), LL())
+    if kind == "loglinear":
+        return logs + F(rng.randint(-7, 7), rng.randint(1, 4))
+    # flat: one affine function of the base, with a log-linear constant
+    return sum((F(g) * x for g, x in zip(kind, base)), logs)
+
+
+def lifted_points(rng, n, kind, extra):
+    bases = simplex_exponents(rng, n, extra)
+    if rng.random() < 0.3:  # a repeated base with its own lift
+        bases.append(rng.choice(bases))
+    if kind == "flat":
+        kind = tuple(rng.randint(-3, 3) for _ in range(n))
+    return bases, [rand_lift(rng, kind, b) for b in bases]
+
+
+class TestPlaceIntegralsFromOneHull:
+    """``geomkernel._envelope_integral``, the per-place term of heights,
+    Chow weights and symmetric sums, against the public roofs and hulls it
+    replaced there.  ``TestAgainstLogLinearLoop`` checks heights and their
+    degrees against those roofs and ``degree``."""
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "loglinear", "flat"])
+    @pytest.mark.parametrize("n, draws", [(1, 12), (2, 8), (3, 4), (4, 2)])
+    def test_against_roof_integral(self, n, draws, kind):
+        rng = random.Random(f"envelope {n} {kind}")
+        for _ in range(draws):
+            bases, lifts = lifted_points(rng, n, kind, rng.randint(0, 3))
+            points = [(*b, t) for b, t in zip(bases, lifts)]
+            integral, volume = _envelope_integral(points)
+            assert as_loglinear(integral) == as_loglinear(roof_integral(roof_from_weight(bases, lifts)))
+            assert volume == factorial(n) * convex_hull([tuple(map(F, b)) for b in bases]).volume()
+            lower = _envelope_integral([(*b, -t) for b, t in zip(bases, lifts)])[0]
+            lifted = convex_hull([(*map(F, b), t) for b, t in zip(bases, lifts)])
+            assert as_loglinear(integral + lower) == as_loglinear(lifted.volume())
+
+    def test_zero_dimensional_bases(self):
+        log2 = LL.log_prime(2)
+        for lifts in ([3, F(7, 2), -1], [log2, F(1, 2), log2], [F(5)], [log2, log2]):
+            points = [(t,) for t in lifts]
+            top = max(lifts, key=float)
+            assert _envelope_integral(points) == (top if isinstance(top, LL) else F(top), 1)
+            assert as_loglinear(_envelope_integral([(-t,) for t in lifts])[0]) == -min(lifts, key=float)
+
+    def test_zero_dimensional_heights(self):
+        # every monomial at one exponent: r = 0, the domain a point
+        rng = random.Random(137)
+        for style in ("prime powers", "flat", "units"):
+            for count in (1, 2, 4):
+                pair = MonomialPair.make([(2, -1)] * count, coefficients(rng, count, style))
+                rep = normalized_height(pair)
+                assert (rep.value, rep.per_place, rep.degree, rep.dim) == (*loglinear_height(pair), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chow_weight_and_symmetric_sum(self, n):
+        rng = random.Random(139 + n)
+        for style in ("prime powers", "flat", "units", "single"):
+            pair = rand_pair(rng, n, style)
+            coords, r, _ = lattice_normalize(pair.exponents)
+            expected = sum(
+                (as_loglinear(convex_hull([(*map(F, b), t) for b, t in zip(coords, weight_vector(pair, v))]).volume())
+                 for v in relevant_places(pair.coefficients)),
+                LL(),
+            )
+            assert symmetric_height_sum(pair) == expected * factorial(r + 1)
+            bases, lifts = lifted_points(rng, n, rng.choice(["integer", "rational", "loglinear"]), 2)
+            roof = roof_from_weight(bases, lifts)
+            assert chow_weight(bases, lifts) == as_loglinear(roof_integral(roof) * factorial(n + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_hull_per_place(self, monkeypatch, n):
+        # 1, 30, 1 on the line 0, e_1, 2 e_1: no place is flat, and each
+        # place's lifted points are hulled once, with the degree read off
+        rng = random.Random(149 + n)
+        hulls, real = [], toricheight.geomkernel._hull_core
+        monkeypatch.setattr(
+            toricheight.geomkernel, "_hull_core", lambda pts, basis, primes: hulls.append(len(pts[0]) - len(primes)) or real(pts, basis, primes)
+        )
+        e1 = tuple(int(j == 0) for j in range(n))
+        for _ in range(3):
+            exps = simplex_exponents(rng, n, 1)
+            exps = [e for e in exps if e not in {(0,) * n, e1}] + [(0,) * n, e1, tuple(2 * x for x in e1)]
+            coeffs = [prime_power_coeff(rng) for _ in exps[:-3]] + [1, 30, 1]
+            pair = MonomialPair.make(exps, coeffs)
+            hulls.clear()
+            rep = normalized_height(pair)
+            assert len(rep.per_place) == 4
+            assert hulls == [n + 1] * 4

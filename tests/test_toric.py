@@ -173,8 +173,9 @@ class TestNormalizedHeight:
             assert normalized_height(pair).value == expected
 
 
-    def test_one_domain_hull_per_height(self, monkeypatch):
-        # the roofs integrate without their domains; degree() hulls the pair
+    def test_no_domain_hull_per_height(self, monkeypatch):
+        # each place's integral and the degree are read from the lifted
+        # hulls: neither the roofs' domains nor the pair's hull is built
         import toricheight.roof
         import toricheight.toric
 
@@ -192,7 +193,7 @@ class TestNormalizedHeight:
             calls.clear()
             rep = normalized_height(pair)
             assert len(rep.per_place) >= 3
-            assert len(calls) == 1
+            assert len(calls) == 0
 
 
 class TestChowWeight:
@@ -282,6 +283,40 @@ class TestHilbertDynamicProgram:
                 exps.append(rng.choice(exps))
             tau = [rand_weight(rng, kind) for _ in exps]
             assert hilbert_weight(exps, tau, d) == hilbert_weight_enumerated(exps, tau, d), (exps, tau, d)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_integer_table_against_enumeration(self, monkeypatch, n):
+        # rational weights (negative, fractional) never reach the row sign;
+        # n = 0 is a point with no columns, and D runs from 0
+        from toricheight import toric
+
+        def no_rows(*args):
+            raise AssertionError("a rational table compared rows")
+
+        monkeypatch.setattr(toric, "_row_sign", no_rows)
+        rng = random.Random(150 + n)
+        for d in range(8 - n):
+            exps = full_lattice_points(rng, n, rng.randint(0, 2)) if n else [()] * rng.randint(1, 3)
+            if rng.random() < 0.4:
+                exps.append(rng.choice(exps))
+            tau = [rand_weight(rng, rng.choice(["integer", "rational"])) for _ in exps]
+            assert hilbert_weight(exps, tau, d) == hilbert_weight_enumerated(exps, tau, d), (exps, tau, d)
+
+    def test_zero_width_ambient_columns(self):
+        # exponents constant in some ambient coordinate (or in all of
+        # them): the norm runs on the normalized coordinates
+        from toricheight.geomkernel import lattice_normalize
+
+        rng = random.Random(157)
+        for exps in ([(1, 0), (1, 1), (1, 3)], [(0, 2, 5), (1, 2, 5), (0, 3, 5), (2, 3, 5)], [(4, 4)] * 3):
+            pair = MonomialPair.make(exps, [rand_coeff(rng) for _ in exps])
+            coords = lattice_normalize(pair.exponents)[0]
+            for d in (0, 1, 3):
+                expected = sum(
+                    (hilbert_weight_enumerated(coords, weight_vector(pair, v), d) for v in relevant_places(pair.coefficients)),
+                    LL(),
+                )
+                assert arithmetic_hilbert_norm(pair, d) == expected
 
     def test_near_tie_takes_the_exact_path(self, monkeypatch):
         # a rational within 10^-20 of log 2: no double sum separates them
