@@ -10,8 +10,10 @@ maps and, at each level, builds the sup-convolution of all roofs but the
 first (n - 1 upper envelopes, none in dimension 1).  Both keep the
 diagonal identities MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) =
 (n+1)! Int(f).  Mixed volumes of lifted polytopes, whose normals are not
-rational, are the polarization of the volume under Minkowski sums, each
-subset built from the subset one size smaller.
+rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) =
+MI(u_0, ..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof of P_i and l_i
+its lower boundary, by induction on the facet recursion from
+MV_1([l, u]) = u - l.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import mul
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, as_loglinear, value_sign
-from .geomkernel import convex_hull, lattice_normalize, minkowski_sum, volume
+from .geomkernel import convex_hull, lattice_normalize
 from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
 from .roof import lifted_polytope, roof_from_generators, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
@@ -37,21 +39,6 @@ __all__ = [
     "multi_chow_weight",
     "multiheight",
 ]
-
-
-def _polarize(items, combine, measure):
-    """Sum of (-1)^(n - |S|) measure(combination of S) over the nonempty
-    subsets S of the n items, each combination built as ``combine`` of the
-    subset without its last member and that member."""
-    n = len(items)
-    built = {(i,): item for i, item in enumerate(items)}
-    total = Fraction(0)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if size > 1:
-                built[subset] = combine(built[subset[:-1]], items[subset[-1]])
-            total = total + measure(built[subset]) * (-1) ** (n - size)
-    return total
 
 
 def _primitive(v):
@@ -200,14 +187,17 @@ def _mixed_integral(maps):
 def mixed_volume(polytopes):
     """Mixed volume of n polytopes in dimension n, MV(Q, ..., Q) =
     n! Vol(Q) (the empty family has mixed volume 1): by the facet recursion
-    for rational polytopes, by polarization of the volume under Minkowski
-    sums for lifted ones, whose result is a log-linear number."""
+    for rational polytopes; for lifted ones, a log-linear number, as
+    MI(u_1, ..., u_n) + MI(-l_1, ..., -l_n) with u_i the upper roof of the
+    i-th polytope and l_i its lower boundary."""
     polys = list(polytopes)
     n = len(polys)
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
     if any(p._kind.startswith("lifted") for p in polys):
-        return _polarize(polys, minkowski_sum, volume)
+        upper = [roof_from_generators((v[:-1], v[-1]) for v in p.vertices) for p in polys]
+        lower = [roof_from_generators((v[:-1], -v[-1]) for v in p.vertices) for p in polys]
+        return mixed_integral(upper) + mixed_integral(lower)
     return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
 
 

@@ -22,7 +22,7 @@ from .exactnum import (
     padic_order,
     relevant_places,
 )
-from .geomkernel import Face, FaceLattice, Polytope, convex_hull, face_lattice, lattice_normalize
+from .geomkernel import convex_hull, face_lattice, lattice_normalize
 from .geomkernel import _as_value, _envelope_integral, _integer_points
 
 __all__ = [

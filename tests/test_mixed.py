@@ -8,10 +8,9 @@ import pytest
 
 from toricheight.errors import LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, minkowski_sum, volume
+from toricheight.geomkernel import convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
-    _polarize,
     mixed_integral,
     mixed_integral_via_mv,
     mixed_volume,
@@ -108,6 +107,32 @@ def floor_below(roof, rng):
     return (m if certified_sign(m) <= 0 else LL()) - rng.randint(0, 1)
 
 
+def rand_lifted(rng, n):
+    """A lifted polytope in Q^(n+1): under a roof over a full-dimensional
+    domain, or the hull of lifted points whose bases span Q^n."""
+    while True:
+        if rng.random() < 0.5:
+            f = rand_any_roof(rng, n)
+            if f.domain.is_full_dimensional:
+                return lifted_polytope(f, floor_below(f, rng))
+        else:
+            points = [
+                (*(rng.randint(0, 2) for _ in range(n)), rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 + rng.randint(-1, 1))
+                for _ in range(rng.randint(2, n + 4))
+            ]
+            if convex_hull([p[:n] for p in points]).is_full_dimensional:
+                return convex_hull(points)
+
+
+def rand_rational_member(rng, n, kind):
+    """A rational polytope in Q^(n+1): full (kind 0), a vertical segment
+    (kind 1) or a single point (kind 2)."""
+    if kind == 0:
+        return convex_hull(list(itertools.product((0, 1), repeat=n + 1)) + [tuple(rng.randint(0, 2) for _ in range(n + 1))])
+    base = tuple(rng.randint(0, 2) for _ in range(n))
+    return convex_hull([(*base, rng.randint(-2, 0)), (*base, rng.randint(1, 2))][: 3 - kind])
+
+
 class TestAgainstFullSums:
     # n and the number of random families per dimension
     SIZES = [(1, 40), (2, 10), (3, 2)]
@@ -134,16 +159,19 @@ class TestAgainstFullSums:
                 assert mixed_volume(polys) == full_sum_mixed_volume(polys)
 
     def test_lifted_mixed_volume(self):
+        """Lifted polytopes from roofs and from raw lifted points, alone and
+        mixed with a rational full polytope, vertical segment or point;
+        then a lifted segment and a pair of lifted segments by hand."""
         rng = random.Random(107)
-        for n, count in ((1, 15), (2, 1)):
-            done = 0
-            while done < count:
-                roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
-                if not all(f.domain.is_full_dimensional for f in roofs):
-                    continue
-                lifted = [lifted_polytope(f, floor_below(f, rng)) for f in roofs]
-                assert mixed_volume(lifted) == full_sum_mixed_volume(lifted)
-                done += 1
+        for n, count in ((1, 20), (2, 10)):
+            for i in range(count):
+                polys = [rand_lifted(rng, n) for _ in range(n + 1)]
+                if i % 2:
+                    polys[rng.randrange(n + 1)] = rand_rational_member(rng, n, i // 2 % 3)
+                assert mixed_volume(polys) == full_sum_mixed_volume(polys)
+        assert mixed_volume([convex_hull([(log2,), (log3,)])]) == log3 - log2
+        segments = [convex_hull([(0, log2), (1, log3)]), convex_hull([(0, 0), (2, log2)])]
+        assert mixed_volume(segments) == 2 * log3 - 3 * log2
 
     def test_rational_vertices(self):
         """Vertices and bases off the integer lattice, in halves and thirds."""
@@ -240,30 +268,6 @@ class TestAgainstFullSums:
             assert mixed_volume([convex_hull(s) for s in sets]) == mixed_area(*sets)
 
 
-class TestPolarizationStructure:
-    """Polarization, kept for lifted polytopes and as the reference: each
-    subset is built from the subset one size smaller, and single members
-    are not rebuilt."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_envelopes_per_mixed_integral(self, monkeypatch, n):
-        rng = random.Random(109 + n)
-        roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
-        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof"))
-        value = as_loglinear(_polarize(roofs, sup_convolution, roof_integral))
-        assert len(calls) == 2 ** (n + 1) - n - 2
-        assert value == mixed_integral(roofs)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_hulls_per_mixed_volume(self, monkeypatch, n):
-        rng = random.Random(113 + n)
-        polys = [rand_polytope(rng, n) for _ in range(n)]
-        calls = count_calls(monkeypatch, "convex_hull", ("geomkernel", "mixed"))
-        value = _polarize(polys, minkowski_sum, volume)
-        assert len(calls) == 2**n - n - 1
-        assert value == mixed_volume(polys)
-
-
 def count_calls(monkeypatch, name, modules):
     """Count the calls of a geomkernel function made through the named
     modules' bindings."""
@@ -282,8 +286,9 @@ def count_calls(monkeypatch, name, modules):
 
 
 class TestFacetRecursionWork:
-    """The recursion makes n - 1 sup-convolutions for a mixed integral and
-    no hull for a plane mixed volume."""
+    """The recursion makes n - 1 sup-convolutions for a mixed integral,
+    no hull for a plane mixed volume, and neither a Minkowski sum nor a
+    lifted hull for a mixed volume of lifted polytopes."""
 
     @pytest.mark.parametrize("n, envelopes", [(1, 0), (2, 1)])
     def test_envelopes_per_mixed_integral(self, monkeypatch, n, envelopes):
@@ -304,6 +309,15 @@ class TestFacetRecursionWork:
             calls.clear()
             mixed_volume(polys)
             assert not calls
+
+    def test_no_sum_or_lifted_hull_for_lifted_mixed_volume(self, monkeypatch):
+        rng = random.Random(163)
+        families = [[rand_lifted(rng, n) for _ in range(n + 1)] for n in (1, 1, 2)]
+        sums = count_calls(monkeypatch, "minkowski_sum", ("geomkernel",))
+        hulls = count_calls(monkeypatch, "_build_lifted", ("geomkernel",))
+        for polys in families:
+            mixed_volume(polys)
+        assert not sums and not hulls
 
 
 class TestMixedVolume:
