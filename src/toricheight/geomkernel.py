@@ -14,12 +14,14 @@ elimination on integer rows, ``_Echelon``.  One fan of a rational
 polytope's simplicial boundary serves volumes and ``triangulate``.  An
 upper envelope is one hull of the lifted points, whose one elimination
 also gives the bases' rank and whose projected facets give each cell's
-integral; a cell's polytope is built when read, and a cell of one
-simplicial facet reads its vertices from its points without it.  Where
-only the integral is wanted, ``_envelope_integral`` sums those projected
-simplices into one integer row and decodes it once; their |det| also sum
-to k! times the volume of the bases' hull.  A lifted polytope lies
-between the upper and lower cells of one hull.
+integral; a flat lift gets one more point, just below its graph, so that
+its upper facets are that graph.  A cell's polytope is built when read,
+and a cell of one simplicial facet reads its vertices from its points
+without it.  Where only the integral is wanted, ``_envelope_integral``
+sums those projected simplices into one integer row and decodes it once;
+their |det| also sum to k! times the volume of the bases' hull.  A lifted
+polytope lies between the upper and lower cells of one hull, or is the
+graph of its affine basis over the bases' hull when flat.
 """
 
 from __future__ import annotations
@@ -512,18 +514,17 @@ def _graph_simplices(points, integers, lower=False):
     """Simplices of the graph of lifted points (``_lifted_integers`` of them
     given) whose bases span their space, as ``(fn, w, ids)``: w is the
     projected |det| of an upper (and, if asked, lower) simplicial facet of
-    one hull, fn its functionals.  A flat lift gives the fan of its one base
-    hull under the functionals of an affine basis, and that hull (else
-    None)."""
+    one hull, fn its functionals.  A flat lift (rank k) is hulled with its
+    first point lowered by 1 in the constant entry: no facet through that
+    point faces up, so the upper facets are the graph (not to be asked for
+    its lower ones)."""
     k = len(points[0]) - 1
-    ints, primes, scale, basis, rank, _ = integers
-    if rank == k and (fn := tuple(_functionals([ints[i] for i in basis], k)))[0][k]:
-        proj = _build_rational([p[:k] for p in points])
-        index = {p[:k]: i for i, p in enumerate(points)}
-        fan = _fan(proj) if k else [(proj.vertices, 1)]
-        return [(fn, int(vol * scale**k), [index[v] for v in s]) for s, vol in fan], proj
-    if rank <= k:
+    ints, primes, _, basis, rank, base = integers
+    if len(base) <= k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
+    if rank == k:
+        ints = [*ints, (*ints[0][:k], ints[0][k] - 1, *ints[0][k + 1 :])]
+        basis = [*basis, len(ints) - 1]
     simplices = []
     for F in _hull_core(ints, basis, primes):
         if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
@@ -532,39 +533,36 @@ def _graph_simplices(points, integers, lower=False):
             for j in rest:
                 echelon.add([ints[j][c] - ints[i][c] for c in range(k)])
             simplices.append((F.fn, abs(echelon.det), F.ids))
-    return simplices, None
+    return simplices
+
+
+def _graph_cell(points, integers, fn, ids, simplices):
+    """The cell of graph functionals fn over the points ``ids``, its integral
+    summing |det| times the lifts over its ``(w, ids)`` simplices, each
+    field decoded once (log-linear when the lift is)."""
+    k = len(points[0]) - 1
+    ints, primes, scale = integers[:3]
+    a = fn[0][k]
+    total = [sum(w * sum(ints[i][t] for i in s) for w, s in simplices) for t in range(k, len(ints[0]))]
+    return AffineCell(
+        tuple(_dedup([points[i][:k] for i in ids])),
+        tuple(_decode([-f[j] for f in fn], a, primes) for j in range(k)),
+        _decode([f[-1] for f in fn], a * scale, primes),
+        _decode(total, scale ** (k + 1) * factorial(k + 1), primes),
+    )
 
 
 def _graph_cells(points, integers, lower=False):
     """Merged graph cells (projected) of ``_graph_simplices``: the upper
     ones, and the lower ones if asked (else empty).  Simplices group by
-    functional; a flat lift is one cell, returned as both lists.  A cell's
-    integral sums |det| times the lifts over its simplices.  Gradient,
-    offset and integral are decoded once, log-linear when the lift is."""
+    functional into one ``_graph_cell`` each."""
     k = len(points[0]) - 1
-    ints, primes, scale = integers[:3]
-
-    def cell(fn, ids, simplices):
-        a = fn[0][k]
-        total = [sum(w * sum(ints[i][t] for i in s) for w, s in simplices) for t in range(k, len(ints[0]))]
-        return AffineCell(
-            tuple(_dedup([points[i][:k] for i in ids])),
-            tuple(_decode([-f[j] for f in fn], a, primes) for j in range(k)),
-            _decode([f[-1] for f in fn], a * scale, primes),
-            _decode(total, scale ** (k + 1) * factorial(k + 1), primes),
-        )
-
-    simplices, proj = _graph_simplices(points, integers, lower)
-    if proj is not None:
-        flat = cell(simplices[0][0], range(len(points)), [(w, ids) for _, w, ids in simplices])
-        flat.__dict__["polytope"] = proj  # fills the cached property: the fan needed this hull
-        return [flat], [flat]
     groups = {}
-    for fn, w, ids in simplices:
+    for fn, w, ids in _graph_simplices(points, integers, lower):
         groups.setdefault(fn, []).append((w, ids))
     upper, below = [], []
     for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
-        c = cell(fn, ids, simplices)
+        c = _graph_cell(points, integers, fn, ids, simplices)
         if len(simplices) == 1:  # one simplicial facet: its points are the vertices
             c.__dict__["vertices"] = c.points
         (upper if fn[0][k] > 0 else below).append(c)
@@ -582,7 +580,7 @@ def _envelope_integral(points):
     integers = _lifted_integers(points)
     ints, primes, scale = integers[:3]
     total, dets = [0] * (len(ints[0]) - k), 0
-    for _, w, ids in _graph_simplices(points, integers)[0]:
+    for _, w, ids in _graph_simplices(points, integers):
         dets += w
         total = [t + w * sum(col) for t, col in zip(total, zip(*(ints[i][k:] for i in ids)))]
     return _decode(total, scale ** (k + 1) * factorial(k + 1), primes), Fraction(dets, scale**k)
@@ -593,18 +591,20 @@ def _dedup(points):
 
 
 def _build_lifted(points):
-    """Polytope of deduplicated points whose last coordinate is lifted:
-    the region between the upper and the lower cells of one hull of the
-    points, over bases that must span their space.  It is the graph of one
-    affine function (flat) or full-dimensional, with the integral of the
-    upper envelope minus the lower as its volume."""
+    """Polytope of deduplicated points whose last coordinate is lifted, over
+    bases that must span their space.  A flat one (rank k) is the graph,
+    over the bases' hull, of the function of its affine basis's functionals
+    (one cell, whose integral is not read); a full one is the region
+    between the upper and the lower cells of one hull, with the integral of
+    the upper envelope minus the lower as its volume."""
     k = len(points[0]) - 1
-    upper, lower = _graph_cells(points, _lifted_integers(points), lower=True)
-    if upper == lower:  # flat: one cell, both upper and lower
-        proj = upper[0].polytope
-        verts = tuple((*b, upper[0].value_at(b)) for b in proj.vertices)
-        return Polytope(k + 1, k, verts, _lifted_facets(upper, lower, proj, verts), "lifted-flat")
+    ints, _, _, basis, rank, base = integers = _lifted_integers(points)
     proj = _build_rational(_dedup([p[:k] for p in points]))
+    if rank == k == len(base) - 1:
+        flat = _graph_cell(points, integers, tuple(_functionals([ints[i] for i in basis], k)), basis, ())
+        verts = tuple((*b, flat.value_at(b)) for b in proj.vertices)
+        return Polytope(k + 1, k, verts, _lifted_facets([flat], [flat], proj, verts), "lifted-flat")
+    upper, lower = _graph_cells(points, integers, lower=True)
     verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
     lifted = Polytope(k + 1, k + 1, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
     lifted._volume = sum(c.integral for c in upper) - sum(c.integral for c in lower)

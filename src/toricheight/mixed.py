@@ -26,7 +26,7 @@ from operator import mul
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, as_loglinear, value_sign
-from .geomkernel import convex_hull, lattice_normalize
+from .geomkernel import convex_hull, lattice_normalize, upper_envelope
 from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
 from .roof import lifted_polytope, roof_from_generators, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
@@ -287,16 +287,14 @@ def _common_normalization(family: EmbeddingFamily):
 
 def multiheight(family: EmbeddingFamily) -> HeightReport:
     """Normalized multiheight of the torus for the family of embeddings:
-    the sum over places of the mixed integrals of the local roofs."""
-    n = family.torus_dim
+    the sum over places of the mixed integrals of the local roofs, with
+    the mixed degree MV_n(A_1, ..., A_n) of the exponent sets."""
     coords = _common_normalization(family)
+
+    def roof(c, w):  # the values at the envelope cells' points, every vertex among them
+        return {_exact(v): cell.value_at(v) for cell in upper_envelope(zip(c, w)) for v in cell.points}
+
     per, total = _over_places(
-        [m.coefficients for m in family.members],
-        lambda *ws: mixed_integral([roof_from_weight(c, w) for c, w in zip(coords, ws)]),
+        [m.coefficients for m in family.members], lambda *ws: _mixed_integral([roof(c, w) for c, w in zip(coords, ws)])
     )
-    mdeg = mixed_volume(
-        [convex_hull([tuple(map(Fraction, a)) for a in coords[i]]) for i in range(1, n + 1)]
-    )
-    if mdeg.denominator != 1:
-        raise ArithmeticError("mixed degree was not integral")
-    return HeightReport(total, per, int(mdeg), n, 1)
+    return HeightReport(total, per, _mixed_volume([_dedup(c) for c in coords[1:]]), family.torus_dim, 1)

@@ -23,7 +23,7 @@ from .exactnum import (
     relevant_places,
 )
 from .geomkernel import convex_hull, face_lattice, lattice_normalize
-from .geomkernel import _as_value, _envelope_integral, _integer_points
+from .geomkernel import _as_value, _decode, _envelope_integral, _integer_points
 
 __all__ = [
     "MonomialPair",
@@ -246,7 +246,7 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
                     old = get(key)
                     if old is None or new > old:
                         table[key] = new
-        return LogLinearNumber._make(Fraction(sum(table.values()), scale), {})
+        return as_loglinear(_decode([sum(table.values())], scale, primes))
     table = {0: (0,) * (len(primes) + 1)}
     for _ in range(degree_d):
         table, last = {}, table
@@ -255,8 +255,7 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
                 new, old = tuple(map(add, v, w)), table.get(m + c)
                 if old is None or (new != old and _row_sign(tuple(map(sub, new, old)), primes) > 0):
                     table[m + c] = new
-    constant, *logs = (Fraction(sum(col), scale) for col in zip(*table.values()))
-    return LogLinearNumber._make(constant, dict(zip(primes, logs)))
+    return _decode(list(map(sum, zip(*table.values()))), scale, primes)
 
 
 def arithmetic_hilbert_norm(

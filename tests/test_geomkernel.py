@@ -32,7 +32,7 @@ from toricheight.geomkernel import (
 )
 
 from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
-from toricheight.roof import roof_from_generators, roof_from_weight
+from toricheight.roof import roof_from_generators, roof_from_weight, roof_integral
 from toricheight.toric import MonomialPair, normalized_height
 
 from oracles import grid_volume_bounds, log_basis_det, minor_rank
@@ -615,6 +615,82 @@ class TestLiftedRationalModel:
         upper = upper_envelope([(b, lift(b)) for b in bases])
         lower = upper_envelope([(b, -lift(b)) for b in bases])
         assert volume(P) == sum(c.integral for c in upper) + sum(c.integral for c in lower)
+
+
+def flat_lift_cases(seed):
+    """Seeded flat lifts in 0-D to 4-D, each ``(bases, f, r)``: f is one
+    affine function (integer, rational or log-linear gradient and constant)
+    and the bases are integer grid points of an r-dimensional affine
+    subspace (the whole space, or a proper one from 2-D up): a simplex, the
+    corner (2, ..., 2) with the point (1, ..., 1) inside, random grid
+    points and repeats."""
+    rng = random.Random(seed)
+
+    def value(kind):
+        if kind == "integer":
+            return F(rng.randint(-4, 4))
+        q = F(rng.randint(-9, 9), rng.randint(1, 6))
+        return q if kind == "rational" else q + rng.randint(-2, 2) * log2 + rng.randint(-2, 2) * log3
+
+    cases = []
+    for k in range(5):
+        for r in range(k + 1) if k >= 2 else (k,):
+            for kind in ("integer", "rational", "loglinear"):
+                chart = [tuple(int(i == j) for j in range(k)) for i in range(r)]
+                if r < k:  # a proper subspace: r independent integer directions
+                    while _affine_basis([(0,) * k, *chart])[1] < r:
+                        chart = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(r)]
+                shift = [rng.randint(-2, 2) for _ in range(k)]
+                local = [(0,) * r, (2,) * r, (1,) * r] + [tuple(int(i == j) for j in range(r)) for i in range(r)]
+                local += [tuple(rng.randint(0, 2) for _ in range(r)) for _ in range(rng.randint(0, 3))]
+                local += rng.sample(local, 2)
+                bases = [tuple(s + sum(c * d[j] for c, d in zip(x, chart)) for j, s in enumerate(shift)) for x in local]
+                gradient, constant = [value(kind) for _ in range(k)], value(kind)
+                cases.append((bases, lambda b, g=gradient, c=constant: sum((x * y for x, y in zip(g, b)), c), r))
+    return cases
+
+
+class TestFlatLifts:
+    """A flat lift is hulled with one point below its graph: its envelope,
+    integral and roof are one cell over the whole domain, against the
+    domain's triangulation (each simplex's volume times the lift's mean
+    over its vertices; in 0-D the lift itself)."""
+
+    def test_against_the_domain_triangulation(self, monkeypatch):
+        calls, watching = [], []
+        for name in ("_build_rational", "_fan"):
+            real = getattr(geomkernel, name)
+            monkeypatch.setattr(
+                geomkernel, name, lambda *args, _real=real, _name=name: (watching and calls.append(_name)) or _real(*args)
+            )
+        for bases, f, r in flat_lift_cases(173):
+            k = len(bases[0])
+            lifts = [f(b) for b in bases]
+            domain = convex_hull(bases)
+            dets = factorial(k) * domain.volume()
+            if r == k == 0:
+                expected = as_loglinear(lifts[0])
+            elif r == k:
+                expected = LL()
+                for simplex in triangulate(domain):
+                    vol = abs(det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]])) / factorial(k)
+                    expected += vol * sum((f(v) for v in simplex), LL()) / (k + 1)
+            else:
+                expected = LL()
+            watching.append(True)
+            cells = upper_envelope(list(zip(bases, lifts)))
+            if r == k:
+                integral, found = geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+                assert (as_loglinear(integral), found) == (expected, dets)
+            else:
+                with pytest.raises(ValueError, match="degenerate projection"):
+                    geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+            watching.clear()
+            assert calls == []
+            assert len(cells) == 1 and as_loglinear(cells[0].integral) == expected
+            assert set(cells[0].vertices) == set(domain.vertices)
+            assert all(as_loglinear(cells[0].value_at(b)) == as_loglinear(t) for b, t in zip(bases, lifts))
+            assert as_loglinear(roof_integral(roof_from_weight(bases, lifts))) == expected
 
 
 class TestMinkowski:

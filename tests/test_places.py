@@ -12,6 +12,7 @@ from math import factorial
 import pytest
 
 import toricheight.geomkernel
+import toricheight.mixed
 import toricheight.roof
 import toricheight.toric
 from toricheight.exactnum import LogLinearNumber, Place, as_loglinear, relevant_places
@@ -183,10 +184,10 @@ def _irrational(values):
     return any(isinstance(x, LL) and not x.is_rational for x in values)
 
 
-def _record(monkeypatch, module, name, lifts_of):
+def _record(monkeypatch, module, name, lifts_of, calls=None):
     """Wrap ``module.name``; each call appends whether it received an
-    irrational log-linear value."""
-    calls = []
+    irrational log-linear value, to ``calls`` if given."""
+    calls = [] if calls is None else calls
     real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
@@ -230,12 +231,55 @@ class TestFinitePlacesAreRational:
     def test_multiheight_envelopes(self, monkeypatch, n):
         rng = random.Random(131 + n)
         family = rand_family(rng, n, "prime powers")
-        calls = _record(monkeypatch, toricheight.roof, "upper_envelope", lambda a: [g[1] for g in a[0]])
+        calls = []
+        for module in (toricheight.mixed, toricheight.roof):  # member roofs, sup-convolutions
+            _record(monkeypatch, module, "upper_envelope", lambda a: [g[1] for g in a[0]], calls)
         multiheight(family)
         places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
         # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
         assert calls[0]
         _only_first_place(calls, places, 2 * n)
+
+
+class TestMultiheightWork:
+    """A multiheight reads each member's roof at a place from one upper
+    envelope, one hull, and its mixed degree from the exponent sets: no
+    ``Roof`` of a member, no domain hull, no rational hull."""
+
+    @pytest.mark.parametrize("n, draws", [(1, 8), (2, 3)])
+    def test_one_hull_per_member_and_place(self, monkeypatch, n, draws):
+        rng = random.Random(167 + n)
+        families = []
+        for _ in range(draws):
+            members = []
+            for i in range(n + 1):
+                exps = simplex_exponents(rng, n, rng.randint(0, 2))
+                exps.append(rng.choice(exps))  # a repeated exponent
+                style = "prime powers" if i == 0 else rng.choice(("units", "flat"))
+                members.append(MonomialPair.make(exps, coefficients(rng, len(exps), style)))
+            families.append(EmbeddingFamily(tuple(members)))
+        expected = [loglinear_multiheight(f) for f in families]
+        gk = toricheight.geomkernel
+        for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.mixed, "convex_hull"),
+                             (toricheight.roof, "convex_hull"), (gk, "convex_hull"), (gk, "_build_rational")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+        hulls, envelopes = [], []
+        real_core, real_envelope = gk._hull_core, toricheight.mixed.upper_envelope
+        monkeypatch.setattr(gk, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
+
+        def member_envelope(points):
+            before = len(hulls)
+            cells = real_envelope(points)
+            envelopes.append(len(hulls) - before)
+            return cells
+
+        monkeypatch.setattr(toricheight.mixed, "upper_envelope", member_envelope)
+        for family, reference in zip(families, expected):
+            places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
+            envelopes.clear()
+            rep = multiheight(family)
+            assert (rep.value, rep.per_place, rep.degree) == reference
+            assert envelopes == [1] * ((n + 1) * len(places))
 
 
 # ---------------------------------------------------------------------------
