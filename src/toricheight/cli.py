@@ -111,21 +111,30 @@ def _write_text(path: str, text: str):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_exponents(doc, field="exponents"):
-    rows = doc.get(field)
+def _parse_exponents(doc):
+    rows = doc.get("exponents")
     if not isinstance(rows, list) or not rows:
-        raise ParseError(f"document needs a nonempty {field!r} array")
+        raise ParseError("document needs a nonempty 'exponents' array")
     out = []
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not all(type(x) is int for x in row):
-            raise ParseError(f"{field}[{i}] must be an array of integers")
+            raise ParseError(f"exponents[{i}] must be an array of integers")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(f"{field}[{i}] has length {len(row)}, expected {width}")
+            raise ParseError(f"exponents[{i}] has length {len(row)}, expected {width}")
         out.append(tuple(row))
     return out
+
+
+def _array_document(path: str, key: str, what: str) -> list:
+    """The nonempty array that a JSON document is or holds under ``key``."""
+    doc = _read_json(path)
+    rows = doc.get(key) if isinstance(doc, dict) else doc
+    if not isinstance(rows, list) or not rows:
+        raise ParseError(f"expected a {key!r} array of {what}")
+    return rows
 
 
 def parse_pair_document(doc) -> tuple[MonomialPair, str | None]:
@@ -155,15 +164,17 @@ def parse_weight_document(doc):
     return exps, [_parse_rational(w) for w in weights]
 
 
+def _named(payload: dict, name) -> dict:
+    """``payload``, with ``name`` added last when there is one."""
+    if name:
+        payload["name"] = name
+    return payload
+
+
 @_unbounded_digits()
 def pair_document(pair: MonomialPair, name=None) -> dict:
-    doc = {
-        "exponents": [list(a) for a in pair.exponents],
-        "coefficients": [str(c) for c in pair.coefficients],
-    }
-    if name:
-        doc["name"] = name
-    return doc
+    exponents = [list(a) for a in pair.exponents]
+    return _named({"exponents": exponents, "coefficients": [str(c) for c in pair.coefficients]}, name)
 
 
 def _at_least(name: str, value: int, low: int) -> int:
@@ -250,25 +261,18 @@ def _cap(args) -> int:
 def cmd_height(args) -> int:
     pair, name = parse_pair_document(_read_json(args.input))
     rep = normalized_height(pair)
-    payload = {"command": "height"}
-    if name:
-        payload["name"] = name
-    payload.update({"dim": rep.dim, "degree": rep.degree, "scale": rep.scale})
+    payload = {**_named({"command": "height"}, name), "dim": rep.dim, "degree": rep.degree, "scale": rep.scale}
     return _report(args, payload, rep.value, rep.per_place)
 
 
 def cmd_degree(args) -> int:
     pair, name = parse_pair_document(_read_json(args.input))
     d = degree(pair)
-    payload = {"command": "degree"}
-    if name:
-        payload["name"] = name
-    payload["degree"] = d
     if args.format in ("symbolic", "decimal"):
         with _unbounded_digits():
             print(d)
     else:
-        _emit(args, payload, None)
+        _emit(args, {**_named({"command": "degree"}, name), "degree": d}, None)
     return 0
 
 
@@ -288,17 +292,11 @@ def cmd_hnorm(args) -> int:
     _at_least("--degree", args.degree, 0)
     pair, name = parse_pair_document(_read_json(args.input))
     val = arithmetic_hilbert_norm(pair, args.degree, _cap(args))
-    payload = {"command": "hnorm", "degree": args.degree}
-    if name:
-        payload["name"] = name
-    return _report(args, payload, val)
+    return _report(args, _named({"command": "hnorm", "degree": args.degree}, name), val)
 
 
 def cmd_mixed_volume(args) -> int:
-    doc = _read_json(args.input)
-    rows = doc.get("polytopes") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("expected a 'polytopes' array of vertex lists")
+    rows = _array_document(args.input, "polytopes", "vertex lists")
     n = len(rows)
     polys = []
     for row in rows:
@@ -312,11 +310,7 @@ def cmd_mixed_volume(args) -> int:
 
 
 def cmd_mixed_integral(args) -> int:
-    doc = _read_json(args.input)
-    rows = doc.get("weights") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("expected a 'weights' array of weight documents")
-    docs = [parse_weight_document(entry) for entry in rows]
+    docs = [parse_weight_document(entry) for entry in _array_document(args.input, "weights", "weight documents")]
     dims = sorted({len(exps[0]) for exps, _ in docs})
     if len(dims) != 1:
         raise ParseError(f"weight documents must share one exponent dimension; got {dims}")
@@ -328,11 +322,7 @@ def cmd_mixed_integral(args) -> int:
 
 
 def cmd_multiheight(args) -> int:
-    doc = _read_json(args.input)
-    rows = doc.get("pairs") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("expected a 'pairs' array of pair documents")
-    members = tuple(parse_pair_document(entry)[0] for entry in rows)
+    members = tuple(parse_pair_document(entry)[0] for entry in _array_document(args.input, "pairs", "pair documents"))
     try:
         family = EmbeddingFamily(members)
     except ValueError as exc:
@@ -360,10 +350,7 @@ def cmd_orbits(args) -> int:
                 }
             )
         if args.format == "json":
-            payload = {"command": "orbits", "orbits": entries}
-            if name:
-                payload["name"] = name
-            _emit(args, payload, None)
+            _emit(args, _named({"command": "orbits", "orbits": entries}, name), None)
         else:
             print(f"orbits: {len(entries)}")
             for e in entries:

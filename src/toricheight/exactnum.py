@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import mpmath
@@ -248,14 +248,11 @@ class LogLinearNumber:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _terms_dict(self) -> dict[int, Fraction]:
-        return dict(self.logterms)
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = self._terms_dict()
+        terms = dict(self.logterms)
         for p, c in other.logterms:
             terms[p] = terms.get(p, Fraction(0)) + c
         return self._make(self.constant + other.constant, terms)
@@ -386,6 +383,13 @@ def as_loglinear(x) -> LogLinearNumber:
     return v
 
 
+def _integer_row(values):
+    """A rational row times the least common multiple of its denominators."""
+    values = [as_fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _interval(x: LogLinearNumber, prec: int):
     """Certified enclosure of the real value of x at the given binary precision."""
     iv = mpmath.iv
@@ -404,23 +408,16 @@ def _interval(x: LogLinearNumber, prec: int):
 def certified_sign(x) -> int:
     """Sign (-1, 0 or +1) of the real number x, log-linear or rational.
 
-    Zero is decided exactly (all coefficients zero).  Otherwise intervals
-    at doubling precision eventually exclude zero, since a nonzero
-    coefficient vector represents a nonzero real.
+    Zero is decided exactly (all coefficients zero).  Otherwise the
+    coefficients times their common denominator go through the double
+    filter ``_filter_sign``; past it, intervals at doubling precision
+    eventually exclude zero, as a nonzero coefficient vector is a nonzero real.
     """
     x = as_loglinear(x)
     if x.is_zero:
         return 0
-    coeff_signs = set()
-    if x.constant != 0:
-        coeff_signs.add(1 if x.constant > 0 else -1)
-    for _, c in x.logterms:
-        coeff_signs.add(1 if c > 0 else -1)
-    # 1 and every log p are positive reals, so uniform coefficient signs settle it
-    if coeff_signs == {1}:
-        return 1
-    if coeff_signs == {-1}:
-        return -1
+    if s := _filter_sign(_integer_row([x.constant, *(c for _, c in x.logterms)]), tuple(p for p, _ in x.logterms)):
+        return s
     prec = 64
     while True:
         lo, hi = _interval(x, prec)
@@ -437,19 +434,25 @@ def _float_logs(primes: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(float(mpmath.log(p)) for p in primes)
 
 
-def _row_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
-    """Sign of ``row[0] + sum(row[i + 1] * log(primes[i]))`` for integers:
-    in doubles, each term is within 3 rounding units (the integer, the log,
-    the product) and summing adds len(row) - 1 units of the absolute sum, so
-    a sum past 8 * len(row) units of it has the exact sign.  Otherwise, or
-    on an integer too large for a double, ``certified_sign`` decides."""
+def _filter_sign(row, primes: tuple[int, ...]) -> int:
+    """Sign of ``row[0] + sum(row[i + 1] * log(primes[i]))`` for integers,
+    or 0 when doubles cannot tell: each term is within 3 rounding units (the
+    integer, the log, the product) and summing adds len(row) - 1 units of
+    the absolute sum, so a sum past 8 * len(row) units of it has the exact
+    sign.  An integer too large for a double leaves it undecided."""
     try:
         terms = [float(row[0]), *map(mul, row[1:], _float_logs(primes))]
         if abs(total := sum(terms)) > sum(map(abs, terms)) * len(row) * 2.0**-50:
             return 1 if total > 0 else -1
     except OverflowError:
         pass
-    return certified_sign(LogLinearNumber._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))))
+    return 0
+
+
+def _row_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
+    """``_filter_sign`` of an integer row, else ``certified_sign``'s (cached)."""
+    return _filter_sign(row, primes) or certified_sign(
+        LogLinearNumber._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))))
 
 
 def value_sign(x) -> int:

@@ -9,19 +9,21 @@ over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
 ``exactnum._row_sign`` when m > 0.  On rational points a new facet's
 functional is the pencil of the two facets at its horizon ridge.  The
 first simplex's and lifted facets' functionals, affine bases, ranks,
-determinants and rational linear solves share one fraction-free
-elimination on integer rows, ``_Echelon``.  One fan of a rational
-polytope's simplicial boundary serves volumes and ``triangulate``.  An
-upper envelope is one hull of the lifted points, whose one elimination
-also gives the bases' rank and whose projected facets give each cell's
-integral; a flat lift gets one more point, just below its graph, so that
-its upper facets are that graph.  A cell's polytope is built when read,
-and a cell of one simplicial facet reads its vertices from its points
-without it.  Where only the integral is wanted, ``_envelope_integral``
-sums those projected simplices into one integer row and decodes it once;
-their |det| also sum to k! times the volume of the bases' hull.  A lifted
-polytope lies between the upper and lower cells of one hull, or is the
-graph of its affine basis over the bases' hull when flat.
+rational linear solves and ``_simplex_det``, the one integer |det| of a
+simplex, share one fraction-free elimination on integer rows,
+``_Echelon``.  That |det| weighs a projected upper facet and a simplex of
+the fan of a rational polytope's simplicial boundary, which serves volumes
+and ``triangulate``.  An upper envelope is one hull of the lifted points,
+whose one elimination also gives the bases' rank and whose projected
+facets give each cell's integral; a flat lift gets one more point, just
+below its graph, so that its upper facets are that graph.  A cell's
+polytope is built when read, and a cell of one simplicial facet reads its
+vertices from its points without it.  Where only the integral is wanted,
+``_envelope_integral`` sums those projected simplices into one integer row
+and decodes it once; their |det| also sum to k! times the volume of the
+bases' hull, a pair's degree under a zero lift.  A lifted polytope lies
+between the upper and lower cells of one hull, or is the graph of its
+affine basis over the bases' hull when flat.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DimensionLimitError
-from .exactnum import LogLinearNumber, _row_sign, as_fraction, as_loglinear, value_sign
+from .exactnum import LogLinearNumber, _integer_row, _row_sign, as_fraction, as_loglinear, value_sign
 
 __all__ = [
     "Polytope",
@@ -124,24 +126,15 @@ class _Echelon:
         return True
 
 
-def _integer_row(values):
-    """A rational row times the least common multiple of its denominators,
-    with that multiple."""
-    values = [as_fraction(x) for x in values]
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
-def det(rows):
-    """Exact determinant of a rational matrix."""
-    echelon, scale = _Echelon(len(rows)), 1
-    for r in rows:
-        row, s = _integer_row(r)
-        if not echelon.add(row):
-            return Fraction(0)
-        scale *= s
-    sign = -1 if sum(a > b for a, b in itertools.combinations(echelon.cols, 2)) % 2 else 1
-    return Fraction(sign * echelon.det, scale)
+def _simplex_det(points, k):
+    """|det| of the first k coordinates of the edges of a simplex of integer
+    points from its first one, 0 if they are dependent."""
+    p0, *rest = points
+    echelon = _Echelon(k)
+    for q in rest:
+        if not echelon.add([q[c] - p0[c] for c in range(k)]):
+            return 0
+    return abs(echelon.det)
 
 
 def _solve_linear(a_rows, b_rows):
@@ -150,7 +143,7 @@ def _solve_linear(a_rows, b_rows):
     n = len(a_rows)
     echelon = _Echelon(n)
     for r, y in zip(a_rows, b_rows):
-        echelon.add(_integer_row([*r, *y])[0])
+        echelon.add(_integer_row([*r, *y]))
     if len(echelon.cols) < n:
         raise ValueError("singular system")
     return [[Fraction(y, echelon.det) for y in row[n:]] for _, row in sorted(zip(echelon.cols, echelon.rows))]
@@ -444,9 +437,9 @@ def _fan(p: Polytope):
     anchor = min(p.vertices)
     for face in p._boundary:
         if anchor not in face:
-            dv = det([_vsub(q, anchor) for q in face])
-            if dv:
-                yield (anchor,) + face, abs(dv)
+            ints, _, scale = _integer_points([anchor, *face])
+            if w := _simplex_det(ints, p.ambient_dim):
+                yield (anchor,) + face, Fraction(w, scale**p.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +521,7 @@ def _graph_simplices(points, integers, lower=False):
     simplices = []
     for F in _hull_core(ints, basis, primes):
         if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0):
-            i, *rest = F.ids
-            echelon = _Echelon(k)  # |det| of the projected simplex
-            for j in rest:
-                echelon.add([ints[j][c] - ints[i][c] for c in range(k)])
-            simplices.append((F.fn, abs(echelon.det), F.ids))
+            simplices.append((F.fn, _simplex_det([ints[i] for i in F.ids], k), F.ids))
     return simplices
 
 

@@ -7,9 +7,12 @@ normals w of K_2 + ... + K_n of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w),
 the faces read in the lattice w^perp.  A mixed integral of n+1 roofs is
 that recursion applied to their lifted polytopes; it runs on vertex-value
 maps and, at each level, builds the sup-convolution of all roofs but the
-first (n - 1 upper envelopes, none in dimension 1).  Both keep the
-diagonal identities MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) =
-(n+1)! Int(f).  Mixed volumes of lifted polytopes, whose normals are not
+first (n - 1 upper envelopes, none in dimension 1).  Every map, of an
+input roof, a multiheight member, a sup-convolution or a lifted polytope's
+boundary, is read by ``_values`` from upper-envelope cells, with no
+``Roof`` and no cell polytope.  Both keep the diagonal identities
+MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) = (n+1)! Int(f).  Mixed
+volumes of lifted polytopes, whose normals are not
 rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) =
 MI(u_0, ..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof of P_i and l_i
 its lower boundary, by induction on the facet recursion from
@@ -28,7 +31,7 @@ from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, as_loglinear, value_sign
 from .geomkernel import convex_hull, lattice_normalize, upper_envelope
 from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
-from .roof import lifted_polytope, roof_from_generators, roof_from_weight
+from .roof import lifted_polytope, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
 __all__ = [
@@ -69,6 +72,11 @@ def _complement(w):
 def _exact(v):
     """A rational point with its integral coordinates as ints."""
     return tuple(x.numerator if x.denominator == 1 else x for x in v)
+
+
+def _values(cells):
+    """The vertex-value map of envelope cells: their points (every vertex among them) with their values."""
+    return {_exact(v): c.value_at(v) for c in cells for v in c.points}
 
 
 def _sum_normals(sets, n):
@@ -171,9 +179,8 @@ def _mixed_integral(maps):
     elif len(normals) > 2:  # the sum is n-dimensional
         conv = rest[0]
         for m in rest[1:]:
-            conv = roof_from_generators((_vadd(p, q), a + b) for p, a in conv.items() for q, b in m.items())
-            conv = conv if m is rest[-1] else {_exact(v): y for v, y in conv.vertex_values().items()}
-        for c in conv.cells:
+            conv = _values(cells := upper_envelope((_vadd(p, q), a + b) for p, a in conv.items() for q, b in m.items()))
+        for c in cells:
             faces = []
             for m in rest:
                 if len(face := _top(m, c.gradient)[1]) == 1:
@@ -195,9 +202,8 @@ def mixed_volume(polytopes):
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
     if any(p._kind.startswith("lifted") for p in polys):
-        upper = [roof_from_generators((v[:-1], v[-1]) for v in p.vertices) for p in polys]
-        lower = [roof_from_generators((v[:-1], -v[-1]) for v in p.vertices) for p in polys]
-        return mixed_integral(upper) + mixed_integral(lower)
+        maps = [[_values(upper_envelope((v[:-1], s * v[-1]) for v in p.vertices)) for p in polys] for s in (1, -1)]
+        return sum(as_loglinear(_mixed_integral(m)) for m in maps)
     return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
 
 
@@ -211,7 +217,7 @@ def mixed_integral(roofs):
         raise ValueError("need at least one roof")
     if any(f.base_dim != n for f in roofs):
         raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
-    return as_loglinear(_mixed_integral([{_exact(v): y for v, y in f.vertex_values().items()} for f in roofs]))
+    return as_loglinear(_mixed_integral([_values(f.cells) for f in roofs]))
 
 
 def mixed_integral_via_mv(roofs, floors):
@@ -291,10 +297,8 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
     the mixed degree MV_n(A_1, ..., A_n) of the exponent sets."""
     coords = _common_normalization(family)
 
-    def roof(c, w):  # the values at the envelope cells' points, every vertex among them
-        return {_exact(v): cell.value_at(v) for cell in upper_envelope(zip(c, w)) for v in cell.points}
-
     per, total = _over_places(
-        [m.coefficients for m in family.members], lambda *ws: _mixed_integral([roof(c, w) for c, w in zip(coords, ws)])
+        [m.coefficients for m in family.members],
+        lambda *ws: _mixed_integral([_values(upper_envelope(zip(c, w))) for c, w in zip(coords, ws)]),
     )
     return HeightReport(total, per, _mixed_volume([_dedup(c) for c in coords[1:]]), family.torus_dim, 1)

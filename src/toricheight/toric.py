@@ -128,15 +128,10 @@ def weight_vector(pair: MonomialPair, v: Place) -> list[LogLinearNumber]:
 
 def degree(pair: MonomialPair) -> int:
     """Lattice-normalized volume degree: r! times the volume of the hull of
-    the exponents measured in their difference lattice."""
-    coords, r, _ = lattice_normalize(pair.exponents)
-    if r == 0:
-        return 1
-    vol = convex_hull([tuple(map(Fraction, b)) for b in coords]).volume()
-    d = vol * factorial(r)
-    if d.denominator != 1:
-        raise ArithmeticError("lattice volume was not integral")
-    return int(d)
+    the exponents measured in their difference lattice, the sum of |det|
+    that ``_envelope_integral`` reads from a zero lift."""
+    coords, _, _ = lattice_normalize(pair.exponents)
+    return int(_envelope_integral([(*b, 0) for b in coords])[1])
 
 
 def _over_places(coefficient_lists, local):
@@ -270,7 +265,9 @@ def arithmetic_hilbert_norm(
 def hilbert_asymptotic_gap_exact(
     pair: MonomialPair, degree_d: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> LogLinearNumber:
-    """|(r+1)! H(D)/D^{r+1} - height|, exactly."""
+    """|(r+1)! H(D)/D^{r+1} - height|, exactly, for D >= 1."""
+    if degree_d < 1:
+        raise ValueError("degree must be positive")
     _, r, _ = lattice_normalize(pair.exponents)
     h_norm = arithmetic_hilbert_norm(pair, degree_d, cap)
     height = normalized_height(pair).value

@@ -64,7 +64,7 @@ def _log_basis_coefficients(x):
     return {None: Fraction(x)}
 
 
-def _rational_det(m):
+def rational_det(m):
     """Determinant of a rational matrix: scale each row to integers by the
     lcm of its denominators, expand by cofactors, divide the scale out."""
     scale = 1
@@ -93,7 +93,7 @@ def log_basis_det(rows):
     out = {}
     for key in keys:
         m = [[c.get(key, 0) if t == j else c[None] for t, c in enumerate(r)] for r in coeffs]
-        value = _rational_det(m)
+        value = rational_det(m)
         if value:
             out[key] = value
     return out

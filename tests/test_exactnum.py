@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 
+import mpmath
 import pytest
 
 from oracles import is_prime_oracle, prime_factors_oracle
@@ -124,6 +125,91 @@ class TestCertifiedSign:
             val = float(text)
             if abs(val) > err:
                 assert certified_sign(x) == (1 if val > 0 else -1)
+
+
+def interval_only_sign(x):
+    """The sign of a log-linear number by mpmath intervals alone, at
+    doubling precision from the interval context's own."""
+    if x.is_zero:
+        return 0
+    iv, old = mpmath.iv, mpmath.iv.prec
+    try:
+        while True:
+            total = iv.mpf(x.constant.numerator) / x.constant.denominator
+            for p, c in x.logterms:
+                total += iv.mpf(c.numerator) / c.denominator * iv.log(p)
+            if total.a > 0 or total.b < 0:
+                return 1 if total.a > 0 else -1
+            iv.prec *= 2
+    finally:
+        iv.prec = old
+
+
+def rand_sign_case(rng):
+    """Log-linear numbers of every kind the sign must face: small mixed
+    combinations, one-signed ones, near ties (a rational close to a log
+    combination), and coefficients or constants too large for a double."""
+    kind = rng.randrange(5)
+    primes = rng.sample((2, 3, 5, 7, 11), rng.randint(1, 3))
+    logs = sum((rand_rational(rng, 9, 5) * LL.log_prime(p) for p in primes), LL())
+    if kind == 0:
+        return logs + rand_rational(rng)
+    if kind == 1:  # every coefficient of one sign
+        x = sum((Fraction(rng.randint(1, 9), rng.randint(1, 4)) * LL.log_prime(p) for p in primes), LL(Fraction(rng.randint(0, 5))))
+        return x if rng.random() < 0.5 else -x
+    if kind == 2:  # a near tie: the rational within 10^-k of the logs
+        k = rng.randint(5, 40)
+        with mpmath.workprec(200):
+            q = Fraction(int(mpmath.nint(float_of(logs) * 10**k)), 10**k)
+        return logs - q + Fraction(rng.randint(-1, 1), 10 ** (k + rng.randint(1, 8)))
+    big = rng.randint(10**310, 10**400) * rng.choice((1, -1))
+    if kind == 3:  # a constant too large for a double against large log terms
+        return LL(Fraction(big, rng.randint(1, 7))) + sum(
+            (Fraction(rng.randint(10**300, 10**400) * rng.choice((1, -1))) * LL.log_prime(p) for p in primes), LL())
+    with mpmath.workprec(1600):  # a near tie of coefficients too large for a double
+        x = Fraction(big) * LL.log_prime(primes[0]) + Fraction(rng.randint(1, 10**320)) * LL.log_prime(11 if primes[0] != 11 else 13)
+        return x - int(mpmath.floor(float_of(x))) - rng.randint(0, 1)
+
+
+def float_of(x):
+    """The value of a log-linear number in mpmath at the working precision."""
+    return mpmath.mpf(x.constant.numerator) / x.constant.denominator + sum(
+        mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p) for p, c in x.logterms)
+
+
+class TestFilteredSign:
+    """``certified_sign`` runs its value's integer row through the double
+    filter first; only what the filter cannot tell goes to intervals."""
+
+    def test_filter_decides_without_intervals(self, monkeypatch):
+        calls = []
+        interval = exactnum._interval
+        monkeypatch.setattr(exactnum, "_interval", lambda *args: calls.append(1) or interval(*args))
+        certified_sign.cache_clear()
+        values = [3 * log2 - log3, 1 - log3, log3 - log2 - Fraction(2, 5), Fraction(-7, 3), 2 * log2 + log3]
+        assert [certified_sign(x) for x in values] == [1, -1, 1, -1, 1]
+        assert not calls
+        rng = random.Random(197)
+        decided = 0
+        for _ in range(400):
+            x = rand_sign_case(rng)
+            if exactnum._filter_sign(exactnum._integer_row([x.constant, *(c for _, c in x.logterms)]), tuple(p for p, _ in x.logterms)):
+                calls.clear()
+                certified_sign(x)
+                assert not calls, x
+                decided += 1
+        assert decided > 150
+
+    def test_agrees_with_intervals_alone(self):
+        certified_sign.cache_clear()
+        rng = random.Random(199)
+        kinds = Counter()
+        for _ in range(2400):
+            x = rand_sign_case(rng)
+            huge = any(abs(c.numerator) > 10**308 for c in (x.constant, *(c for _, c in x.logterms)))
+            kinds[huge] += 1
+            assert certified_sign(x) == interval_only_sign(x), x
+        assert kinds[True] > 800 and kinds[False] > 1200
 
 
 class TestApproximate:

@@ -21,7 +21,6 @@ from toricheight.geomkernel import (
     _merge_facets,
     _solve_linear,
     convex_hull,
-    det,
     face_lattice,
     intersect_polytopes,
     lattice_normalize,
@@ -35,7 +34,7 @@ from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, mul
 from toricheight.roof import roof_from_generators, roof_from_weight, roof_integral
 from toricheight.toric import MonomialPair, normalized_height
 
-from oracles import grid_volume_bounds, log_basis_det, minor_rank
+from oracles import grid_volume_bounds, log_basis_det, minor_rank, rational_det
 from test_roof import rebuilt_cell_integral
 
 LL = LogLinearNumber
@@ -100,7 +99,7 @@ class TestConvexHull:
             assert {q for simplex in P._boundary for q in simplex} <= verts
             simplices = triangulate(P)
             d = P.ambient_dim
-            fan = sum(abs(det([tuple(a - b for a, b in zip(q, s[0])) for q in s[1:]])) for s in simplices) / factorial(d)
+            fan = sum(abs(rational_det([tuple(a - b for a, b in zip(q, s[0])) for q in s[1:]])) for s in simplices) / factorial(d)
             assert volume(P) == fan == volume(convex_hull(P.vertices))
             if expected is not None:
                 assert volume(P) == expected
@@ -673,7 +672,7 @@ class TestFlatLifts:
             elif r == k:
                 expected = LL()
                 for simplex in triangulate(domain):
-                    vol = abs(det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]])) / factorial(k)
+                    vol = abs(rational_det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]])) / factorial(k)
                     expected += vol * sum((f(v) for v in simplex), LL()) / (k + 1)
             else:
                 expected = LL()
@@ -843,8 +842,8 @@ def assert_proportional(normal, other):
 
 
 class TestEchelonKernel:
-    """``det``, ``_solve_linear``, ranks, ``_affine_basis`` and the hull
-    core's facet functionals share one integer elimination, ``_Echelon``,
+    """Simplex determinants, ``_solve_linear``, ranks, ``_affine_basis`` and
+    the hull core's facet functionals share one integer elimination, ``_Echelon``,
     checked against cofactor expansion over {1, log p}."""
 
     def test_facet_functionals_against_kernel_vector(self):
@@ -878,15 +877,19 @@ class TestEchelonKernel:
             dims.add(d)
         assert dims == set(range(2, 8))
 
-    def test_det_against_log_basis_oracle(self):
+    def test_simplex_det_against_cofactors(self):
         rng = random.Random(83)
-        assert det([]) == 1
+        assert geomkernel._simplex_det([(4, 1)], 0) == 1
+        assert geomkernel._simplex_det([(0, 0, 7), (2, 0, 1), (0, 3, 5)], 2) == 6  # past column k: a lift
         for _ in range(400):
             n = rng.randint(1, 6)
-            rows = rand_rows(rng, n, n, singular=rng.random() < 0.3)
-            value = det(rows)
-            assert log_basis(value) == log_basis_det(rows)
-            assert type(value) is F
+            edges = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:  # one edge a combination of the others, or zero
+                k = rng.randrange(n)
+                edges[k] = [sum(rng.randint(-2, 2) * r[j] for i, r in enumerate(edges) if i != k) for j in range(n)]
+            apex = tuple(rng.randint(-4, 4) for _ in range(n))
+            simplex = [apex] + [tuple(a + e for a, e in zip(apex, edge)) for edge in edges]
+            assert geomkernel._simplex_det(simplex, n) == abs(rational_det(edges))
 
     def test_solve_linear(self):
         rng = random.Random(89)

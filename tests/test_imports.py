@@ -1,11 +1,15 @@
-"""Every name a module of the package imports is used in it or exported."""
+"""Every name a module of the package imports is used in it or exported,
+and every private module-level function or class is referenced by some
+module of the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "toricheight").glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(__file__).parent.parent / "src" / "toricheight"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(tree):
@@ -26,6 +30,34 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _references(tree):
+    """Every name the tree reads, as a bare name, an attribute or an
+    imported name, with its count."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_privates(trees):
+    """``(module, line, name)`` of the private module-level functions and
+    classes of the named module trees that no tree references outside the
+    definition itself."""
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__") and everywhere[node.name] <= _references(node)[node.name]):
+                out.append((module, node.lineno, node.name))
+    return out
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
@@ -34,3 +66,22 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     tree = ast.parse("import os, sys\nfrom math import gcd as g, lcm\n__all__ = ['lcm']\nprint(sys)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "g")]
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+    assert unreferenced_privates(trees) == []
+
+
+def test_detects_unreferenced_private():
+    a = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "class _Dead:\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "def _elsewhere():\n    pass\n"
+        "def _by_attribute():\n    pass\n"
+    )
+    b = "from .a import _elsewhere\nimport a\n_elsewhere()\na._by_attribute()\n"
+    trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert unreferenced_privates(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Dead"), ("a.py", 7, "_recursive")]

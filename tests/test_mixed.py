@@ -8,7 +8,7 @@ import pytest
 
 from toricheight.errors import LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, volume
+from toricheight.geomkernel import AffineCell, convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
     mixed_integral,
@@ -18,6 +18,7 @@ from toricheight.mixed import (
     multiheight,
 )
 from toricheight.roof import (
+    Roof,
     lifted_polytope,
     roof_from_generators,
     roof_from_weight,
@@ -287,18 +288,38 @@ def count_calls(monkeypatch, name, modules):
 
 class TestFacetRecursionWork:
     """The recursion makes n - 1 sup-convolutions for a mixed integral,
-    no hull for a plane mixed volume, and neither a Minkowski sum nor a
-    lifted hull for a mixed volume of lifted polytopes."""
+    no ``Roof`` and no cell polytope, no hull for a plane mixed volume, and
+    neither a Minkowski sum nor a lifted hull for a mixed volume of lifted
+    polytopes."""
 
     @pytest.mark.parametrize("n, envelopes", [(1, 0), (2, 1)])
     def test_envelopes_per_mixed_integral(self, monkeypatch, n, envelopes):
         rng = random.Random(151 + n)
-        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof"))
+        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof", "mixed"))
         for _ in range(10):
             roofs = [rand_roof(rng, n) for _ in range(n + 1)]
             calls.clear()
             mixed_integral(roofs)
             assert len(calls) == envelopes
+
+    def test_no_roof_or_cell_polytope(self, monkeypatch):
+        """Mixed integrals, lifted mixed volumes and multiheights read their
+        vertex-value maps from envelope cells' points: no ``Roof`` is built
+        and no cell's polytope is read."""
+        rng = random.Random(173)
+        roofs = [[rand_roof(rng, n) for _ in range(n + 1)] for n in (1, 2, 2, 2)]
+        lifted = [[rand_lifted(rng, n) for _ in range(n + 1)] for n in (1, 2, 2)]
+        families = []
+        for _ in range(3):
+            exps = [[(0, 0), (1, 0), (0, 1), *((rng.randint(0, 2), rng.randint(0, 2)) for _ in range(2))] for _ in range(3)]
+            families.append(EmbeddingFamily(tuple(
+                MonomialPair.make(e, [F(rng.randint(1, 12), rng.randint(1, 12)) for _ in e]) for e in exps)))
+        expected = [full_sum_mixed_integral(r) for r in roofs] + [full_sum_mixed_volume(p) for p in lifted]
+        heights = [multiheight(f).value for f in families]
+        monkeypatch.setattr(Roof, "__init__", lambda *args: pytest.fail("a Roof was built"))
+        monkeypatch.setattr(AffineCell, "polytope", property(lambda cell: pytest.fail("a cell polytope was read")))
+        assert [mixed_integral(r) for r in roofs] + [mixed_volume(p) for p in lifted] == expected
+        assert [multiheight(f).value for f in families] == heights
 
     def test_no_hull_for_plane_mixed_volume(self, monkeypatch):
         rng = random.Random(157)

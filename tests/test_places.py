@@ -2,7 +2,8 @@
 
 Finite places run on the integer orders -ord_p(c) and are scaled by log p.
 The reference below is the log-linear place loop it replaced, which lifts
-every place's weights to log-linear numbers; both must agree exactly.
+every place's weights to log-linear numbers, with the degree from a
+triangulation of the exponents' hull; both must agree exactly.
 """
 
 import random
@@ -23,12 +24,13 @@ from toricheight.toric import (
     MonomialPair,
     arithmetic_hilbert_norm,
     chow_weight,
-    degree,
     hilbert_weight,
     normalized_height,
     symmetric_height_sum,
     weight_vector,
 )
+
+from test_toric import triangulated_degree
 
 LL = LogLinearNumber
 F = Fraction
@@ -46,7 +48,7 @@ def loglinear_height(pair):
         local = as_loglinear(roof_integral(roof_from_weight(coords, weight_vector(pair, v))))
         per.append((v, local))
         total = total + local
-    return total * factorial(r + 1), tuple(per), degree(pair)
+    return total * factorial(r + 1), tuple(per), triangulated_degree(coords)
 
 
 def loglinear_hnorm(pair, degree_d):
@@ -263,23 +265,34 @@ class TestMultiheightWork:
         for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.mixed, "convex_hull"),
                              (toricheight.roof, "convex_hull"), (gk, "convex_hull"), (gk, "_build_rational")):
             monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
-        hulls, envelopes = [], []
+        hulls, envelopes, convolutions, depth = [], [], [], [0]
         real_core, real_envelope = gk._hull_core, toricheight.mixed.upper_envelope
+        real_recursion = toricheight.mixed._mixed_integral
         monkeypatch.setattr(gk, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
 
-        def member_envelope(points):
+        def recursion(maps):  # member roofs are built before it runs, sup-convolutions inside it
+            depth[0] += 1
+            try:
+                return real_recursion(maps)
+            finally:
+                depth[0] -= 1
+
+        def envelope(points):
             before = len(hulls)
             cells = real_envelope(points)
-            envelopes.append(len(hulls) - before)
+            (convolutions if depth[0] else envelopes).append(len(hulls) - before)
             return cells
 
-        monkeypatch.setattr(toricheight.mixed, "upper_envelope", member_envelope)
+        monkeypatch.setattr(toricheight.mixed, "_mixed_integral", recursion)
+        monkeypatch.setattr(toricheight.mixed, "upper_envelope", envelope)
         for family, reference in zip(families, expected):
             places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
             envelopes.clear()
+            convolutions.clear()
             rep = multiheight(family)
             assert (rep.value, rep.per_place, rep.degree) == reference
             assert envelopes == [1] * ((n + 1) * len(places))
+            assert len(convolutions) <= (n - 1) * len(places)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import toricheight.geomkernel as geomkernel
 import toricheight.toric as toric
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, det, face_lattice, lattice_normalize, triangulate, volume
+from toricheight.geomkernel import convex_hull, face_lattice, lattice_normalize, triangulate, volume
 from toricheight.roof import (
     lifted_polytope,
     restrict_to_face,
@@ -21,7 +21,7 @@ from toricheight.roof import (
     sup_convolution,
 )
 
-from oracles import minor_rank, riemann_roof_oracle
+from oracles import minor_rank, rational_det, riemann_roof_oracle
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -154,7 +154,7 @@ def rebuilt_cell_integral(f):
     total = F(0)
     for cell in f.cells:
         for simplex in triangulate(convex_hull(cell.vertices)):
-            vol = abs(det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]]))
+            vol = abs(rational_det([tuple(a - b for a, b in zip(q, simplex[0])) for q in simplex[1:]]))
             mean = sum((cell.value_at(v) for v in simplex), F(0)) / (r + 1)
             total = total + vol / factorial(r) * mean
     return total

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from toricheight.errors import EnumerationCapError, LatticeHypothesisError
-from toricheight import exactnum
+from toricheight import exactnum, geomkernel, toric
+from toricheight.geomkernel import convex_hull, lattice_normalize, triangulate
 from toricheight.exactnum import LogLinearNumber, Place, certified_sign, log_abs, relevant_places
 from toricheight.roof import roof_eval, roof_from_weight
 from toricheight.toric import (
@@ -16,6 +17,7 @@ from toricheight.toric import (
     chow_weight,
     degree,
     function_field_height,
+    hilbert_asymptotic_gap,
     hilbert_asymptotic_gap_exact,
     hilbert_weight,
     invert,
@@ -31,7 +33,7 @@ from toricheight.toric import (
     weight_vector,
 )
 
-from oracles import hilbert_weight_enumerated, hilbert_weight_oracle
+from oracles import hilbert_weight_enumerated, hilbert_weight_oracle, rational_det
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -92,9 +94,51 @@ class TestWeightVector:
         assert weight_vector(CUBIC, Place.finite(2)) == [LL(), -2 * log2, LL(), log2]
 
 
+def triangulated_degree(coords):
+    """r! times the volume of the hull of integer coordinates that span
+    Q^r: the sum over the simplices of ``triangulate`` of the |det| of their
+    edges, each by cofactor expansion; 1 when r = 0."""
+    if not coords[0]:
+        return 1
+    simplices = triangulate(convex_hull(coords))
+    return sum(abs(rational_det([[a - b for a, b in zip(q, s[0])] for q in s[1:]])) for s in simplices)
+
+
+def rand_sublattice_pair(rng, r):
+    """A pair whose exponents are integer combinations c of r independent
+    rows of Z^n (n = r or r + 1, diagonal entries up to 3, so often a
+    proper sublattice) with every c = 0, e_1, ..., e_r among them; the
+    combinations c are returned too."""
+    n = r + rng.randint(0 if r else 1, 1)
+    rows = [[0] * j + [rng.choice((1, 1, 2, 3))] + [rng.randint(-1, 1) for _ in range(n - j - 1)] for j in range(r)]
+    cs = [tuple(int(i == j) for j in range(r)) for i in range(-1, r)]
+    cs += [tuple(rng.randint(0, 2) for _ in range(r)) for _ in range(rng.randint(0, 3))]
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    exps = [tuple(x + sum(k * row[t] for k, row in zip(c, rows)) for t, x in enumerate(shift)) for c in cs]
+    return MonomialPair.make(exps, [rand_coeff(rng) for _ in exps]), cs
+
+
 class TestDegree:
     def test_cubic(self):
         assert degree(CUBIC) == 3
+
+    def test_one_zero_lift_hull(self, monkeypatch):
+        """``degree`` is the Σ|det| of one hull of the zero-lifted lattice
+        coordinates: one ``_hull_core``, no ``convex_hull``, and r! times the
+        volume of a triangulation of the exponents' hull in their lattice."""
+        rng = random.Random(191)
+        cases = [rand_sublattice_pair(rng, r) for r in range(6) for _ in range(4)]
+        bases = [lattice_normalize(pair.exponents)[2] for pair, _ in cases]
+        assert sum(bool(b) and len(b) == len(b[0]) and abs(rational_det(b)) > 1 for b in bases) >= 5  # proper sublattices of Z^r
+        expected = [triangulated_degree(cs) for _, cs in cases]
+        hulls, real_core = [], geomkernel._hull_core
+        monkeypatch.setattr(geomkernel, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
+        for module in (geomkernel, toric):
+            monkeypatch.setattr(module, "convex_hull", lambda *args: pytest.fail("convex_hull called"))
+        for (pair, _), d in zip(cases, expected):
+            hulls.clear()
+            assert degree(pair) == d
+            assert len(hulls) == 1
 
     def test_lattice_index(self):
         assert degree(MonomialPair.make([(0,), (2,), (4,)], [1, 1, 1])) == 2
@@ -322,17 +366,20 @@ class TestHilbertDynamicProgram:
         # a rational within 10^-20 of log 2: no double sum separates them
         q = F(693147180559945309417232121458, 10**30)
         assert abs(float(exactnum.approximate(q - log2, 128)[0])) < 1e-20
-        calls = []
-        certified = exactnum.certified_sign
+        calls, intervals = [], []
+        certified, interval = exactnum.certified_sign, exactnum._interval
         monkeypatch.setattr(exactnum, "certified_sign", lambda x: calls.append(x) or certified(x))
+        monkeypatch.setattr(exactnum, "_interval", lambda *args: intervals.append(1) or interval(*args))
         for exps, tau, d in [
             ([(0,), (1,), (1,)], [0, log2, q], 3),
             ([(0,), (1,), (2,)], [0, q, 2 * log2], 4),
             ([(0, 0), (1, 0), (0, 1), (0, 1)], [1, 0, q, log2], 3),
         ]:
             calls.clear()
+            intervals.clear()
+            certified.cache_clear()
             value = hilbert_weight(exps, tau, d)
-            assert calls, (exps, tau)
+            assert calls and intervals, (exps, tau)  # past the double filter, on to intervals
             assert value == hilbert_weight_enumerated(exps, tau, d)
 
     def test_table_cap(self):
@@ -371,6 +418,15 @@ class TestArithmeticHilbert:
             for v in relevant_places(pair.coefficients):
                 total = total + hilbert_weight(coords, weight_vector(pair, v), d)
             assert arithmetic_hilbert_norm(pair, d) == total
+
+    def test_gap_refuses_degree_below_one(self, monkeypatch):
+        # refused before the Hilbert norm or the height is computed
+        for name in ("arithmetic_hilbert_norm", "normalized_height", "lattice_normalize"):
+            monkeypatch.setattr(toric, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+        for d in (0, -1):
+            for gap in (hilbert_asymptotic_gap_exact, hilbert_asymptotic_gap):
+                with pytest.raises(ValueError, match="degree must be positive"):
+                    gap(CUBIC, d)
 
     def test_gap_trend_on_cubic(self):
         g2 = hilbert_asymptotic_gap_exact(CUBIC, 2)
