@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import mul
 
 import mpmath
@@ -434,19 +434,26 @@ def _float_logs(primes: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(float(mpmath.log(p)) for p in primes)
 
 
-def _filter_sign(row, primes: tuple[int, ...]) -> int:
-    """Sign of ``row[0] + sum(row[i + 1] * log(primes[i]))`` for integers,
-    or 0 when doubles cannot tell: each term is within 3 rounding units (the
+def _float_row(row, primes: tuple[int, ...]) -> tuple[float, float]:
+    """``row[0] + sum(row[i + 1] * log(primes[i]))`` for integers in doubles,
+    and a bound on its error: each term is within 3 rounding units (the
     integer, the log, the product) and summing adds len(row) - 1 units of
-    the absolute sum, so a sum past 8 * len(row) units of it has the exact
-    sign.  An integer too large for a double leaves it undecided."""
+    the absolute sum, so 8 * len(row) units of it bound the error.  An
+    integer too large for a double gives ``(0.0, inf)``."""
     try:
         terms = [float(row[0]), *map(mul, row[1:], _float_logs(primes))]
-        if abs(total := sum(terms)) > sum(map(abs, terms)) * len(row) * 2.0**-50:
-            return 1 if total > 0 else -1
+        if (bound := sum(map(abs, terms)) * len(row) * 2.0**-50) < inf:
+            return sum(terms), bound
     except OverflowError:
         pass
-    return 0
+    return 0.0, inf
+
+
+def _filter_sign(row, primes: tuple[int, ...]) -> int:
+    """Sign of an integer row's value when its ``_float_row`` is farther
+    from 0 than the bound, else 0 (doubles cannot tell)."""
+    value, bound = _float_row(row, primes)
+    return (value > bound) - (value < -bound)
 
 
 def _row_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
@@ -467,29 +474,29 @@ def approximate(x: LogLinearNumber, bits: int) -> tuple[str, float]:
     """Decimal approximation of x with a certified error bound.
 
     Returns ``(decimal_string, error)`` with ``|x - float(decimal_string)|
-    <= error``.  Exact zero gives ``("0", 0.0)``.
+    <= error``.  Exact zero gives ``("0", 0.0)``.  A bound past the double
+    range reads ``inf``; ``_approximate`` gives it as a decimal string.
     """
+    text, err = _approximate(x, bits)
+    return text, float(err)
+
+
+def _approximate(x, bits: int) -> tuple[str, float | str]:
+    """``approximate``, with an error bound past the double range printed
+    to 15 digits after a 2^-40 margin, so that it stays an upper bound."""
     if not 16 <= bits <= MAX_BITS:
         raise ValueError(f"need between 16 and {MAX_BITS} bits, got {bits}")
     x = as_loglinear(x)
     if x.is_zero:
         return "0", 0.0
     lo, hi = _interval(x, bits + 16)
-    old = mpmath.mp.prec
-    try:
-        mpmath.mp.prec = bits + 32
-        lo = mpmath.mpf(lo)
-        hi = mpmath.mpf(hi)
-        mid = (lo + hi) / 2
-        radius = (hi - lo) / 2
-        digits = max(3, int(bits * 0.30103) + 2)
-        text = mpmath.nstr(mid, digits)
-        printed = mpmath.mpf(text)
+    with mpmath.workprec(bits + 32):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        mid, radius = (lo + hi) / 2, (hi - lo) / 2
+        text = mpmath.nstr(mid, max(3, int(bits * 0.30103) + 2))
         # printing error plus a binary/decimal conversion allowance
-        err = radius + abs(mid - printed) + mpmath.mpf(2) ** (-bits - 8)
-        return text, float(err * (1 + 2**-40))
-    finally:
-        mpmath.mp.prec = old
+        err = (radius + abs(mid - mpmath.mpf(text)) + mpmath.mpf(2) ** (-bits - 8)) * (1 + 2**-40)
+        return text, float(err) if float(err) < inf else mpmath.nstr(err * (1 + 2**-40), 15)
 
 
 def padic_order(q, p: int) -> int:

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
-from operator import add, sub
+from math import comb, factorial, inf, prod
 
 from .errors import EnumerationCapError, LatticeHypothesisError
 from .exactnum import (
@@ -17,6 +16,7 @@ from .exactnum import (
     approximate,
     as_fraction,
     as_loglinear,
+    _float_row,
     _row_sign,
     log_abs,
     padic_order,
@@ -212,8 +212,11 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
     A key m is one integer, mixed radix over the exponents' box at degree
     d; a weight is an integer row over (1, log p_1, ..., log p_k) times one
     common denominator.  Rational weights (every finite place's) keep a
-    table of plain integers; the others compare their rows through
-    ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
+    table of plain integers.  The others pack each row into one integer of
+    signed slots, so a step is one addition, and keep its double
+    (``exactnum._float_row``) beside it, with an error bound that grows with
+    the degree: only a comparison the doubles cannot settle unpacks the
+    difference for ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
     prod_j (k * width_j + 1)) keys: their sum over k <= d must fit ``cap``."""
     exponents, n = _require_full_lattice(exponents)
     weights = [_as_value(w) for w in weights]
@@ -222,9 +225,9 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
     if degree_d < 0:
         raise ValueError("degree must be nonnegative")
     low, widths = [min(col) for col in zip(*exponents)], [max(col) - min(col) for col in zip(*exponents)]
-    entries = 0
+    entries, last_count = 0, 1
     for k in range(1, degree_d + 1):
-        entries += min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths))
+        entries += (last_count := min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths)))
         _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
     rows, primes, scale = _integer_points([(w,) for w in weights])
     strides = [prod(degree_d * w + 1 for w in widths[:j]) for j in range(n)]
@@ -242,15 +245,35 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
                     if old is None or new > old:
                         table[key] = new
         return as_loglinear(_decode([sum(table.values())], scale, primes))
-    table = {0: (0,) * (len(primes) + 1)}
-    for _ in range(degree_d):
+    # one signed slot per row entry, wide enough for a difference of two
+    # entries and for the sum of the last table (each entry at most
+    # degree_d * big in every slot)
+    big, n_slots = max(abs(x) for _, w in steps for x in w), len(primes) + 1
+    bits = (max(last_count, 2) * degree_d * big).bit_length() + 1
+    half = sum(1 << (bits - 1) << bits * j for j in range(n_slots))
+    unpack = lambda x: tuple(((x + half) >> bits * j & (1 << bits) - 1) - (1 << bits - 1) for j in range(n_slots))
+    floats = [_float_row(w, primes) for _, w in steps]
+    steps = [(c, sum(x << bits * j for j, x in enumerate(w)), g) for (c, w), (g, _) in zip(steps, floats)]
+    # past degree_d * top = 2^1020 a partial sum might overflow: every comparison is exact
+    top = max(abs(g) + e for g, e in floats)
+    err = max(e for _, e in floats) if degree_d * top < 2.0**1020 else inf
+    table = {0: (0, 0.0)}
+    for k in range(1, degree_d + 1):
+        # an entry's double is within k * err of its row's value (the steps'
+        # errors) plus k * k * top units of 2^-53 (each addition rounds a
+        # partial sum of at most k * top): twice that for two entries,
+        # doubled again for the subtraction and the partials' own errors
+        eps = 4 * k * (err + k * top * 2.0**-53)
         table, last = {}, table
-        for m, v in last.items():
-            for c, w in steps:
-                new, old = tuple(map(add, v, w)), table.get(m + c)
-                if old is None or (new != old and _row_sign(tuple(map(sub, new, old)), primes) > 0):
-                    table[m + c] = new
-    return _decode(list(map(sum, zip(*table.values()))), scale, primes)
+        get = table.get
+        for m, (v, f) in last.items():
+            for c, w, g in steps:
+                key, new = m + c, f + g
+                old = get(key)
+                if old is None or (d := new - old[1]) > eps or (
+                        not d < -eps and v + w != old[0] and _row_sign(unpack(v + w - old[0]), primes) > 0):
+                    table[key] = (v + w, new)
+    return _decode(unpack(sum(v for v, _ in table.values())), scale, primes)
 
 
 def arithmetic_hilbert_norm(
@@ -309,10 +332,8 @@ def translate(pair: MonomialPair, shift, gamma) -> MonomialPair:
     if gamma == 0:
         raise ValueError("scale factor must be nonzero")
     shift = tuple(int(x) for x in shift)
-    return MonomialPair(
-        tuple(tuple(a + s for a, s in zip(e, shift)) for e in pair.exponents),
-        tuple(gamma * c for c in pair.coefficients),
-    )
+    return MonomialPair(tuple(tuple(a + s for a, s in zip(e, shift)) for e in pair.exponents),
+                        tuple(gamma * c for c in pair.coefficients))
 
 
 def orbit_decomposition(pair: MonomialPair):
@@ -323,16 +344,8 @@ def orbit_decomposition(pair: MonomialPair):
     out = []
     for face in lattice.faces:
         fp = lattice.face_polytope(face)
-        kept = [
-            i
-            for i, a in enumerate(pair.exponents)
-            if fp.contains(tuple(map(Fraction, a)))
-        ]
-        sub = MonomialPair(
-            tuple(pair.exponents[i] for i in kept),
-            tuple(pair.coefficients[i] for i in kept),
-        )
-        out.append((face, sub))
+        kept = [i for i, a in enumerate(pair.exponents) if fp.contains(tuple(map(Fraction, a)))]
+        out.append((face, MonomialPair(tuple(pair.exponents[i] for i in kept), tuple(pair.coefficients[i] for i in kept))))
     return out
 
 
@@ -374,20 +387,12 @@ def monomial_image(pair: MonomialPair, image_exponents, image_coefficients) -> M
         raise ValueError("image exponent rows must match the pair size")
     if any(min(b) < 0 for b in rows):
         raise ValueError("image exponents must be nonnegative")
-    degrees = {sum(b) for b in rows}
-    if len(degrees) != 1:
+    if len({sum(b) for b in rows}) != 1:
         raise ValueError("image exponent rows must share one total degree")
     if any(b == 0 for b in betas):
         raise ValueError("zero image coefficients are not allowed")
-    n = pair.n_ambient
-    exps = []
-    coeffs = []
-    for b, beta in zip(rows, betas):
-        exps.append(tuple(sum(bi * a[j] for bi, a in zip(b, pair.exponents)) for j in range(n)))
-        coeff = beta
-        for bi, c in zip(b, pair.coefficients):
-            coeff *= c**bi
-        coeffs.append(coeff)
+    exps = [tuple(sum(bi * a[j] for bi, a in zip(b, pair.exponents)) for j in range(pair.n_ambient)) for b in rows]
+    coeffs = [beta * prod(c**bi for bi, c in zip(b, pair.coefficients)) for b, beta in zip(rows, betas)]
     return MonomialPair(tuple(exps), tuple(coeffs))
 
 

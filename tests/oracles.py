@@ -9,6 +9,8 @@ polygons from monotone-chain hulls and the shoelace formula, and
 factorization by trial division.  ``hilbert_weight_enumerated`` is the exact exhaustive
 enumeration that ``toric.hilbert_weight``'s dynamic program replaced; it
 shares only the exact log-linear arithmetic with the package.
+``hilbert_weight_rows`` is that dynamic program on unpacked rows compared
+one by one through the exact row sign, the reference for its packed table.
 """
 
 from __future__ import annotations
@@ -207,6 +209,30 @@ def hilbert_weight_enumerated(exponents, weights, degree_d):
         if cur is None or value_sign(val - cur) > 0:
             fibers[key] = val
     return as_loglinear(sum(fibers.values(), Fraction(0)))
+
+
+def hilbert_weight_rows(exponents, weights, degree_d):
+    """Exact Hilbert weight by the dynamic program on unpacked rows, as
+    ``toric.hilbert_weight`` ran it before its rows were packed: a key is
+    the exponent-sum tuple, a weight the tuple of its integer row over
+    (1, log p_1, ...), a step a tuple sum, and every comparison of unequal
+    rows goes through ``exactnum._row_sign``."""
+    from operator import add, sub
+
+    from toricheight.exactnum import _row_sign, as_loglinear
+    from toricheight.geomkernel import _as_value, _decode, _integer_points
+
+    rows, primes, scale = _integer_points([(_as_value(w),) for w in weights])
+    table = {(0,) * len(exponents[0]): (0,) * (len(primes) + 1)}
+    for _ in range(degree_d):
+        table, last = {}, table
+        for m, v in last.items():
+            for a, w in zip(exponents, rows):
+                key, new = tuple(map(add, m, a)), tuple(map(add, v, w))
+                old = table.get(key)
+                if old is None or (new != old and _row_sign(tuple(map(sub, new, old)), primes) > 0):
+                    table[key] = new
+    return as_loglinear(_decode(list(map(sum, zip(*table.values()))), scale, primes))
 
 
 def grid_volume_bounds(poly, cells_per_side=10):

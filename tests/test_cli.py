@@ -90,6 +90,26 @@ class TestHeight:
 
 
 class TestOtherCommands:
+    def test_error_bound_past_the_double_range(self, capsys, tmp_path):
+        # H = 6 * 10^400 + 12: its certified error bound has no double, so it
+        # is printed as a decimal string, rounded up; the JSON stays strict
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"exponents": [[0], [1]], "weights": ["1e400", "2"]}))
+        code, out, _ = run(capsys, "--format", "json", "hilbert", str(path), "--degree", "3")
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 0 and isinstance(doc["error"], str)
+        value = 6 * 10**400 + 12
+        assert abs(Fraction(doc["decimal"]) - value) <= Fraction(doc["error"]) < value // 10**20
+        code, out, _ = run(capsys, "hilbert", str(path), "--degree", "3")
+        assert code == 0 and f"error: {doc['error']}\n" in out and "inf" not in out
+        # within the double range the bound stays a JSON number
+        path.write_text(json.dumps({"exponents": [[0], [1]], "weights": ["1e300", "2"]}))
+        code, out, _ = run(capsys, "--format", "json", "hilbert", str(path), "--degree", "3")
+        assert code == 0 and isinstance(json.loads(out, parse_constant=reject)["error"], float)
+
     def test_degree(self, capsys, cubic_path):
         code, out, _ = run(capsys, "degree", cubic_path)
         assert code == 0 and "degree: 3" in out

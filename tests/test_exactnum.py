@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, prod
+from math import inf, isqrt, prod
+from operator import mul
 
 import mpmath
 import pytest
@@ -210,6 +211,40 @@ class TestFilteredSign:
             kinds[huge] += 1
             assert certified_sign(x) == interval_only_sign(x), x
         assert kinds[True] > 800 and kinds[False] > 1200
+
+
+def previous_filter_sign(row, primes):
+    """``_filter_sign`` as it read before its double sum and bound moved to
+    ``_float_row``, the reference for the shared helper."""
+    try:
+        terms = [float(row[0]), *map(mul, row[1:], exactnum._float_logs(primes))]
+        if abs(total := sum(terms)) > sum(map(abs, terms)) * len(row) * 2.0**-50:
+            return 1 if total > 0 else -1
+    except OverflowError:
+        pass
+    return 0
+
+
+class TestFloatRow:
+    """``_float_row`` is the one double evaluation of an integer row, for
+    the sign filter and the Hilbert table alike."""
+
+    def test_bound_encloses_the_interval(self):
+        rng = random.Random(211)
+        kinds, signs = Counter(), Counter()
+        for _ in range(2400):
+            x = rand_sign_case(rng) if rng.random() < 0.9 else LL(rand_rational(rng))
+            primes = tuple(p for p, _ in x.logterms)
+            row = exactnum._integer_row([x.constant, *(c for _, c in x.logterms)])
+            value, bound = exactnum._float_row(row, primes)
+            kinds[bound == inf] += 1
+            lo, hi = exactnum._interval(LL._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))), 128)
+            with mpmath.workprec(2200):  # exact for any two doubles
+                assert mpmath.mpf(value) - bound <= lo and hi <= mpmath.mpf(value) + bound, row
+            signs[sign := exactnum._filter_sign(row, primes)] += 1
+            assert sign == previous_filter_sign(row, primes), row
+        assert kinds[True] > 500 and kinds[False] > 1200
+        assert signs[0] > 500 and signs[1] > 300 and signs[-1] > 300
 
 
 class TestApproximate:

@@ -33,7 +33,7 @@ from toricheight.toric import (
     weight_vector,
 )
 
-from oracles import hilbert_weight_enumerated, hilbert_weight_oracle, rational_det
+from oracles import hilbert_weight_enumerated, hilbert_weight_oracle, hilbert_weight_rows, rational_det
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -395,6 +395,100 @@ class TestHilbertDynamicProgram:
         with pytest.raises(EnumerationCapError, match="up to degree 4471 .*TORIC_HEIGHT_CAP"):
             hilbert_weight([(0,), (1,)], [3, 5], 10**9)
         assert time.monotonic() - started < 1
+
+
+def count_row_signs(monkeypatch):
+    """A list that grows by one on every ``_row_sign`` call of the table."""
+    calls, row_sign = [], toric._row_sign
+    monkeypatch.setattr(toric, "_row_sign", lambda *args: calls.append(args) or row_sign(*args))
+    return calls
+
+
+class TestPackedArchimedeanTable:
+    """The log-linear table packs each row into one integer and keeps a
+    double beside it; the unpacked table (``oracles.hilbert_weight_rows``)
+    and the enumeration are its references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_unpacked_rows(self, n):
+        # weights over one to three of five primes, fractional coefficients;
+        # D up to 40 (3-D up to 16, where the unpacked table takes longest)
+        rng = random.Random(210 + n)
+        for case in range(12):
+            exps = full_lattice_points(rng, n, rng.randint(0, 2))
+            if rng.random() < 0.4:
+                exps.append(rng.choice(exps))
+            primes = rng.sample([2, 3, 5, 7, 11], rng.randint(1, 3))
+            tau = [sum((F(rng.randint(-5, 5), rng.randint(1, 3)) * LL.log_prime(p) for p in primes), LL())
+                   + F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in exps]
+            d = case if case < 4 else rng.randint(4, 40 if n < 3 else 16)
+            value = hilbert_weight(exps, tau, d)
+            assert value == hilbert_weight_rows(exps, tau, d), (exps, tau, d)
+            if comb(d + len(exps) - 1, d) <= 3000:
+                assert value == hilbert_weight_enumerated(exps, tau, d), (exps, tau, d)
+
+    def test_degree_zero(self):
+        for exps in ([(0,), (1,)], [(0, 0), (1, 0), (0, 1)]):
+            tau = [log2 + 1, -log3] + [F(1, 2) * log2] * (len(exps) - 2)
+            assert hilbert_weight(exps, tau, 0) == hilbert_weight_rows(exps, tau, 0) == LL()
+
+    def test_near_tie_with_log2(self, monkeypatch):
+        # a rational within 10^-20 of log 2 beside log 2 itself: only the
+        # exact row sign orders them
+        q = F(693147180559945309417232121458, 10**30)
+        calls = count_row_signs(monkeypatch)
+        for exps, tau, d in [([(0,), (1,), (1,)], [log3, log2, q], 12),
+                             ([(0, 0), (1, 0), (0, 1), (1, 0)], [0, q + log3, 1, log2 + log3], 8)]:
+            calls.clear()
+            value = hilbert_weight(exps, tau, d)
+            assert calls, (exps, tau)
+            assert value == hilbert_weight_rows(exps, tau, d) == hilbert_weight_enumerated(exps, tau, d)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slots_at_the_edge_of_their_width(self, sign):
+        # every step's constant is sign * big, so the last table's constant
+        # slot sums to sign * entries * D * big; at D = 1 two entries of one
+        # key differ by 2 * big in both slots.  Both sit just inside the width.
+        big = 2**61 + 1
+        for d in range(1, 9):
+            exps = [(0,), (1,), (1,)]
+            tau = [sign * big + big * log2, sign * big - 3 * log2, sign * big + (big - 1) * log3]
+            value = hilbert_weight(exps, tau, d)
+            assert value.constant == sign * (d + 1) * d * big
+            assert value == hilbert_weight_rows(exps, tau, d)
+        exps, tau = [(0,), (0,), (1,)], [big + big * log2, -big - big * log2, 0]
+        assert hilbert_weight(exps, tau, 1) == hilbert_weight_rows(exps, tau, 1) == big + big * log2
+        # points of Z^0 (one entry per degree) weighted by +-(q log 2 - p) for
+        # a best approximation p/q of log 2: the rows differ by twice the
+        # largest entry, and by under 10^-18 in value, so the exact sign
+        # reads the unpacked difference
+        r = F(exactnum.approximate(log2, 256)[0]).limit_denominator(2**60)
+        tau = [r.denominator * log2 - r.numerator, r.numerator - r.denominator * log2]
+        for d in range(1, 4):
+            value = hilbert_weight([()] * 2, tau, d)
+            assert value == hilbert_weight_rows([()] * 2, tau, d) == d * abs(tau[0])
+
+    def test_constant_past_the_double_range(self, monkeypatch):
+        # 10^400 has no double, and a sum of four 5 * 10^307 overflows one:
+        # every comparison takes the exact row sign
+        calls = count_row_signs(monkeypatch)
+        huge, large = 10**400 + log2, 5 * 10**307 + log2
+        for exps, tau in [([(0,), (1,), (2,)], [huge, log3, 0]), ([(0,), (1,), (1,)], [huge, huge - log3, huge + log3]),
+                          ([(0,), (1,), (1,)], [large, large - log3, large + log3])]:
+            for d in range(6):
+                calls.clear()
+                value = hilbert_weight(exps, tau, d)
+                assert value == hilbert_weight_rows(exps, tau, d) == hilbert_weight_enumerated(exps, tau, d)
+                assert calls or d < 2, (exps, d)
+
+    def test_row_signs_on_the_cubic(self, monkeypatch):
+        # work guard: the README cubic's archimedean tables are settled by
+        # their doubles alone (the unpacked rows took 2,480 row signs at
+        # D = 32 and 10,080 at D = 64)
+        calls = count_row_signs(monkeypatch)
+        for d in (32, 64):
+            arithmetic_hilbert_norm(CUBIC, d)
+            assert len(calls) == 0, d
 
 
 class TestArithmeticHilbert:
