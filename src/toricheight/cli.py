@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DimensionLimitError, EnumerationCapError, FactorizationLimitError
 from .errors import LatticeHypothesisError, ParseError
-from .exactnum import MAX_BITS, LogLinearNumber, Place, approximate, as_loglinear, _approximate
+from .exactnum import MAX_BITS, LogLinearNumber, Place, as_loglinear, _approximate
 from .geomkernel import convex_hull
 from .mixed import EmbeddingFamily, mixed_integral, mixed_volume, multiheight
 from .roof import Roof, roof_from_weight
@@ -207,9 +207,7 @@ def _value_map(x: LogLinearNumber) -> dict:
 
 
 def _value_fields(x: LogLinearNumber, bits: int) -> dict:
-    text, err = approximate(x, bits)
-    if err == math.inf:  # past the double range: a decimal string
-        err = _approximate(x, bits)[1]
+    text, err = _approximate(x, bits)  # a bound outside the normal double range is a decimal string
     return {"value": _value_map(x), "symbolic": str(x), "decimal": text, "error": err}
 
 

@@ -5,7 +5,8 @@ A log-linear number is an element of the Q-vector space spanned by
 are linearly independent over Q, equality of log-linear numbers is exact
 coefficient-wise equality and the sign of a nonzero element can be
 certified by interval arithmetic at high enough precision.  Places come
-from a bounded factorizer (trial division, Pollard-Brent rho, BPSW).
+from a bounded factorizer (trial division, Pollard-Brent rho, BPSW).  Logs,
+intervals and decimals are exact results rounded once (``_round``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, log, nextafter
 from operator import mul
-
-import mpmath
+from sys import float_info
 
 from .errors import FactorizationLimitError
 
@@ -347,8 +347,9 @@ class LogLinearNumber:
     def __float__(self):
         if self.is_zero:
             return 0.0
-        lo, hi = _interval(self, 64)
-        return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)
+        lo, hi = _interval(self, 64)  # each end to 53 bits before the sum, as mpmath's default context
+        mid = _round(_round(lo, 53) + _round(hi, 53), 53) / 2
+        return float(mid) if abs(mid) < 1 << 1024 else inf if mid > 0 else -inf
 
     def __str__(self):
         parts = [(c, f"log({p})" if abs(c) == 1 else f"{abs(c)}*log({p})") for p, c in self.logterms]
@@ -390,48 +391,88 @@ def _integer_row(values):
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _interval(x: LogLinearNumber, prec: int):
-    """Certified enclosure of the real value of x at the given binary precision."""
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        total = iv.mpf(x.constant.numerator) / x.constant.denominator
-        for p, c in x.logterms:
-            total += (iv.mpf(c.numerator) / c.denominator) * iv.log(p)
-        return total.a, total.b
-    finally:
-        iv.prec = old
+def _round(x: Fraction, prec: int, rnd: int = 0) -> Fraction:
+    """x rounded to prec significant bits: toward -inf (rnd < 0), toward
+    +inf (rnd > 0) or to nearest with ties to even (rnd 0)."""
+    n, d, a = x.numerator, x.denominator, abs(x.numerator)
+    if a.bit_length() <= prec and d & (d - 1) == 0:  # a dyadic that fits
+        return x
+    k = a.bit_length() - d.bit_length() - prec - 2  # q gets prec + 2 or prec + 3 bits
+    q, r = divmod(a << -k, d) if k < 0 else divmod(a, d << k)
+    s = q.bit_length() - prec
+    low, q, k = q & ((1 << s) - 1), q >> s, k + s
+    if rnd == 0:
+        q += low > 1 << (s - 1) or low == 1 << (s - 1) and bool(r or q & 1)
+    elif (rnd > 0) == (n > 0):  # away from zero
+        q += bool(low or r)
+    q = q if n > 0 else -q
+    return Fraction(q << k) if k >= 0 else Fraction(q, 1 << -k)
+
+
+@functools.lru_cache(maxsize=64)  # the floor and the ceiling of one log share it
+def _log_fixed(n: int, w: int) -> tuple[int, int]:
+    """``(v, e)``, |v - 2^w log n| <= e for an integer n >= 2: r square roots
+    take n to z near 1, and log n = 2^(r+1) atanh((z - 1)/(z + 1)) is summed
+    in fixed point (Brent and Zimmermann, Modern Computer Arithmetic, 4.4);
+    16 units a term bound the errors of the roots, quotient, terms and tail."""
+    r, one, y = isqrt(w >> 3) + n.bit_length().bit_length(), 1 << w, n << w
+    for _ in range(r):
+        y = isqrt(y << w)
+    s = u = ((y - one) << w) // (y + one)
+    t2, k = u * u >> w, 0
+    while u:
+        k += 1
+        u = u * t2 >> w
+        s += u // (2 * k + 1)
+    return s << (r + 1), (16 * k + 40) << (r + 1)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _log(n: int, prec: int, rnd: int) -> Fraction:
+    """log n (an integer n >= 2) rounded to prec bits as ``_round`` does, by Ziv's strategy
+    (ACM TOMS 17, 1991): the working precision widens until both ends of the enclosure round alike."""
+    w = prec + 20
+    while True:
+        g = w + isqrt(w) + w.bit_length() + n.bit_length().bit_length() + 8  # guard bits for the 2^(r+1)
+        v, e = _log_fixed(n, g)
+        lo = _round(Fraction(v - e, 1 << g), prec, rnd)
+        if lo == _round(Fraction(v + e, 1 << g), prec, rnd):
+            return lo
+        w *= 2
+
+
+def _interval(x: LogLinearNumber, prec: int) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of x at prec bits in ``mpmath.iv``'s order: each integer rounded
+    out to prec bits (p before its log), and each end of a quotient, product or sum
+    the least or greatest exact one (its sign says which), rounded outward."""
+
+    def rational(c: Fraction):  # iv.mpf(numerator) / denominator
+        (n0, n1), (d0, d1) = ([_round(Fraction(m), prec, r) for r in (-1, 1)] for m in (c.numerator, c.denominator))
+        return _round(n0 / (d1 if c > 0 else d0), prec, -1), _round(n1 / (d0 if c > 0 else d1), prec, 1)
+
+    lo, hi = rational(x.constant)
+    for p, c in x.logterms:
+        (c0, c1), (l0, l1) = rational(c), (_log(int(_round(Fraction(p), prec, r)), prec, r) for r in (-1, 1))
+        a, b = (c0 * l0, c1 * l1) if c > 0 else (c0 * l1, c1 * l0)
+        lo, hi = _round(lo + _round(a, prec, -1), prec, -1), _round(hi + _round(b, prec, 1), prec, 1)
+    return lo, hi
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def certified_sign(x) -> int:
-    """Sign (-1, 0 or +1) of the real number x, log-linear or rational.
-
-    Zero is decided exactly (all coefficients zero).  Otherwise the
-    coefficients times their common denominator go through the double
-    filter ``_filter_sign``; past it, intervals at doubling precision
-    eventually exclude zero, as a nonzero coefficient vector is a nonzero real.
-    """
+    """Sign (-1, 0 or +1) of the real number x, log-linear or rational:
+    zero exactly (all coefficients zero), else ``_row_sign`` of the
+    coefficients times their common denominator."""
     x = as_loglinear(x)
     if x.is_zero:
         return 0
-    if s := _filter_sign(_integer_row([x.constant, *(c for _, c in x.logterms)]), tuple(p for p, _ in x.logterms)):
-        return s
-    prec = 64
-    while True:
-        lo, hi = _interval(x, prec)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
+    return _row_sign(_integer_row([x.constant, *(c for _, c in x.logterms)]), tuple(p for p, _ in x.logterms))
 
 
 @functools.lru_cache(maxsize=1 << 8)
 def _float_logs(primes: tuple[int, ...]) -> tuple[float, ...]:
-    with mpmath.workprec(80):
-        return tuple(float(mpmath.log(p)) for p in primes)
+    """log p rounded to 80 bits, then to a double."""
+    return tuple(float(_log(p, 80, 0)) for p in primes)
 
 
 def _float_row(row, primes: tuple[int, ...]) -> tuple[float, float]:
@@ -456,10 +497,21 @@ def _filter_sign(row, primes: tuple[int, ...]) -> int:
     return (value > bound) - (value < -bound)
 
 
-def _row_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
-    """``_filter_sign`` of an integer row, else ``certified_sign``'s (cached)."""
-    return _filter_sign(row, primes) or certified_sign(
-        LogLinearNumber._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))))
+def _row_sign(row, primes: tuple[int, ...]) -> int:
+    """Sign of a nonzero integer row's value: ``_filter_sign``, else ``_interval_sign``."""
+    return _filter_sign(row, primes) or _interval_sign(tuple(row), primes)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _interval_sign(row: tuple[int, ...], primes: tuple[int, ...]) -> int:
+    """Sign of a nonzero integer row's value by intervals at doubling precision: one
+    excludes zero, as a nonzero coefficient vector is a nonzero real."""
+    x, prec = LogLinearNumber._make(Fraction(row[0]), dict(zip(primes, map(Fraction, row[1:])))), 64
+    while True:
+        lo, hi = _interval(x, prec)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        prec *= 2
 
 
 def value_sign(x) -> int:
@@ -471,32 +523,82 @@ def value_sign(x) -> int:
 
 
 def approximate(x: LogLinearNumber, bits: int) -> tuple[str, float]:
-    """Decimal approximation of x with a certified error bound.
-
-    Returns ``(decimal_string, error)`` with ``|x - float(decimal_string)|
-    <= error``.  Exact zero gives ``("0", 0.0)``.  A bound past the double
-    range reads ``inf``; ``_approximate`` gives it as a decimal string.
-    """
+    """``(decimal_string, error)``, ``("0", 0.0)`` for exact zero: error bounds the distance from x to
+    the exact decimal of the string (a float read from it may be farther).  A nonzero bound is never 0:
+    outside the normal double range it is the least double at or above ``_approximate``'s decimal."""
     text, err = _approximate(x, bits)
-    return text, float(err)
+    if isinstance(err, str):
+        err = f if (f := float(err)) >= Fraction(err) else nextafter(f, inf)
+    return text, err
 
 
 def _approximate(x, bits: int) -> tuple[str, float | str]:
-    """``approximate``, with an error bound past the double range printed
-    to 15 digits after a 2^-40 margin, so that it stays an upper bound."""
+    """``approximate`` in mpmath's arithmetic at bits + 32, to nearest; a bound outside the
+    normal double range is printed to 15 digits after a 2^-40 margin, so it stays above."""
     if not 16 <= bits <= MAX_BITS:
         raise ValueError(f"need between 16 and {MAX_BITS} bits, got {bits}")
     x = as_loglinear(x)
     if x.is_zero:
         return "0", 0.0
     lo, hi = _interval(x, bits + 16)
-    with mpmath.workprec(bits + 32):
-        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
-        mid, radius = (lo + hi) / 2, (hi - lo) / 2
-        text = mpmath.nstr(mid, max(3, int(bits * 0.30103) + 2))
-        # printing error plus a binary/decimal conversion allowance
-        err = (radius + abs(mid - mpmath.mpf(text)) + mpmath.mpf(2) ** (-bits - 8)) * (1 + 2**-40)
-        return text, float(err) if float(err) < inf else mpmath.nstr(err * (1 + 2**-40), 15)
+    wp, margin = bits + 32, 1 + Fraction(1, 1 << 40)
+    mid, radius = _round(lo + hi, wp) / 2, _round(hi - lo, wp) / 2
+    text = _to_str(mid, max(3, int(bits * 0.30103) + 2))
+    # printing error plus a binary/decimal conversion allowance
+    err = _round(radius + abs(_round(mid - _from_str(text, wp), wp)), wp)
+    err = _round(_round(err + Fraction(1, 1 << bits + 8), wp) * margin, wp)
+    f = float(e) if (e := _round(err, 53)) < 1 << 1024 else inf
+    return text, f if float_info.min <= f < inf else _to_str(_round(err * margin, wp), 15)
+
+
+def _pow10(n: int, prec: int, rnd: int) -> Fraction:
+    """10^n cut down (rnd -1) or up (1) to prec bits as mpmath's ``mpf_pow_int`` cuts it: 10^-n is
+    1 / 10^n at prec + 5 bits cut the other way.  (Past 10^333 its binary powering cuts each product
+    4 log2(n) + 4 bits below prec, which moves the last bit about once in 2^30 cases.)"""
+    if n < 0:
+        return _round(1 / _pow10(-n, prec + 5, -rnd), prec, rnd)
+    return _round(Fraction(10**n), prec, rnd)
+
+
+def _to_str(x: Fraction, dps: int) -> str:
+    """mpmath's ``nstr(x, dps)``: dps + 3 digits cut from a fixed point of
+    (dps + 3) log2(10) + 10 bits (past 2^3500, of x over a power of ten),
+    rounded half up to dps, trailing zeros stripped; fixed point for decimal
+    exponents strictly between min(-(dps // 3), -5) and dps."""
+    if not x:
+        return "0.0"
+    sign, x = "-" * (x < 0), abs(x)
+    bitprec, exponent = int((dps + 3) * log(10, 2)) + 10, 0
+    n, d = x.numerator, x.denominator
+    if abs(mag := n.bit_length() - d.bit_length() + 1) > 3500:
+        exp = (n & -n).bit_length() - 1 if d == 1 else 1 - d.bit_length()  # of the odd mantissa
+        b = exp * _log(2, ep := abs(exp).bit_length() + 5, -1) / _log(10, ep, -1)
+        exponent = int(_round(b, ep, -1 if b > 0 else 1))
+        x = _round(x / _pow10(exponent, bitprec, -1), bitprec, -1)
+        mag = x.numerator.bit_length() - x.denominator.bit_length() + 1
+    fixdps = int((fixprec := max(bitprec - mag, 0)) / log(10, 2) + 0.5)
+    digits = str((x.numerator << fixprec) // x.denominator * 10**fixdps >> fixprec)
+    exponent += len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        exponent += len(digits) > dps
+    digits, split = digits[:dps], 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        digits, split = ("0" * -exponent + digits, 1) if exponent < 0 else (digits + "0" * (exponent + 1 - dps), exponent + 1)
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return sign + digits + "0" * digits.endswith(".") + (f"e{exponent:+d}" if exponent else "")
+
+
+def _from_str(text: str, prec: int) -> Fraction:
+    """mpmath's ``mpf(text)`` at prec bits, to nearest: past a decimal exponent of 400,
+    the integer cut toward 0 to prec + 10 bits times ``_pow10`` at prec + 10 bits."""
+    mantissa, _, e = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    man, exp = int(whole + frac.rstrip("0")), int(e or 0) - len(frac.rstrip("0"))
+    if abs(exp) <= 400:
+        return _round(man * Fraction(10) ** exp, prec)
+    return _round(_round(Fraction(man), prec + 10, -1 if man > 0 else 1) * _pow10(exp, prec + 10, -1), prec)
 
 
 def padic_order(q, p: int) -> int:

@@ -11,14 +11,20 @@ enumeration that ``toric.hilbert_weight``'s dynamic program replaced; it
 shares only the exact log-linear arithmetic with the package.
 ``hilbert_weight_rows`` is that dynamic program on unpacked rows compared
 one by one through the exact row sign, the reference for its packed table.
+``interval_mpmath``, ``approximate_mpmath``, ``float_mpmath`` and
+``float_logs_mpmath`` are ``exactnum``'s ``_interval``, ``_approximate``,
+``LogLinearNumber.__float__`` and ``_float_logs`` as they read on ``mpmath``,
+the references for their plain-integer replacements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -367,3 +373,61 @@ def prime_factors_oracle(n):
 
 def is_prime_oracle(n):
     return n > 1 and prime_factors_oracle(n) == ((n, 1),)
+
+
+def _iv_ends(x, prec):
+    """The ends of the ``mpmath.iv`` enclosure of a log-linear number at
+    prec bits, as mpmath numbers (exact at prec bits)."""
+    iv, old = mpmath.iv, mpmath.iv.prec
+    try:
+        iv.prec = prec
+        total = iv.mpf(x.constant.numerator) / x.constant.denominator
+        for p, c in x.logterms:
+            total += (iv.mpf(c.numerator) / c.denominator) * iv.log(p)
+        with mpmath.workprec(prec):
+            return mpmath.mpf(total.a), mpmath.mpf(total.b)
+    finally:
+        iv.prec = old
+
+
+def mpf_fraction(v):
+    """An mpmath number, or a raw ``libmp`` tuple, as the exact Fraction of its value."""
+    sign, man, exp, _ = getattr(v, "_mpf_", v)
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def interval_mpmath(x, prec):
+    """``exactnum._interval`` on ``mpmath.iv``, its ends as Fractions."""
+    return tuple(map(mpf_fraction, _iv_ends(x, prec)))
+
+
+def approximate_mpmath(x, bits):
+    """The decimal string and error bound of ``exactnum._approximate`` on
+    mpmath: a bound outside the normal double range as a 15-digit string
+    (before that rule a bound below it was rounded to nearest, often 0.0)."""
+    if x.is_zero:
+        return "0", 0.0
+    lo, hi = _iv_ends(x, bits + 16)
+    with mpmath.workprec(bits + 32):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        mid, radius = (lo + hi) / 2, (hi - lo) / 2
+        text = mpmath.nstr(mid, max(3, int(bits * 0.30103) + 2))
+        err = (radius + abs(mid - mpmath.mpf(text)) + mpmath.mpf(2) ** (-bits - 8)) * (1 + 2**-40)
+        normal = sys.float_info.min <= float(err) < math.inf
+        return text, float(err) if normal else mpmath.nstr(err * (1 + 2**-40), 15)
+
+
+def float_mpmath(x):
+    """``float`` of a log-linear number: the midpoint of its 64-bit mpmath
+    interval in mpmath's default 53-bit context."""
+    if x.is_zero:
+        return 0.0
+    lo, hi = _iv_ends(x, 64)
+    with mpmath.workprec(53):
+        return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)
+
+
+def float_logs_mpmath(primes):
+    """log p for each prime at 80 bits, then as a double."""
+    with mpmath.workprec(80):
+        return tuple(float(mpmath.log(p)) for p in primes)

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +110,18 @@ class TestOtherCommands:
         path.write_text(json.dumps({"exponents": [[0], [1]], "weights": ["1e300", "2"]}))
         code, out, _ = run(capsys, "--format", "json", "hilbert", str(path), "--degree", "3")
         assert code == 0 and isinstance(json.loads(out, parse_constant=reject)["error"], float)
+
+    def test_error_bound_below_the_normal_range(self, capsys, cubic_path):
+        # at 1000 bits the bound is a normal double; past it, where rounding
+        # to nearest gave 0.0, it is a positive decimal string, rounded up
+        for bits, kind in ((1000, float), (1100, str), (2000, str)):
+            code, out, _ = run(capsys, "--format", "json", "--bits", str(bits), "height", cubic_path)
+            doc = json.loads(out)
+            assert code == 0 and isinstance(doc["error"], kind), bits
+            with mpmath.workprec(2 * bits):
+                value = 7 * mpmath.log(2) + 3 * mpmath.log(3)
+                assert 0 < abs(value - mpmath.mpf(doc["decimal"])) <= mpmath.mpf(doc["error"]), bits
+            assert all(isinstance(v["error"], kind) and Fraction(v["error"]) > 0 for v in doc["per_place"].values())
 
     def test_degree(self, capsys, cubic_path):
         code, out, _ = run(capsys, "degree", cubic_path)
@@ -505,6 +518,17 @@ def test_cli_import_leaves_sympy_out():
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_json_height_leaves_mpmath_out(cubic_path):
+    src = str(Path(toricheight.__file__).parents[1])
+    code = ("import sys; from toricheight.cli import main; code = main(['--format', 'json', 'height', sys.argv[1]]); "
+            "print('mpmath' in sys.modules, code, file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cubic_path], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.stderr.split() == ["False", "0"] and json.loads(proc.stdout)["symbolic"] == "7*log(2) + 3*log(3)"
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in it or exported,
 and every private module-level function or class is referenced by some
-module of the package."""
+module of the package.  No module imports ``mpmath``: the package has no
+runtime dependency."""
 
 import ast
 from collections import Counter
@@ -85,3 +86,12 @@ def test_detects_unreferenced_private():
     b = "from .a import _elsewhere\nimport a\n_elsewhere()\na._by_attribute()\n"
     trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert unreferenced_privates(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Dead"), ("a.py", 7, "_recursive")]
+
+
+def test_no_module_imports_mpmath():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "mpmath" for a in node.names), (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "mpmath", (path.name, node.lineno)

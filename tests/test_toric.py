@@ -367,8 +367,8 @@ class TestHilbertDynamicProgram:
         q = F(693147180559945309417232121458, 10**30)
         assert abs(float(exactnum.approximate(q - log2, 128)[0])) < 1e-20
         calls, intervals = [], []
-        certified, interval = exactnum.certified_sign, exactnum._interval
-        monkeypatch.setattr(exactnum, "certified_sign", lambda x: calls.append(x) or certified(x))
+        interval_sign, interval = exactnum._interval_sign, exactnum._interval
+        monkeypatch.setattr(exactnum, "_interval_sign", lambda *args: calls.append(args) or interval_sign(*args))
         monkeypatch.setattr(exactnum, "_interval", lambda *args: intervals.append(1) or interval(*args))
         for exps, tau, d in [
             ([(0,), (1,), (1,)], [0, log2, q], 3),
@@ -377,7 +377,7 @@ class TestHilbertDynamicProgram:
         ]:
             calls.clear()
             intervals.clear()
-            certified.cache_clear()
+            interval_sign.cache_clear()
             value = hilbert_weight(exps, tau, d)
             assert calls and intervals, (exps, tau)  # past the double filter, on to intervals
             assert value == hilbert_weight_enumerated(exps, tau, d)
