@@ -12,7 +12,6 @@ intervals and decimals are exact results rounded once (``_round``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, isqrt, lcm, log, nextafter
@@ -165,15 +164,43 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found.items()))
 
 
-@dataclass(frozen=True)
-class Place:
+class _Record:
+    """Base of the package's immutable values: ``__init__`` sets the
+    ``_fields`` once with ``object.__setattr__``; ``==``, hash, ``repr``,
+    pickling and copying follow them unless a class defines its own."""
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):  # an instance dictionary carries its cached properties along
+        return type(self), self._astuple(), getattr(self, "__dict__", None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Place(_Record):
     """A place of Q: the archimedean absolute value or a p-adic one."""
 
-    prime: int | None = None  # None marks the archimedean place
+    __slots__ = _fields = ("prime",)
 
-    def __post_init__(self):
-        if self.prime is not None and not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not a prime")
+    def __init__(self, prime: int | None = None):  # None marks the archimedean place
+        if prime is not None and not _is_prime(prime):
+            raise ValueError(f"{prime} is not a prime")
+        object.__setattr__(self, "prime", prime)
 
     @classmethod
     def infinite(cls) -> "Place":
@@ -197,23 +224,24 @@ class Place:
         return "inf" if self.prime is None else str(self.prime)
 
 
-@dataclass(frozen=True)
-class LogLinearNumber:
+class LogLinearNumber(_Record):
     """Exact element ``constant + sum coeff * log(p)`` of the log-linear span.
 
     ``logterms`` holds ``(prime, coefficient)`` pairs with primes strictly
     ascending and no zero coefficients, so representation is canonical.
     """
 
-    constant: Fraction = Fraction(0)
-    logterms: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = _fields = ("constant", "logterms")
 
-    def __post_init__(self):
-        primes = [p for p, _ in self.logterms]
-        if primes != sorted(set(primes)):
-            raise ValueError("log terms must have strictly ascending primes")
-        if any(c == 0 for _, c in self.logterms):
-            raise ValueError("zero coefficients must not be stored")
+    def __init__(self, constant: Fraction = Fraction(0), logterms: tuple[tuple[int, Fraction], ...] = ()):
+        if logterms:
+            primes = [p for p, _ in logterms]
+            if primes != sorted(set(primes)):
+                raise ValueError("log terms must have strictly ascending primes")
+            if any(c == 0 for _, c in logterms):
+                raise ValueError("zero coefficients must not be stored")
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "logterms", logterms)
 
     # -- construction -------------------------------------------------
 

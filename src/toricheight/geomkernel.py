@@ -29,14 +29,13 @@ affine basis over the bases' hull when flat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DimensionLimitError
-from .exactnum import LogLinearNumber, _integer_row, _row_sign, as_fraction, as_loglinear, value_sign
+from .exactnum import LogLinearNumber, _Record, _integer_row, _row_sign, as_fraction, as_loglinear, value_sign
 
 __all__ = [
     "Polytope",
@@ -212,10 +211,13 @@ def _functionals(points, k):
     return [(*n, sum(map(mul, n, p0))) for n in normals]
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: the hull core keys facets by object
-class _SimplicialFacet:
-    ids: frozenset
-    fn: tuple  # functionals of ``_functionals``, primitive and outward
+class _SimplicialFacet(_Record):
+    __slots__ = _fields = ("ids", "fn")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: the hull core keys facets by object
+
+    def __init__(self, ids: frozenset, fn: tuple):  # functionals of ``_functionals``, primitive and outward
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "fn", fn)
 
 
 def _hull_core(points, basis, primes):
@@ -286,31 +288,38 @@ def _hull_core(points, basis, primes):
 # polytopes
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(_Record):
     """Supporting halfspace ``normal . x <= offset`` with its vertex set."""
 
-    normal: tuple
-    offset: object
-    vertex_ids: tuple
+    __slots__ = _fields = ("normal", "offset", "vertex_ids")
+
+    def __init__(self, normal: tuple, offset, vertex_ids: tuple):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "vertex_ids", vertex_ids)
 
 
-@dataclass(frozen=True)
-class AffineCell:
+class AffineCell(_Record):
     """A cell of a regular subdivision: its base points, and the affine
     function of the envelope over it with its integral there.  The hull of
     the points is built on first use; a simplex's vertices are its points.
     Equal cells share vertices and function."""
 
-    points: tuple = field(compare=False)
-    gradient: tuple
-    offset: object
-    integral: object = field(compare=False)
+    _fields = ("points", "gradient", "offset", "integral")
+
+    def __init__(self, points: tuple, gradient: tuple, offset, integral):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "gradient", gradient)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "integral", integral)
 
     def __eq__(self, other):
         if not isinstance(other, AffineCell):
             return NotImplemented
         return self.gradient == other.gradient and self.offset == other.offset and set(self.vertices) == set(other.vertices)
+
+    def __hash__(self):
+        return hash((self.gradient, self.offset))
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -698,10 +707,12 @@ def triangulate(p: Polytope):
 # face lattice
 
 
-@dataclass(frozen=True)
-class Face:
-    dim: int
-    vertex_ids: frozenset
+class Face(_Record):
+    __slots__ = _fields = ("dim", "vertex_ids")
+
+    def __init__(self, dim: int, vertex_ids: frozenset):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "vertex_ids", vertex_ids)
 
 
 class FaceLattice:

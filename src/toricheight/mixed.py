@@ -22,13 +22,12 @@ MV_1([l, u]) = u - l.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .errors import LatticeHypothesisError
-from .exactnum import LogLinearNumber, as_loglinear, value_sign
+from .exactnum import LogLinearNumber, _Record, as_loglinear, value_sign
 from .geomkernel import convex_hull, lattice_normalize, upper_envelope
 from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
 from .roof import lifted_polytope, roof_from_weight
@@ -253,21 +252,21 @@ def multi_chow_weight(datasets) -> LogLinearNumber:
     return mixed_integral(roofs)
 
 
-@dataclass(frozen=True)
-class EmbeddingFamily:
+class EmbeddingFamily(_Record):
     """n+1 monomial pairs with exponents in the same Z^n, one per slot of
     the multiheight."""
 
-    members: tuple[MonomialPair, ...]
+    __slots__ = _fields = ("members",)
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple[MonomialPair, ...]):
+        if not members:
             raise ValueError("need at least one member")
-        n = self.members[0].n_ambient
-        if any(m.n_ambient != n for m in self.members):
+        n = members[0].n_ambient
+        if any(m.n_ambient != n for m in members):
             raise ValueError("members must share one exponent dimension")
-        if len(self.members) != n + 1:
+        if len(members) != n + 1:
             raise ValueError(f"need exactly {n + 1} members for exponent dimension {n}")
+        object.__setattr__(self, "members", members)
 
     @property
     def torus_dim(self) -> int:

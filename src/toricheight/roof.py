@@ -8,12 +8,11 @@ from above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
-from .exactnum import as_fraction, value_sign
+from .exactnum import _Record, as_fraction, value_sign
 from .geomkernel import (
     AffineCell,
     Face,
@@ -41,19 +40,19 @@ __all__ = [
 ]
 
 
-class LiftedPoint(NamedTuple):
-    base: tuple
-    lift: object
+LiftedPoint = namedtuple("LiftedPoint", ["base", "lift"])
 
 
-@dataclass(frozen=True)
-class Roof:
+class Roof(_Record):
     """Concave piecewise-affine function given by its subdivision cells and
     the generator points it envelopes.  The domain, the hull of the
     generator bases, is built on first use."""
 
-    cells: tuple[AffineCell, ...]
-    generators: tuple[LiftedPoint, ...]
+    _fields = ("cells", "generators")
+
+    def __init__(self, cells: tuple[AffineCell, ...], generators: tuple[LiftedPoint, ...]):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "generators", generators)
 
     @cached_property
     def domain(self) -> Polytope:

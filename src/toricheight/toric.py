@@ -5,7 +5,6 @@ image)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, prod
 
@@ -13,6 +12,7 @@ from .errors import EnumerationCapError, LatticeHypothesisError
 from .exactnum import (
     LogLinearNumber,
     Place,
+    _Record,
     approximate,
     as_fraction,
     as_loglinear,
@@ -52,24 +52,24 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class MonomialPair:
+class MonomialPair(_Record):
     """Exponent vectors in Z^n with nonzero rational coefficients; the data
     of the monomial map s -> (c_0 s^{a_0} : ... : c_N s^{a_N})."""
 
-    exponents: tuple[tuple[int, ...], ...]
-    coefficients: tuple[Fraction, ...]
+    __slots__ = _fields = ("exponents", "coefficients")
 
-    def __post_init__(self):
-        if len(self.exponents) != len(self.coefficients):
+    def __init__(self, exponents: tuple[tuple[int, ...], ...], coefficients: tuple[Fraction, ...]):
+        if len(exponents) != len(coefficients):
             raise ValueError("exponents and coefficients must have equal length")
-        if not self.exponents:
+        if not exponents:
             raise ValueError("need at least one monomial")
-        n = len(self.exponents[0])
-        if any(len(a) != n for a in self.exponents):
+        n = len(exponents[0])
+        if any(len(a) != n for a in exponents):
             raise ValueError("exponent vectors must share one dimension")
-        if any(c == 0 for c in self.coefficients):
+        if any(c == 0 for c in coefficients):
             raise ValueError("zero coefficients are not allowed; drop them first")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def make(cls, exponents, coefficients) -> "MonomialPair":
@@ -97,8 +97,7 @@ class MonomialPair:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class HeightReport:
+class HeightReport(_Record):
     """A height value with its per-place breakdown.
 
     ``value == scale * sum(contribution over places)``: for normalized
@@ -108,11 +107,15 @@ class HeightReport:
     orders -ord_p(c_i) and scaled by log p.
     """
 
-    value: LogLinearNumber
-    per_place: tuple[tuple[Place, LogLinearNumber], ...]
-    degree: int
-    dim: int
-    scale: int
+    __slots__ = _fields = ("value", "per_place", "degree", "dim", "scale")
+
+    def __init__(self, value: LogLinearNumber, per_place: tuple[tuple[Place, LogLinearNumber], ...], degree: int,
+                 dim: int, scale: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_place", per_place)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", scale)
 
     def place_map(self) -> dict[Place, LogLinearNumber]:
         return dict(self.per_place)

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in it or exported,
 and every private module-level function or class is referenced by some
-module of the package.  No module imports ``mpmath``: the package has no
-runtime dependency."""
+module of the package.  No module imports ``mpmath`` (the package has no
+runtime dependency), ``dataclasses`` or ``typing`` (their imports would
+dominate the command line's start-up)."""
 
 import ast
 from collections import Counter
@@ -88,10 +89,11 @@ def test_detects_unreferenced_private():
     assert unreferenced_privates(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Dead"), ("a.py", 7, "_recursive")]
 
 
-def test_no_module_imports_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "dataclasses", "typing"])
+def test_no_module_imports(module):
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                assert all(a.name.split(".")[0] != "mpmath" for a in node.names), (path.name, node.lineno)
+                assert all(a.name.split(".")[0] != module for a in node.names), (path.name, node.lineno)
             elif isinstance(node, ast.ImportFrom):
-                assert (node.module or "").split(".")[0] != "mpmath", (path.name, node.lineno)
+                assert (node.module or "").split(".")[0] != module, (path.name, node.lineno)
