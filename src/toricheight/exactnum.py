@@ -256,10 +256,17 @@ class LogLinearNumber(_Record):
             return cls()
         return cls(Fraction(0), ((p, c),))
 
+    @classmethod
+    def _trusted(cls, constant: Fraction, logterms: tuple) -> "LogLinearNumber":
+        """A number of log terms known to be strictly ascending and nonzero, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "logterms", logterms)
+        return self
+
     @staticmethod
     def _make(constant: Fraction, terms: dict[int, Fraction]) -> "LogLinearNumber":
-        items = tuple(sorted((p, c) for p, c in terms.items() if c != 0))
-        return LogLinearNumber(constant, items)
+        return LogLinearNumber._trusted(constant, tuple(sorted((p, c) for p, c in terms.items() if c != 0)))
 
     # -- predicates ----------------------------------------------------
 
@@ -288,7 +295,7 @@ class LogLinearNumber(_Record):
     __radd__ = __add__
 
     def __neg__(self):
-        return LogLinearNumber(-self.constant, tuple((p, -c) for p, c in self.logterms))
+        return LogLinearNumber._trusted(-self.constant, tuple((p, -c) for p, c in self.logterms))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -314,7 +321,7 @@ class LogLinearNumber(_Record):
             q = as_fraction(other)
             if q == 0:
                 return LogLinearNumber()
-            return LogLinearNumber(self.constant * q, tuple((p, c * q) for p, c in self.logterms))
+            return LogLinearNumber._trusted(self.constant * q, tuple((p, c * q) for p, c in self.logterms))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -7,10 +7,11 @@ only, farthest point first, each ridge keeping the two facets that share
 it: points scaled by one denominator, the last coordinate an integer row
 over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
 ``exactnum._row_sign`` when m > 0.  On rational points a new facet's
-functional is the pencil of the two facets at its horizon ridge.  The
-first simplex's and lifted facets' functionals, affine bases, ranks,
+functional is the pencil of the two facets at its horizon ridge, and the
+first simplex's are the columns of one elimination's det M^-1, M = [1 | p]
+over its vertices.  Lifted facets' functionals, affine bases, ranks,
 rational linear solves and ``_simplex_det``, the one integer |det| of a
-simplex, share one fraction-free elimination on integer rows,
+simplex, share that fraction-free elimination on integer rows,
 ``_Echelon``.  That |det| weighs a projected upper facet and a simplex of
 the fan of a rational polytope's simplicial boundary, which serves volumes
 and ``triangulate``.  An upper envelope is one hull of the lifted points,
@@ -21,7 +22,9 @@ polytope is built when read, and a cell of one simplicial facet reads its
 vertices from its points without it.  Where only the integral is wanted,
 ``_envelope_integral`` sums those projected simplices into one integer row
 and decodes it once; their |det| also sum to k! times the volume of the
-bases' hull, a pair's degree under a zero lift.  A lifted polytope lies
+bases' hull, a pair's degree under a zero lift.  Where only the
+vertex-value map is wanted, ``_envelope_map`` reads each upper simplex's
+points with their own lifts.  A lifted polytope lies
 between the upper and lower cells of one hull, or is the graph of its
 affine basis over the bases' hull when flat.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -80,6 +83,11 @@ def _vadd(a, b):
 
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def _exact(v):
+    """A rational point with its integral coordinates as ints."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in v)
 
 
 def _is_lifted(x) -> bool:
@@ -229,9 +237,11 @@ def _hull_core(points, basis, primes):
     horizon ridge (of a visible F and an invisible G) and the new point p.
     On rational points its functional is the pencil f_F(p) f_G - f_G(p) f_F
     made primitive: it vanishes on the ridge and at p and is outward, so it
-    is the one ``_functionals`` would give.  Only the first simplex, and
-    every facet of a lifted hull (log-linear values), is eliminated; the
-    projected |det| a cell weighs a facet by is computed in ``_graph_cells``."""
+    is the one ``_functionals`` would give.  The first simplex's facets are
+    the columns (-offset, *normal) of det M^-1, M = [1 | p] over its
+    vertices, from one elimination; a lifted hull's (log-linear values) are
+    eliminated one by one, as M is singular at an all-zero constant entry.
+    The projected |det| a cell weighs a facet by is in ``_graph_cells``."""
     k = len(points[0]) - len(primes) - 1
     inside = tuple(map(sum, zip(*(points[i] for i in basis))))
 
@@ -267,8 +277,19 @@ def _hull_core(points, basis, primes):
     def far(i):  # farthest from the interior point first, then by index
         return -sum(((k + 2) * x - c) ** 2 for x, c in zip(points[i][: k + 1], inside)), i
 
-    for s in range(k + 2):
-        add(facet([b for t, b in enumerate(basis) if t != s]))
+    if primes:
+        for s in range(k + 2):
+            add(facet([b for t, b in enumerate(basis) if t != s]))
+    else:  # det M^-1 from one elimination of [M | I]: its column s is det at basis[s], 0 at the others
+        echelon = _Echelon(k + 2)
+        for t, b in enumerate(basis):
+            echelon.add([1, *points[b], *(int(s == t) for s in range(k + 2))])
+        if len(echelon.cols) < k + 2:
+            raise ValueError("degenerate facet")
+        inverse = [row[k + 2 :] for _, row in sorted(zip(echelon.cols, echelon.rows))]
+        for s, (c, *normal) in enumerate(zip(*inverse)):
+            g = gcd(c, *normal) * (-1 if echelon.det > 0 else 1)  # outward: negative at basis[s]
+            add(_SimplicialFacet(frozenset(basis[:s] + basis[s + 1 :]), (tuple(x // g for x in (*normal, -c)),)))
     for ip in sorted(set(range(len(points))) - set(basis), key=far):
         visible = {F: s for F in facets if (s := side(F.fn, points[ip])) > 0}
         for F, s in visible.items():
@@ -584,6 +605,14 @@ def _envelope_integral(points):
     return _decode(total, scale ** (k + 1) * factorial(k + 1), primes), Fraction(dets, scale**k)
 
 
+def _envelope_map(points):
+    """The vertex-value map of ``upper_envelope(points)`` without cells: the
+    ``_exact`` base of each point of an upper facet with its lift there."""
+    gens, graph, _ = _envelope_setup(points)
+    ids = (i for _, _, ids in _graph_simplices(*graph) for i in ids) if graph else [0]
+    return {_exact(gens[i][0]): gens[i][1] for i in ids}
+
+
 def _dedup(points):
     return list(dict.fromkeys(points))
 
@@ -653,13 +682,11 @@ def convex_hull(points) -> Polytope:
     return _build_rational(sorted(pts))
 
 
-def upper_envelope(points) -> list[AffineCell]:
-    """Regular subdivision induced by the upper envelope of lifted points.
-
-    ``points`` are ``(base, lift)`` pairs; the returned cells partition the
-    hull of the bases and carry the affine function of the envelope piece,
-    all in the bases' ambient coordinates.
-    """
+def _envelope_setup(points):
+    """``upper_envelope``'s deduplicated ``(base, lift)`` generators (only
+    one of the largest lift, and no graph, if the bases are one point), its
+    graph's lifted points and ``_lifted_integers``, in a chart of the bases'
+    span when it is not Q^k, and that chart (else None)."""
     gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
     if not gens:
         raise ValueError("need at least one point")
@@ -670,19 +697,28 @@ def upper_envelope(points) -> list[AffineCell]:
     lifted = [(*b, lift) for b, lift in gens]
     integers = _lifted_integers(lifted)
     base, origin = integers[-1], gens[0][0]  # base: the gens whose bases are affinely independent
-    if len(base) == 1:
-        best = gens[0][1]
-        for _, lift in gens[1:]:
-            if value_sign(lift - best) > 0:
-                best = lift
-        return [AffineCell((origin,), (Fraction(0),) * k, best, best if k == 0 else Fraction(0))]
-    if len(base) == k + 1:
-        return _graph_cells(lifted, integers)[0]
-    chart = _Chart(origin, [_vsub(gens[b][0], origin) for b in base[1:]])
-    lifted = [(*chart.to_chart(b), lift) for b, lift in gens]
-    return [  # measure zero in Q^k
-        AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0))
-        for c in _graph_cells(lifted, _lifted_integers(lifted))[0]
+    if len(base) == 1:  # the first largest lift
+        return [max(gens, key=cmp_to_key(lambda a, b: value_sign(a[1] - b[1])))], None, None
+    chart = None if len(base) == k + 1 else _Chart(origin, [_vsub(gens[b][0], origin) for b in base[1:]])
+    if chart is not None:
+        integers = _lifted_integers(lifted := [(*chart.to_chart(b), lift) for b, lift in gens])
+    return gens, (lifted, integers), chart
+
+
+def upper_envelope(points) -> list[AffineCell]:
+    """Regular subdivision induced by the upper envelope of lifted points.
+
+    ``points`` are ``(base, lift)`` pairs; the returned cells partition the
+    hull of the bases and carry the affine function of the envelope piece,
+    all in the bases' ambient coordinates.
+    """
+    gens, graph, chart = _envelope_setup(points)
+    if graph is None:
+        ((origin, best),) = gens
+        return [AffineCell((origin,), (Fraction(0),) * len(origin), best, Fraction(0) if origin else best)]
+    cells = _graph_cells(*graph)[0]
+    return cells if chart is None else [  # measure zero in Q^k
+        AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0)) for c in cells
     ]
 
 

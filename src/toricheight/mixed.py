@@ -4,13 +4,15 @@ normalized multiheight of the torus under several monomial embeddings.
 Mixed volumes of rational polytopes and mixed integrals are one facet
 recursion, MV_n(K_1, ..., K_n) = sum over the primitive outer facet
 normals w of K_2 + ... + K_n of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w),
-the faces read in the lattice w^perp.  A mixed integral of n+1 roofs is
-that recursion applied to their lifted polytopes; it runs on vertex-value
-maps and, at each level, builds the sup-convolution of all roofs but the
-first (n - 1 upper envelopes, none in dimension 1).  Every map, of an
-input roof, a multiheight member, a sup-convolution or a lifted polytope's
-boundary, is read by ``_values`` from upper-envelope cells, with no
-``Roof`` and no cell polytope.  Both keep the diagonal identities
+the faces read in the lattice w^perp, the normals for n >= 3 from the
+simplicial facets of one hull core of the sum's points.  A mixed integral
+of n+1 roofs is that recursion applied to their lifted polytopes; it runs
+on vertex-value maps and, at each level, builds the sup-convolution of all
+roofs but the first (n - 1 upper envelopes, none in dimension 1).  The map
+of a multiheight member or a lifted polytope's boundary is read from one
+hull's upper facets (``_envelope_map``), that of an input roof or a
+sup-convolution from its cells (``_values``), with no ``Roof`` and no
+cell polytope.  Both keep the diagonal identities
 MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) = (n+1)! Int(f).  Mixed
 volumes of lifted polytopes, whose normals are not
 rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) =
@@ -28,8 +30,8 @@ from operator import mul
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, _Record, as_loglinear, value_sign
-from .geomkernel import convex_hull, lattice_normalize, upper_envelope
-from .geomkernel import _dedup, _dot, _functionals, _integer_basis, _integer_points, _vadd
+from .geomkernel import lattice_normalize, upper_envelope
+from .geomkernel import _dedup, _dot, _envelope_map, _exact, _functionals, _hull_core, _integer_basis, _integer_points, _vadd
 from .roof import lifted_polytope, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
@@ -68,11 +70,6 @@ def _complement(w):
     return [r for r, x in zip(rows, cur) if not x]
 
 
-def _exact(v):
-    """A rational point with its integral coordinates as ints."""
-    return tuple(x.numerator if x.denominator == 1 else x for x in v)
-
-
 def _values(cells):
     """The vertex-value map of envelope cells: their points (every vertex among them) with their values."""
     return {_exact(v): c.value_at(v) for c in cells for v in c.points}
@@ -81,7 +78,7 @@ def _values(cells):
 def _sum_normals(sets, n):
     """Primitive integer outer facet normals of the Minkowski sum of
     rational point sets in Q^n: in the plane, the summands' edge normals;
-    else its hull's when it is n-dimensional, plus or minus its
+    else its hull core's when it is n-dimensional, plus or minus its
     hyperplane's when (n-1)-dimensional, none when lower."""
     if n == 1:
         return [(1,), (-1,)]
@@ -100,7 +97,7 @@ def _sum_normals(sets, n):
     if rank == n - 1:
         w = _primitive(_functionals([ints[i] for i in basis], n - 1)[0][:-1])
         return [w, tuple(-x for x in w)]
-    return [_primitive(F.normal) for F in convex_hull(points).facets] if rank == n else []
+    return list(dict.fromkeys(_primitive(F.fn[0][:-1]) for F in _hull_core(ints, basis, ()))) if rank == n else []
 
 
 def _face(points, w):
@@ -201,7 +198,7 @@ def mixed_volume(polytopes):
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
     if any(p._kind.startswith("lifted") for p in polys):
-        maps = [[_values(upper_envelope((v[:-1], s * v[-1]) for v in p.vertices)) for p in polys] for s in (1, -1)]
+        maps = [[_envelope_map((v[:-1], s * v[-1]) for v in p.vertices) for p in polys] for s in (1, -1)]
         return sum(as_loglinear(_mixed_integral(m)) for m in maps)
     return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
 
@@ -298,6 +295,6 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
 
     per, total = _over_places(
         [m.coefficients for m in family.members],
-        lambda *ws: _mixed_integral([_values(upper_envelope(zip(c, w))) for c, w in zip(coords, ws)]),
+        lambda *ws: _mixed_integral([_envelope_map(zip(c, w)) for c, w in zip(coords, ws)]),
     )
     return HeightReport(total, per, _mixed_volume([_dedup(c) for c in coords[1:]]), family.torus_dim, 1)

@@ -13,18 +13,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .exactnum import _Record, as_fraction, value_sign
-from .geomkernel import (
-    AffineCell,
-    Face,
-    FaceLattice,
-    Polytope,
-    convex_hull,
-    upper_envelope,
-    intersect_polytopes,
-    _as_value,
-    _dedup,
-    _vadd,
-)
+from .geomkernel import AffineCell, Face, FaceLattice, Polytope, convex_hull, intersect_polytopes, upper_envelope
+from .geomkernel import _as_value, _dedup, _vadd
 
 __all__ = [
     "LiftedPoint",

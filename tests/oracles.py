@@ -11,6 +11,11 @@ enumeration that ``toric.hilbert_weight``'s dynamic program replaced; it
 shares only the exact log-linear arithmetic with the package.
 ``hilbert_weight_rows`` is that dynamic program on unpacked rows compared
 one by one through the exact row sign, the reference for its packed table.
+``envelope_values_reference`` and ``sum_normals_reference`` are the
+routes ``mixed`` read an upper envelope's vertex-value map (the values of
+its cells' affine functions) and a Minkowski sum's facet normals (the
+merged facets of its polytope) by, before both were read from the one
+hull's facets.
 ``interval_mpmath``, ``approximate_mpmath``, ``float_mpmath`` and
 ``float_logs_mpmath`` are ``exactnum``'s ``_interval``, ``_approximate``,
 ``LogLinearNumber.__float__`` and ``_float_logs`` as they read on ``mpmath``,
@@ -239,6 +244,34 @@ def hilbert_weight_rows(exponents, weights, degree_d):
                 if old is None or (new != old and _row_sign(tuple(map(sub, new, old)), primes) > 0):
                     table[key] = new
     return as_loglinear(_decode(list(map(sum, zip(*table.values()))), scale, primes))
+
+
+def envelope_values_reference(points):
+    """Vertex-value map of the upper envelope of ``(base, lift)`` points:
+    every point of its cells, its integral coordinates as ints, with the
+    value of its cell's affine function there (``mixed._values`` of
+    ``upper_envelope``)."""
+    from toricheight.geomkernel import upper_envelope
+    from toricheight.mixed import _values
+
+    return _values(upper_envelope(points))
+
+
+def sum_normals_reference(sets):
+    """Primitive integer outer facet normals of the full-dimensional
+    Minkowski sum of rational point sets: the normals of the merged facets
+    of ``convex_hull`` of every sum, each made primitive."""
+    from toricheight.geomkernel import convex_hull
+
+    hull = convex_hull({tuple(map(sum, zip(*c))) for c in itertools.product(*sets)})
+    assert hull.is_full_dimensional
+    normals = []
+    for facet in hull.facets:
+        scale = math.lcm(*(x.denominator for x in facet.normal))
+        w = [int(x * scale) for x in facet.normal]
+        g = math.gcd(*w)
+        normals.append(tuple(x // g for x in w))
+    return normals
 
 
 def grid_volume_bounds(poly, cells_per_side=10):

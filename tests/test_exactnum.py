@@ -324,6 +324,28 @@ class TestLogLinearNumber:
     def test_abs(self):
         assert abs(log2 - log3) == log3 - log2
 
+    def test_constructor_checks_its_terms(self):
+        for terms in (((3, Fraction(1)), (2, Fraction(1))), ((2, Fraction(1)), (2, Fraction(2)))):
+            with pytest.raises(ValueError, match="strictly ascending primes"):
+                LL(Fraction(0), terms)
+        with pytest.raises(ValueError, match="zero coefficients must not be stored"):
+            LL(Fraction(1), ((2, Fraction(1)), (3, Fraction(0))))
+
+    def test_unchecked_terms_pass_the_check(self):
+        # sums, negations and products build their terms unchecked: each
+        # result is what the checking constructor makes of the same terms
+        rng = random.Random(191)
+
+        def rand_ll():
+            primes = sorted(rng.sample([2, 3, 5, 7], rng.randint(0, 3)))
+            return LL(rand_rational(rng), tuple((p, rand_rational(rng)) for p in primes))
+
+        for _ in range(300):
+            x, y, q = rand_ll(), rand_ll(), rand_rational(rng)
+            for z in (x + y, x - y, x + (y - x), -x, x * q, q * x, x / q, x * 0, LL._make(y.constant, dict(x.logterms))):
+                checked = LL(z.constant, z.logterms)
+                assert type(z) is LL and z == checked and hash(z) == hash(checked) and repr(z) == repr(checked)
+
 
 class TestPlace:
     def test_validation(self):

@@ -929,13 +929,19 @@ class TestEchelonKernel:
 
     def test_only_integer_rows_reach_the_elimination(self, monkeypatch):
         # heights in 1-D to 4-D, a multiheight, a mixed integral and a mixed
-        # volume: no Fraction or log-linear entry reaches ``_Echelon``
-        rows = []
+        # volume: each reaches ``_Echelon`` (at least the n+1 rows of one
+        # simplex), and no Fraction or log-linear entry does
+        rows, counts = [], []
         add = _Echelon.add
 
         def spy(echelon, vec):
             rows.append(tuple(vec))
             return add(echelon, vec)
+
+        def counted(n, call, *args):
+            before = len(rows)
+            call(*args)
+            counts.append((len(rows) - before, n))
 
         monkeypatch.setattr(_Echelon, "add", spy)
         rng = random.Random(131)
@@ -949,16 +955,16 @@ class TestEchelonKernel:
 
         for n in (1, 2, 3, 4):
             exps = exponents(n, 2)
-            normalized_height(MonomialPair.make(exps, coefficients(len(exps))))
+            counted(n, normalized_height, MonomialPair.make(exps, coefficients(len(exps))))
         exps = exponents(2, 1)
-        multiheight(EmbeddingFamily(tuple(MonomialPair.make(exps, coefficients(len(exps))) for _ in range(3))))
+        counted(2, multiheight, EmbeddingFamily(tuple(MonomialPair.make(exps, coefficients(len(exps))) for _ in range(3))))
         roofs = []
         for _ in range(3):
             exps = exponents(2, 2)
             roofs.append(roof_from_weight(exps, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in exps]))
-        mixed_integral(roofs)
-        mixed_volume([convex_hull(rand_points(rng, 3, 6, span=3)) for _ in range(3)])
-        assert len(rows) > 1000
+        counted(2, mixed_integral, roofs)
+        counted(3, mixed_volume, [convex_hull(rand_points(rng, 3, 6, span=3)) for _ in range(3)])
+        assert len(counts) == 7 and all(count >= n + 1 for count, n in counts)
         assert all(type(x) is int for row in rows for x in row)
 
     def test_affine_basis_is_greedy(self):
@@ -1022,10 +1028,11 @@ def reference_hull_core(points, basis, primes):
 
 
 def hull_core_inputs(seed):
-    """Sorted point lists, rational ones in 1-D to 4-D and lifted ones over
-    1-D to 3-D bases with one or two log primes: random sets, grids and
-    their random subsets (collinear and coplanar points), Minkowski sums
-    of lattice polytopes (repeated points) and explicit repeats."""
+    """Sorted point lists, rational ones in 1-D to 6-D (``MAX_DIMENSION``)
+    and lifted ones over 1-D to 3-D bases with one or two log primes: random
+    sets, grids and their random subsets (collinear and coplanar points),
+    Minkowski sums of lattice polytopes (repeated points) and explicit
+    repeats."""
     rng = random.Random(seed)
     rational = [rand_points(rng, d, rng.randint(d + 2, d + 9), span=3) for d in (1, 2, 3, 4) for _ in range(6)]
     for d, m in ((1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
@@ -1043,6 +1050,10 @@ def hull_core_inputs(seed):
                 bases = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(rng.randint(k + 2, k + 7))]
                 lifts = [sum((rng.randint(-2, 2) * LL.log_prime(p) for p in primes), LL(F(rng.randint(-2, 2), 2))) for _ in bases]
                 lifted.append(geomkernel._dedup([(*map(F, b), w) for b, w in zip(bases, lifts)]))
+    for d in (5, 6):  # drawn last, so the sets above stay as they were
+        rational += [rand_points(rng, d, rng.randint(d + 2, d + 5), span=3) for _ in range(3)]
+        corners = list(itertools.product(range(2), repeat=d))
+        rational += [rng.sample(corners, d + 4), rng.sample(corners, d + 4) + rng.sample(corners, 3)]
     return [sorted(map(tuple, (map(F, p) for p in pts))) for pts in rational], lifted
 
 
@@ -1129,20 +1140,22 @@ class TestHullCoreDifferential:
                 assert F.fn == reference_facet(ints, sorted(F.ids), basis, primes)
 
     def test_rational_hull_eliminates_only_the_first_simplex(self, monkeypatch):
-        calls = []
-        functionals = geomkernel._functionals
-
-        def spy(points, k):
-            calls.append(k)
-            return functionals(points, k)
-
-        monkeypatch.setattr(geomkernel, "_functionals", spy)
+        # one elimination of its d+1 rows [1, *p, e_t], and no ``_functionals``
+        calls, rows = [], []
+        functionals, add = geomkernel._functionals, _Echelon.add
+        monkeypatch.setattr(geomkernel, "_functionals", lambda *args: calls.append(1) or functionals(*args))
+        monkeypatch.setattr(_Echelon, "add", lambda echelon, vec: rows.append(len(vec)) or add(echelon, vec))
         rational, _ = hull_core_inputs(163)
+        dims = set()
         for pts in rational:
             data = self.core_pairs(pts)
             if data is None:
                 continue
             ints, _, _, basis = data
-            del calls[:]
+            del calls[:], rows[:]
             _hull_core(ints, basis, ())
-            assert len(calls) == len(ints[0]) + 1  # k + 2 with k = d - 1 base coordinates
+            d = len(ints[0])
+            assert not calls
+            assert rows == [2 * d + 2] * (d + 1)
+            dims.add(d)
+        assert dims == set(range(1, geomkernel.MAX_DIMENSION + 1))

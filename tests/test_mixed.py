@@ -8,9 +8,11 @@ import pytest
 
 from toricheight.errors import LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import AffineCell, convex_hull, volume
+import toricheight.geomkernel as geomkernel
+from toricheight.geomkernel import AffineCell, Polytope, _envelope_map, convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
+    _sum_normals,
     mixed_integral,
     mixed_integral_via_mv,
     mixed_volume,
@@ -27,7 +29,7 @@ from toricheight.roof import (
 )
 from toricheight.toric import MonomialPair, chow_weight, normalized_height
 
-from oracles import _int_det, mixed_area
+from oracles import _int_det, envelope_values_reference, mixed_area, sum_normals_reference
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -288,9 +290,9 @@ def count_calls(monkeypatch, name, modules):
 
 class TestFacetRecursionWork:
     """The recursion makes n - 1 sup-convolutions for a mixed integral,
-    no ``Roof`` and no cell polytope, no hull for a plane mixed volume, and
-    neither a Minkowski sum nor a lifted hull for a mixed volume of lifted
-    polytopes."""
+    no ``Roof`` and no cell polytope, no hull for a plane mixed volume and
+    no polytope for a Minkowski sum's normals, and neither a Minkowski sum
+    nor a lifted hull for a mixed volume of lifted polytopes."""
 
     @pytest.mark.parametrize("n, envelopes", [(1, 0), (2, 1)])
     def test_envelopes_per_mixed_integral(self, monkeypatch, n, envelopes):
@@ -323,13 +325,24 @@ class TestFacetRecursionWork:
 
     def test_no_hull_for_plane_mixed_volume(self, monkeypatch):
         rng = random.Random(157)
-        calls = count_calls(monkeypatch, "convex_hull", ("geomkernel", "mixed"))
+        calls = count_calls(monkeypatch, "convex_hull", ("geomkernel",))
+        calls += count_calls(monkeypatch, "_hull_core", ("geomkernel", "mixed"))
         for _ in range(20):
             polys = [rand_polytope(rng, 2) for _ in range(2)]
             polys[rng.randrange(2)] = convex_hull([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))])
             calls.clear()
             mixed_volume(polys)
             assert not calls
+
+    def test_no_polytope_for_sum_normals(self, monkeypatch):
+        # one hull core per full-dimensional sum, read for its normals
+        rng = random.Random(167)
+        families = [[rand_polytope(rng, n) for _ in range(n)] for n in (3, 3, 4)]
+        expected = [mixed_volume(polys) for polys in families]
+        hulls = count_calls(monkeypatch, "_hull_core", ("mixed",))
+        monkeypatch.setattr(Polytope, "__init__", lambda *args: pytest.fail("a Polytope was built"))
+        assert [mixed_volume(polys) for polys in families] == expected
+        assert hulls
 
     def test_no_sum_or_lifted_hull_for_lifted_mixed_volume(self, monkeypatch):
         rng = random.Random(163)
@@ -339,6 +352,66 @@ class TestFacetRecursionWork:
         for polys in families:
             mixed_volume(polys)
         assert not sums and not hulls
+
+
+class TestReadFromTheHull:
+    """Vertex-value maps read from the lifts of the upper facets' points,
+    and Minkowski-sum normals read from the simplicial facets of one hull
+    core, against the routes they replaced (``tests/oracles.py``)."""
+
+    def test_envelope_map_against_cell_values(self):
+        rng = random.Random(179)
+        logs = lambda: rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3
+        kinds = ("repeated", "flat", "single", "chart", "archimedean")
+        charts = 0
+        for draw in range(150):
+            k = rng.randint(1, 3)
+            kind = kinds[draw % len(kinds)]
+            bases = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(rng.randint(1, k + 4))]
+            if kind == "single":
+                bases = bases[:1] * rng.randint(1, 4)
+            elif kind == "chart" and k > 1:  # bases on a line or a plane through the first
+                steps = [tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(k - 1)]
+                bases = [tuple(b + sum(rng.randint(-1, 2) * s[j] for s in steps) for j, b in enumerate(bases[0])) for _ in range(5)]
+            elif kind == "repeated":  # the same base with another lift, and an exact repeat
+                bases += [rng.choice(bases), rng.choice(bases)]
+            if kind == "flat":
+                grad = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+                lift = logs() + rng.randint(-2, 2)
+                lifts = [lift + sum(g * x for g, x in zip(grad, b)) for b in bases]
+            elif kind == "archimedean":  # log|c| of rational coefficients: no constant part
+                lifts = [logs() for _ in bases]
+            else:
+                lifts = [rng.choice((logs() + F(rng.randint(-3, 3), 2), F(rng.randint(-4, 4), rng.randint(1, 3)))) for _ in bases]
+            points = list(zip(bases, lifts))
+            if kind == "repeated":
+                points.append(points[-1])
+            if kind == "single":
+                points.append((tuple(map(F, bases[0])), lifts[0]))
+            new, ref = _envelope_map(points), envelope_values_reference(points)
+            assert new == ref
+            assert all(type(x) is int for v in new for x in v)
+            charts += 0 < geomkernel._affine_basis(list(new))[1] < k
+        assert charts >= 10
+
+    def test_sum_normals_against_hull_facets(self):
+        rng = random.Random(181)
+        compared = {3: 0, 4: 0, 5: 0}
+        for n, draws in ((3, 40), (4, 16), (5, 6)):
+            for _ in range(draws):
+                sets = [[tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 7 - n))] for _ in range(n - 1)]
+                if rng.random() < 0.5:  # coplanar: a unit square in two coordinates, and one more point
+                    i, j = rng.sample(range(n), 2)
+                    sets[0] = [tuple(int(c in ij) for c in range(n)) for ij in ((i,), (j,), (i, j), ())] + sets[0][:1]
+                sets = [points + [rng.choice(points)] for points in sets]  # a repeated point
+                sums = {tuple(map(sum, zip(*c))) for c in itertools.product(*sets)}
+                if not convex_hull(sums).is_full_dimensional:
+                    continue
+                normals = _sum_normals(sets, n)
+                assert len(set(normals)) == len(normals)
+                assert set(normals) == set(sum_normals_reference(sets))
+                compared[n] += 1
+        assert min(compared.values()) >= 4
 
 
 class TestMixedVolume:

@@ -234,8 +234,8 @@ class TestFinitePlacesAreRational:
         rng = random.Random(131 + n)
         family = rand_family(rng, n, "prime powers")
         calls = []
-        for module in (toricheight.mixed, toricheight.roof):  # member roofs, sup-convolutions
-            _record(monkeypatch, module, "upper_envelope", lambda a: [g[1] for g in a[0]], calls)
+        for name in ("_envelope_map", "upper_envelope"):  # member roofs, sup-convolutions
+            _record(monkeypatch, toricheight.mixed, name, lambda a: [g[1] for g in a[0]], calls)
         multiheight(family)
         places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
         # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
@@ -244,9 +244,10 @@ class TestFinitePlacesAreRational:
 
 
 class TestMultiheightWork:
-    """A multiheight reads each member's roof at a place from one upper
-    envelope, one hull, and its mixed degree from the exponent sets: no
-    ``Roof`` of a member, no domain hull, no rational hull."""
+    """A multiheight reads each member's roof at a place from one hull, as
+    the lifts of its upper facets' points, and its mixed degree from the
+    exponent sets: no ``Roof``, upper envelope or cell of a member, no
+    domain hull, no rational hull."""
 
     @pytest.mark.parametrize("n, draws", [(1, 8), (2, 3)])
     def test_one_hull_per_member_and_place(self, monkeypatch, n, draws):
@@ -262,36 +263,51 @@ class TestMultiheightWork:
             families.append(EmbeddingFamily(tuple(members)))
         expected = [loglinear_multiheight(f) for f in families]
         gk = toricheight.geomkernel
-        for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.mixed, "convex_hull"),
-                             (toricheight.roof, "convex_hull"), (gk, "convex_hull"), (gk, "_build_rational")):
+        for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.roof, "convex_hull"),
+                             (gk, "convex_hull"), (gk, "_build_rational")):
             monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
-        hulls, envelopes, convolutions, depth = [], [], [], [0]
-        real_core, real_envelope = gk._hull_core, toricheight.mixed.upper_envelope
-        real_recursion = toricheight.mixed._mixed_integral
+        hulls, maps, convolutions, depth = [], [], [], [0]
+        real_core, real_map = gk._hull_core, toricheight.mixed._envelope_map
+        real_envelope, real_recursion = toricheight.mixed.upper_envelope, toricheight.mixed._mixed_integral
+        real_cell = gk.AffineCell.__init__
         monkeypatch.setattr(gk, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
 
-        def recursion(maps):  # member roofs are built before it runs, sup-convolutions inside it
+        def recursion(maps):  # member maps are read before it runs, sup-convolutions inside it
             depth[0] += 1
             try:
                 return real_recursion(maps)
             finally:
                 depth[0] -= 1
 
+        def counted(real, out):
+            def call(points):
+                before = len(hulls)
+                result = real(points)
+                out.append(len(hulls) - before)
+                return result
+            return call
+
+        counted_envelope = counted(real_envelope, convolutions)
+
         def envelope(points):
-            before = len(hulls)
-            cells = real_envelope(points)
-            (convolutions if depth[0] else envelopes).append(len(hulls) - before)
-            return cells
+            assert depth[0], "an upper envelope was built for a member"
+            return counted_envelope(points)
+
+        def cell(self, *args):
+            assert depth[0], "a cell was built for a member"
+            real_cell(self, *args)
 
         monkeypatch.setattr(toricheight.mixed, "_mixed_integral", recursion)
+        monkeypatch.setattr(toricheight.mixed, "_envelope_map", counted(real_map, maps))
         monkeypatch.setattr(toricheight.mixed, "upper_envelope", envelope)
+        monkeypatch.setattr(gk.AffineCell, "__init__", cell)
         for family, reference in zip(families, expected):
             places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
-            envelopes.clear()
+            maps.clear()
             convolutions.clear()
             rep = multiheight(family)
             assert (rep.value, rep.per_place, rep.degree) == reference
-            assert envelopes == [1] * ((n + 1) * len(places))
+            assert maps == [1] * ((n + 1) * len(places))
             assert len(convolutions) <= (n - 1) * len(places)
 
 
