@@ -14,19 +14,21 @@ rational linear solves and ``_simplex_det``, the one integer |det| of a
 simplex, share that fraction-free elimination on integer rows,
 ``_Echelon``.  That |det| weighs a projected upper facet and a simplex of
 the fan of a rational polytope's simplicial boundary, which serves volumes
-and ``triangulate``.  An upper envelope is one hull of the lifted points,
-whose one elimination also gives the bases' rank and whose projected
-facets give each cell's integral; a flat lift gets one more point, just
-below its graph, so that its upper facets are that graph.  A cell's
-polytope is built when read, and a cell of one simplicial facet reads its
-vertices from its points without it.  Where only the integral is wanted,
-``_envelope_integral`` sums those projected simplices into one integer row
-and decodes it once; their |det| also sum to k! times the volume of the
-bases' hull, a pair's degree under a zero lift.  Where only the
-vertex-value map is wanted, ``_envelope_map`` reads each upper simplex's
-points with their own lifts.  A lifted polytope lies
-between the upper and lower cells of one hull, or is the graph of its
-affine basis over the bases' hull when flat.
+and ``triangulate``.  Off a line an upper envelope is one hull of the
+lifted points, whose one elimination also gives the bases' rank and whose
+projected facets give each cell's integral; a flat lift gets one more
+point, just below its graph, so that its upper facets are that graph.
+Over a line (k = 1) it is Andrew's monotone chain of the integer points,
+``_chain``, with no hull and no elimination, and a cell's points are its
+two ends.  A cell's polytope is built when read, and a cell of one
+simplex reads its vertices from its points without it.  Where only the
+integral is wanted, ``_envelope_integral`` sums those projected simplices
+into one integer row and decodes it once; their |det| also sum to k!
+times the volume of the bases' hull, a pair's degree under a zero lift.
+Where only the vertex-value map is wanted, ``_envelope_map`` reads each
+upper simplex's points with their own lifts.  A lifted polytope lies
+between the upper and lower cells of one hull (of one chain pass over a
+line), or is the graph of its affine basis over the bases' hull when flat.
 """
 
 from __future__ import annotations
@@ -392,10 +394,7 @@ class Polytope:
     rational ones carry a simplicial boundary for volumes and
     triangulations."""
 
-    def __init__(
-        self, ambient_dim, affine_dim, vertices, facets, kind,
-        chart=None, inner=None, boundary=None,
-    ):
+    def __init__(self, ambient_dim, affine_dim, vertices, facets, kind, chart=None, inner=None, boundary=None):
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self.vertices = vertices
@@ -411,18 +410,12 @@ class Polytope:
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and frozenset(self.vertices) == frozenset(other.vertices)
-        )
+        return self.ambient_dim == other.ambient_dim and frozenset(self.vertices) == frozenset(other.vertices)
 
     __hash__ = None
 
     def __repr__(self):
-        return (
-            f"Polytope(ambient={self.ambient_dim}, dim={self.affine_dim}, "
-            f"vertices={len(self.vertices)})"
-        )
+        return f"Polytope(ambient={self.ambient_dim}, dim={self.affine_dim}, vertices={len(self.vertices)})"
 
     @property
     def is_full_dimensional(self):
@@ -533,15 +526,53 @@ def _decode(coeffs, denominator, primes):
     return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
 
 
+def _chain(ints, primes, lower):
+    """Andrew's monotone chain (*Inf. Process. Lett.* 9, 1979) of integer
+    points over a line: the upper (and, if asked, lower) chain of the
+    largest (smallest) lift at each base, a middle point dropped while on or
+    below (above) its neighbours' segment.  Segment i -> j is ``(fn, x_j -
+    x_i, (i, j))``, fn primitive and outward as from ``_functionals``."""
+
+    def sign(row):  # of an integer row's value
+        return 0 if not any(row) else _row_sign(row, primes) if primes else (row[0] > 0) - (row[0] < 0)
+
+    def height(a, b, c):  # of b over the segment a -> c, times x_c - x_a
+        return sign([(c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:])])
+
+    segments = []
+    for s in (1, -1) if lower else (1,):
+        best = {}  # base -> its point of the largest (smallest) lift
+        for i, p in enumerate(ints):
+            if s * sign([a - b for a, b in zip(p[1:], ints[best.setdefault(p[0], i)][1:])]) > 0:
+                best[p[0]] = i
+        if len(best) < 2:
+            raise ValueError("lifted hull over a degenerate projection is unsupported")
+        chain = []
+        for i in map(best.get, sorted(best)):
+            while len(chain) > 1 and s * height(ints[chain[-2]], ints[chain[-1]], ints[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        for i, j in zip(chain, chain[1:]):
+            (x, *a), (y, *b) = ints[i], ints[j]
+            w, d = y - x, [v - u for u, v in zip(a, b)]
+            g = s * gcd(w, *d)
+            fn = tuple((-e // g, *(w // g * (u == t) for u in range(len(d))), (w * a[t] - e * x) // g) for t, e in enumerate(d))
+            segments.append((fn, w, (i, j)))
+    return segments
+
+
 def _graph_simplices(points, integers, lower=False):
     """Simplices of the graph of lifted points (``_lifted_integers`` of them
-    given) whose bases span their space, as ``(fn, w, ids)``: w is the
-    projected |det| of an upper (and, if asked, lower) simplicial facet of
-    one hull, fn its functionals.  A flat lift (rank k) is hulled with its
-    first point lowered by 1 in the constant entry: no facet through that
-    point faces up, so the upper facets are the graph (not to be asked for
-    its lower ones)."""
+    given, or only ``_integer_points`` over a line) whose bases span their
+    space, as ``(fn, w, ids)``: w is the projected |det| of an upper (and,
+    if asked, lower) simplex, fn its functionals.  Over a line they are the
+    segments of ``_chain``; else the simplicial facets of one hull.  A flat
+    lift (rank k) is hulled with its first point lowered by 1 in the
+    constant entry: no facet through that point faces up, so the upper
+    facets are the graph (not to be asked for its lower ones)."""
     k = len(points[0]) - 1
+    if k == 1:
+        return _chain(*integers[:2], lower)
     ints, primes, _, basis, rank, base = integers
     if len(base) <= k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
@@ -596,7 +627,7 @@ def _envelope_integral(points):
     k = len(points[0]) - 1
     _check_dimension(k, False)
     points = _dedup(points)
-    integers = _lifted_integers(points)
+    integers = _integer_points(points) if k == 1 else _lifted_integers(points)
     ints, primes, scale = integers[:3]
     total, dets = [0] * (len(ints[0]) - k), 0
     for _, w, ids in _graph_simplices(points, integers):
@@ -607,7 +638,7 @@ def _envelope_integral(points):
 
 def _envelope_map(points):
     """The vertex-value map of ``upper_envelope(points)`` without cells: the
-    ``_exact`` base of each point of an upper facet with its lift there."""
+    ``_exact`` base of each point of an upper simplex with its lift there."""
     gens, graph, _ = _envelope_setup(points)
     ids = (i for _, _, ids in _graph_simplices(*graph) for i in ids) if graph else [0]
     return {_exact(gens[i][0]): gens[i][1] for i in ids}
@@ -622,8 +653,9 @@ def _build_lifted(points):
     bases that must span their space.  A flat one (rank k) is the graph,
     over the bases' hull, of the function of its affine basis's functionals
     (one cell, whose integral is not read); a full one is the region
-    between the upper and the lower cells of one hull, with the integral of
-    the upper envelope minus the lower as its volume."""
+    between the upper and the lower cells of one hull (one chain pass over
+    a line), with the upper envelope's integral minus the lower's as its
+    volume."""
     k = len(points[0]) - 1
     ints, _, _, basis, rank, base = integers = _lifted_integers(points)
     proj = _build_rational(_dedup([p[:k] for p in points]))
@@ -783,9 +815,7 @@ class FaceLattice:
 
     def face_polytope(self, face: Face) -> Polytope:
         if face not in self._poly_cache:
-            self._poly_cache[face] = convex_hull(
-                [self.polytope.vertices[i] for i in sorted(face.vertex_ids)]
-            )
+            self._poly_cache[face] = convex_hull([self.polytope.vertices[i] for i in sorted(face.vertex_ids)])
         return self._poly_cache[face]
 
 
@@ -808,9 +838,7 @@ def intersect_polytopes(p: Polytope, q: Polytope):
         raise ValueError("intersection supported only up to dimension 3")
     if not (p.is_full_dimensional and q.is_full_dimensional):
         raise ValueError("intersection needs full-dimensional operands")
-    constraints = [(F.normal, F.offset) for F in p.facets] + [
-        (F.normal, F.offset) for F in q.facets
-    ]
+    constraints = [(F.normal, F.offset) for F in p.facets + q.facets]
     candidates = []
     for subset in itertools.combinations(range(len(constraints)), d):
         rows, rhs = zip(*(constraints[i] for i in subset))

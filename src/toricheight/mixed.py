@@ -10,7 +10,7 @@ of n+1 roofs is that recursion applied to their lifted polytopes; it runs
 on vertex-value maps and, at each level, builds the sup-convolution of all
 roofs but the first (n - 1 upper envelopes, none in dimension 1).  The map
 of a multiheight member or a lifted polytope's boundary is read from one
-hull's upper facets (``_envelope_map``), that of an input roof or a
+hull's upper facets, or one chain's over a line (``_envelope_map``), that of an input roof or a
 sup-convolution from its cells (``_values``), with no ``Roof`` and no
 cell polytope.  Both keep the diagonal identities
 MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) = (n+1)! Int(f).  Mixed

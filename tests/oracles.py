@@ -16,6 +16,9 @@ routes ``mixed`` read an upper envelope's vertex-value map (the values of
 its cells' affine functions) and a Minkowski sum's facet normals (the
 merged facets of its polytope) by, before both were read from the one
 hull's facets.
+``graph_simplices_by_hull`` is the route ``geomkernel._graph_simplices``
+read the upper and lower segments of lifted points over a line by, before
+its monotone chain: the facets of one beneath-beyond hull.
 ``interval_mpmath``, ``approximate_mpmath``, ``float_mpmath`` and
 ``float_logs_mpmath`` are ``exactnum``'s ``_interval``, ``_approximate``,
 ``LogLinearNumber.__float__`` and ``_float_logs`` as they read on ``mpmath``,
@@ -255,6 +258,27 @@ def envelope_values_reference(points):
     from toricheight.mixed import _values
 
     return _values(upper_envelope(points))
+
+
+def graph_simplices_by_hull(points, integers, lower=False):
+    """``geomkernel._graph_simplices`` by one hull at every dimension: the
+    ``(fn, w, ids)`` of the upper (and, if asked, lower) simplicial facets of
+    ``_hull_core`` on ``_lifted_integers`` of the points, a flat lift with its
+    first point lowered by 1 in the constant entry."""
+    from toricheight import geomkernel
+
+    k = len(points[0]) - 1
+    ints, primes, _, basis, rank, base = integers
+    if len(base) <= k:
+        raise ValueError("lifted hull over a degenerate projection is unsupported")
+    if rank == k:
+        ints = [*ints, (*ints[0][:k], ints[0][k] - 1, *ints[0][k + 1 :])]
+        basis = [*basis, len(ints) - 1]
+    return [
+        (F.fn, geomkernel._simplex_det([ints[i] for i in F.ids], k), F.ids)
+        for F in geomkernel._hull_core(ints, basis, primes)
+        if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0)
+    ]
 
 
 def sum_normals_reference(sets):

@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from toricheight import exactnum
 from toricheight.errors import DimensionLimitError
 from toricheight.exactnum import LogLinearNumber, _row_sign, as_loglinear, certified_sign
 import toricheight.geomkernel as geomkernel
@@ -34,7 +35,7 @@ from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, mul
 from toricheight.roof import roof_from_generators, roof_from_weight, roof_integral
 from toricheight.toric import MonomialPair, normalized_height
 
-from oracles import grid_volume_bounds, log_basis_det, minor_rank, rational_det
+from oracles import graph_simplices_by_hull, grid_volume_bounds, log_basis_det, minor_rank, rational_det, riemann_roof_oracle
 from test_roof import rebuilt_cell_integral
 
 LL = LogLinearNumber
@@ -591,17 +592,18 @@ class TestLiftedRationalModel:
         assert [Fc.normal[:-1] for Fc in P.facets[2:]] == [Fc.normal for Fc in base.facets]
 
     @pytest.mark.parametrize(
-        "bases, lift",
+        "bases, lift, hulls, chains",
         [
-            (list(itertools.product(range(3), repeat=2)), lambda b: b[0] * b[1] * log2),
-            ([(a,) for a in range(5)], lambda b: (b[0] % 2) * log2 - b[0] * log3),
+            (list(itertools.product(range(3), repeat=2)), lambda b: b[0] * b[1] * log2, 1, []),
+            ([(a,) for a in range(5)], lambda b: (b[0] % 2) * log2 - b[0] * log3, 0, [True]),
         ],
         ids=["grid", "segment"],
     )
-    def test_full_lift_hulls_lifted_points_once(self, monkeypatch, bases, lift):
-        # the upper and the lower cells are read from the facets of one hull
-        lifted = []
-        real = geomkernel._hull_core
+    def test_full_lift_hulls_lifted_points_once(self, monkeypatch, bases, lift, hulls, chains):
+        # the upper and the lower cells are read from the facets of one hull,
+        # over a line from one pass of the monotone chain, asked for both
+        lifted, passes = [], []
+        real, chain = geomkernel._hull_core, geomkernel._chain
 
         def counted(points, basis, primes):
             if primes:
@@ -609,8 +611,9 @@ class TestLiftedRationalModel:
             return real(points, basis, primes)
 
         monkeypatch.setattr(geomkernel, "_hull_core", counted)
+        monkeypatch.setattr(geomkernel, "_chain", lambda ints, primes, lower: passes.append(lower) or chain(ints, primes, lower))
         P = convex_hull([(*b, lift(b)) for b in bases])
-        assert (P._kind, len(lifted)) == ("lifted-full", 1)
+        assert (P._kind, len(lifted), passes) == ("lifted-full", hulls, chains)
         upper = upper_envelope([(b, lift(b)) for b in bases])
         lower = upper_envelope([(b, -lift(b)) for b in bases])
         assert volume(P) == sum(c.integral for c in upper) + sum(c.integral for c in lower)
@@ -929,8 +932,9 @@ class TestEchelonKernel:
 
     def test_only_integer_rows_reach_the_elimination(self, monkeypatch):
         # heights in 1-D to 4-D, a multiheight, a mixed integral and a mixed
-        # volume: each reaches ``_Echelon`` (at least the n+1 rows of one
-        # simplex), and no Fraction or log-linear entry does
+        # volume: each but the 1-D height, whose roofs are monotone chains,
+        # reaches ``_Echelon`` (at least the n+1 rows of one simplex), and no
+        # Fraction or log-linear entry does
         rows, counts = [], []
         add = _Echelon.add
 
@@ -964,7 +968,7 @@ class TestEchelonKernel:
             roofs.append(roof_from_weight(exps, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in exps]))
         counted(2, mixed_integral, roofs)
         counted(3, mixed_volume, [convex_hull(rand_points(rng, 3, 6, span=3)) for _ in range(3)])
-        assert len(counts) == 7 and all(count >= n + 1 for count, n in counts)
+        assert len(counts) == 7 and counts[0] == (0, 1) and all(count >= n + 1 for count, n in counts[1:])
         assert all(type(x) is int for row in rows for x in row)
 
     def test_affine_basis_is_greedy(self):
@@ -1103,19 +1107,24 @@ class TestHullCoreDifferential:
             }
 
     def test_same_graph_cells(self, monkeypatch):
-        # rational lifts go through pencil facets, log-linear ones do not
+        # rational lifts go through pencil facets, log-linear ones do not;
+        # over a line the reference hulls what the chain reads, and the
+        # cells, one per segment, may come in another order
         rng = random.Random(149)
         rational, lifted = hull_core_inputs(151)
         sets = lifted + [[(*p[:-1], F(rng.randint(-3, 3), rng.randint(1, 2))) for p in pts] for pts in lifted]
         sets += [[(*p, F(rng.randint(-4, 4))) for p in sorted(set(pts))] for pts in rational if len(pts[0]) < 4]
         sets = [pts for pts in map(geomkernel._dedup, sets) if self.core_pairs(pts)]
         assert len(sets) > 60
+        assert sum(len(pts[0]) == 2 for pts in sets) > 20
         cells = [geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True) for pts in sets]
         monkeypatch.setattr(geomkernel, "_hull_core", reference_hull_core)
+        monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
         for pts, (upper, lower) in zip(sets, cells):
             ref_upper, ref_lower = geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True)
-            assert cell_fields(upper) == cell_fields(ref_upper)
-            assert cell_fields(lower) == cell_fields(ref_lower)
+            fields = cell_fields if len(pts[0]) > 2 else lambda c: sorted(cell_fields(c), key=repr)
+            assert fields(upper) == fields(ref_upper)
+            assert fields(lower) == fields(ref_lower)
 
     def test_every_facet_made_is_the_eliminated_one(self, monkeypatch):
         # pencil facets included, even those a later point removes
@@ -1159,3 +1168,133 @@ class TestHullCoreDifferential:
             assert rows == [2 * d + 2] * (d + 1)
             dims.add(d)
         assert dims == set(range(1, geomkernel.MAX_DIMENSION + 1))
+
+
+NEAR_LOG2 = F(693147180559945309417232121458, 10**30)  # within 10^-20 of log 2: no double sum tells them apart
+
+
+def line_cases(seed):
+    """Seeded ``(base, lift)`` pairs over a line: integer, rational and
+    log-linear lifts over integer and rational bases, repeated bases with
+    lifts of their own, collinear and flat lifts, two points, and
+    archimedean lifts at near-ties (``NEAR_LOG2`` beside log 2)."""
+    rng = random.Random(seed)
+    cases = [
+        [((0,), 0), ((1,), log2)],
+        [((0,), 0), ((1,), NEAR_LOG2), ((2,), 2 * log2)],
+        [((0,), 0), ((1,), log2), ((1,), NEAR_LOG2), ((2,), 2 * log2)],
+        [((0,), NEAR_LOG2), ((1,), log2), ((2,), NEAR_LOG2), ((2,), log2)],
+        [((0,), 1), ((1,), 1), ((3,), 1), ((3,), 0), ((2,), 1)],
+    ]
+    for _ in range(400):
+        kind = rng.choice(("integer", "rational", "loglinear", "near", "flat", "collinear"))
+        bases = [(F(rng.randint(-4, 4), rng.choice((1, 1, 2))),) for _ in range(rng.randint(2, 7))]
+        slope, constant = F(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3
+
+        def lift(b):
+            if kind == "integer":
+                return rng.randint(-4, 4)
+            if kind == "rational":
+                return F(rng.randint(-9, 9), rng.randint(1, 4))
+            if kind == "loglinear":
+                return F(rng.randint(-7, 7), 2) + rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3
+            if kind == "near":
+                return b[0] * rng.choice((log2, NEAR_LOG2)) + rng.choice((0, log3))
+            return slope * b[0] + constant - (kind == "collinear" and rng.random() < 0.4) * rng.randint(1, 2)
+
+        points = [(b, lift(b)) for b in bases]
+        points += [(b, lift(b)) for b, _ in rng.sample(points, rng.randint(0, 2))]  # repeated bases
+        cases.append(points)
+    return cases
+
+
+def graph_points(points):
+    lifted = geomkernel._dedup([(*map(F, b), geomkernel._as_value(t)) for b, t in points])
+    return lifted, geomkernel._lifted_integers(lifted)
+
+
+def widths(simplices):
+    """Σ w of the simplices of each functional."""
+    total = {}
+    for fn, w, _ in simplices:
+        total[fn] = total.get(fn, 0) + w
+    return total
+
+
+def row_integral(ints, simplices):
+    """Σ w times the lift rows of each upper simplex's points, as ``_envelope_integral`` sums them."""
+    return [sum(w * sum(ints[i][t] for i in ids) for fn, w, ids in simplices if fn[0][1] > 0) for t in range(1, len(ints[0]))]
+
+
+class TestChainAgainstHull:
+    """Over a line ``_graph_simplices`` is Andrew's monotone chain; the one
+    hull it replaced there, ``graph_simplices_by_hull``, is the reference.
+    The hull keeps a point on a segment only when it is in the first
+    simplex; the chain drops it."""
+
+    def test_same_segments(self, monkeypatch):
+        kinds, near, ties = set(), [], 0
+        interval_sign = exactnum._interval_sign
+        monkeypatch.setattr(exactnum, "_interval_sign", lambda *args: near.append(args) or interval_sign(*args))
+        for points in line_cases(211):
+            lifted, integers = graph_points(points)
+            ints, primes, _, _, rank, base = integers
+            if len(base) < 2:
+                for graph in (geomkernel._graph_simplices, graph_simplices_by_hull):
+                    with pytest.raises(ValueError, match="degenerate projection"):
+                        graph(lifted, integers)
+                continue
+            lower = rank == 2  # a flat lift is not asked for its lower chain
+            near.clear()
+            new = geomkernel._graph_simplices(lifted, integers, lower)
+            ties += bool(near)  # signs the double filter left to intervals
+            ref = graph_simplices_by_hull(lifted, integers, lower)
+            for fn, w, ids in new:
+                assert len(ids) == 2 and w == ints[ids[1]][0] - ints[ids[0]][0] > 0
+            assert widths(new) == widths(ref)
+            assert row_integral(ints, new) == row_integral(ints, ref)
+            assert len({fn for fn, _, _ in new}) == len(new)  # one segment per cell
+            kinds.add((bool(primes), lower, len({p[0] for p in ints}) < len(ints)))
+        assert len(kinds) == 6 and ties > 20  # a flat lift has no repeated base
+
+    def test_same_cells_and_maps(self, monkeypatch):
+        cases = line_cases(223)
+        found = []
+        for points in cases:
+            lifted, integers = graph_points(points)
+            if len(integers[-1]) > 1:
+                found.append((geomkernel._graph_cells(lifted, integers, lower=integers[4] == 2), upper_envelope(points)))
+            found.append(geomkernel._envelope_map(points))
+        monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
+        dropped = 0
+        for points in cases:
+            lifted, integers = graph_points(points)
+            if len(integers[-1]) > 1:
+                (upper, lower), envelope = found.pop(0)
+                ref_upper, ref_lower = geomkernel._graph_cells(lifted, integers, lower=integers[4] == 2)
+                for cells, ref in ((upper, ref_upper), (lower, ref_lower)):
+                    assert {c: c.integral for c in cells} == {c: c.integral for c in ref} and len(cells) == len(ref)
+                    assert all(len(c.points) == 2 and set(c.points) == set(c.vertices) for c in cells)
+            new, ref = found.pop(0), geomkernel._envelope_map(points)
+            assert new.keys() <= ref.keys()
+            assert all(as_loglinear(new[x]) == as_loglinear(ref[x]) for x in new)
+            for x in ref.keys() - new.keys():  # on a segment of the chain, with the same value
+                (cell,) = [c for c in envelope if min(c.points) < (F(x[0]),) < max(c.points)]
+                assert as_loglinear(cell.value_at((x[0],))) == as_loglinear(ref[x])
+                dropped += 1
+        assert dropped > 10 and not found
+
+    def test_archimedean_roofs_against_riemann_sums(self):
+        rng = random.Random(227)
+        for _ in range(25):
+            bases = sorted({(rng.randint(-3, 3),) for _ in range(rng.randint(2, 6))})
+            if len(bases) < 2:
+                continue
+            lifts = [F(rng.randint(-5, 5), 2) + rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 for _ in bases]
+            bases += [bases[0]]
+            lifts += [lifts[0] - log3]
+            integral, width = geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+            approx, bound = riemann_roof_oracle(bases, [float(t) for t in lifts])
+            assert width == bases[-2][0] - bases[0][0]
+            assert abs(float(as_loglinear(integral)) - approx) <= bound
+

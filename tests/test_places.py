@@ -266,11 +266,12 @@ class TestMultiheightWork:
         for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.roof, "convex_hull"),
                              (gk, "convex_hull"), (gk, "_build_rational")):
             monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
-        hulls, maps, convolutions, depth = [], [], [], [0]
-        real_core, real_map = gk._hull_core, toricheight.mixed._envelope_map
+        hulls, chains, maps, convolutions, depth = [], [], [], [], [0]
+        real_core, real_chain, real_map = gk._hull_core, gk._chain, toricheight.mixed._envelope_map
         real_envelope, real_recursion = toricheight.mixed.upper_envelope, toricheight.mixed._mixed_integral
         real_cell = gk.AffineCell.__init__
         monkeypatch.setattr(gk, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
+        monkeypatch.setattr(gk, "_chain", lambda *args: chains.append(1) or real_chain(*args))
 
         def recursion(maps):  # member maps are read before it runs, sup-convolutions inside it
             depth[0] += 1
@@ -281,9 +282,9 @@ class TestMultiheightWork:
 
         def counted(real, out):
             def call(points):
-                before = len(hulls)
+                before = len(hulls), len(chains)
                 result = real(points)
-                out.append(len(hulls) - before)
+                out.append((len(hulls) - before[0], len(chains) - before[1]))
                 return result
             return call
 
@@ -307,7 +308,7 @@ class TestMultiheightWork:
             convolutions.clear()
             rep = multiheight(family)
             assert (rep.value, rep.per_place, rep.degree) == reference
-            assert maps == [1] * ((n + 1) * len(places))
+            assert maps == [(0, 1) if n == 1 else (1, 0)] * ((n + 1) * len(places))  # over a line, a chain
             assert len(convolutions) <= (n - 1) * len(places)
 
 
@@ -392,19 +393,22 @@ class TestPlaceIntegralsFromOneHull:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_hull_per_place(self, monkeypatch, n):
         # 1, 30, 1 on the line 0, e_1, 2 e_1: no place is flat, and each
-        # place's lifted points are hulled once, with the degree read off
+        # place's lifted points are hulled once, with the degree read off;
+        # over a line they are one monotone chain, with no elimination
         rng = random.Random(149 + n)
-        hulls, real = [], toricheight.geomkernel._hull_core
-        monkeypatch.setattr(
-            toricheight.geomkernel, "_hull_core", lambda pts, basis, primes: hulls.append(len(pts[0]) - len(primes)) or real(pts, basis, primes)
-        )
+        gk = toricheight.geomkernel
+        hulls, chains, rows = [], [], []
+        real, chain, add = gk._hull_core, gk._chain, gk._Echelon.add
+        monkeypatch.setattr(gk, "_hull_core", lambda pts, basis, primes: hulls.append(len(pts[0]) - len(primes)) or real(pts, basis, primes))
+        monkeypatch.setattr(gk, "_chain", lambda ints, primes, lower: chains.append(lower) or chain(ints, primes, lower))
+        monkeypatch.setattr(gk._Echelon, "add", lambda echelon, vec: rows.append(vec) or add(echelon, vec))
         e1 = tuple(int(j == 0) for j in range(n))
         for _ in range(3):
             exps = simplex_exponents(rng, n, 1)
             exps = [e for e in exps if e not in {(0,) * n, e1}] + [(0,) * n, e1, tuple(2 * x for x in e1)]
             coeffs = [prime_power_coeff(rng) for _ in exps[:-3]] + [1, 30, 1]
             pair = MonomialPair.make(exps, coeffs)
-            hulls.clear()
+            del hulls[:], chains[:], rows[:]
             rep = normalized_height(pair)
             assert len(rep.per_place) == 4
-            assert hulls == [n + 1] * 4
+            assert (hulls, chains, len(rows) > 0) == (([], [False] * 4, False) if n == 1 else ([n + 1] * 4, [], True))

@@ -124,21 +124,29 @@ class TestDegree:
 
     def test_one_zero_lift_hull(self, monkeypatch):
         """``degree`` is the Σ|det| of one hull of the zero-lifted lattice
-        coordinates: one ``_hull_core``, no ``convex_hull``, and r! times the
-        volume of a triangulation of the exponents' hull in their lattice."""
+        coordinates (over a line, of one monotone chain, with no
+        elimination): one ``_hull_core``, no ``convex_hull``, and r! times
+        the volume of a triangulation of the exponents' hull in their
+        lattice."""
         rng = random.Random(191)
         cases = [rand_sublattice_pair(rng, r) for r in range(6) for _ in range(4)]
         bases = [lattice_normalize(pair.exponents)[2] for pair, _ in cases]
         assert sum(bool(b) and len(b) == len(b[0]) and abs(rational_det(b)) > 1 for b in bases) >= 5  # proper sublattices of Z^r
         expected = [triangulated_degree(cs) for _, cs in cases]
-        hulls, real_core = [], geomkernel._hull_core
+        hulls, chains, rows = [], [], []
+        real_core, real_chain, add = geomkernel._hull_core, geomkernel._chain, geomkernel._Echelon.add
         monkeypatch.setattr(geomkernel, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
+        monkeypatch.setattr(geomkernel, "_chain", lambda *args: chains.append(1) or real_chain(*args))
+        monkeypatch.setattr(geomkernel._Echelon, "add", lambda echelon, vec: rows.append(1) or add(echelon, vec))
         for module in (geomkernel, toric):
             monkeypatch.setattr(module, "convex_hull", lambda *args: pytest.fail("convex_hull called"))
-        for (pair, _), d in zip(cases, expected):
-            hulls.clear()
+        for (pair, cs), d in zip(cases, expected):
+            del hulls[:], chains[:], rows[:]
             assert degree(pair) == d
-            assert len(hulls) == 1
+            if len(cs[0]) == 1:
+                assert (hulls, chains, rows) == ([], [1], [])
+            else:
+                assert (len(hulls), chains) == (1, [])
 
     def test_lattice_index(self):
         assert degree(MonomialPair.make([(0,), (2,), (4,)], [1, 1, 1])) == 2
