@@ -124,9 +124,11 @@ def _is_prime(n: int) -> bool:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted ``(prime, exponent)`` pairs of |n| for a nonzero n: trial
+    """Sorted ``(prime, exponent)`` pairs of |n|, n != 0 (0 raises): trial
     division, then Pollard-Brent rho (Brent, BIT 20, 1980) on composite
     cofactors.  Rho and the primality tests share one ``_spend`` count."""
+    if not n:  # every prime divides 0: trial division would never end
+        raise ValueError("0 has no prime factorization")
     found, rest, steps = {}, abs(n), 0
     for p in (2, *range(3, min(isqrt(rest), 1023) + 1, 2)):
         while rest % p == 0:
@@ -553,7 +555,7 @@ def value_sign(x) -> int:
     """Sign of an exact value, rational or log-linear."""
     if isinstance(x, LogLinearNumber):
         return certified_sign(x)
-    x = as_fraction(x)
+    x = x if isinstance(x, int) else as_fraction(x)
     return (x > 0) - (x < 0)
 
 

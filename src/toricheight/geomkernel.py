@@ -1,34 +1,25 @@
 """Exact convex geometry over Q^n, with one optional lifted coordinate.
 
-Points are tuples of exact values.  All coordinates are rationals except
-possibly the last one, which may be a :class:`LogLinearNumber`.  Hulls
-(dimension <= 6, one more if lifted) are built beneath-beyond on integers
-only, farthest point first, each ridge keeping the two facets that share
-it: points scaled by one denominator, the last coordinate an integer row
-over (1, log p_1, ..., log p_m), so a side test is an integer sign, or
-``exactnum._row_sign`` when m > 0.  On rational points a new facet's
-functional is the pencil of the two facets at its horizon ridge, and the
-first simplex's are the columns of one elimination's det M^-1, M = [1 | p]
-over its vertices.  Lifted facets' functionals, affine bases, ranks,
-rational linear solves and ``_simplex_det``, the one integer |det| of a
-simplex, share that fraction-free elimination on integer rows,
-``_Echelon``.  That |det| weighs a projected upper facet and a simplex of
-the fan of a rational polytope's simplicial boundary, which serves volumes
-and ``triangulate``.  Off a line an upper envelope is one hull of the
-lifted points, whose one elimination also gives the bases' rank and whose
-projected facets give each cell's integral; a flat lift gets one more
-point, just below its graph, so that its upper facets are that graph.
-Over a line (k = 1) it is Andrew's monotone chain of the integer points,
-``_chain``, with no hull and no elimination, and a cell's points are its
-two ends.  A cell's polytope is built when read, and a cell of one
-simplex reads its vertices from its points without it.  Where only the
-integral is wanted, ``_envelope_integral`` sums those projected simplices
-into one integer row and decodes it once; their |det| also sum to k!
-times the volume of the bases' hull, a pair's degree under a zero lift.
-Where only the vertex-value map is wanted, ``_envelope_map`` reads each
-upper simplex's points with their own lifts.  A lifted polytope lies
-between the upper and lower cells of one hull (of one chain pass over a
-line), or is the graph of its affine basis over the bases' hull when flat.
+Points are tuples of exact values: rationals, the last one possibly a
+:class:`LogLinearNumber`.  Every kernel runs on integers (``_integer_points``):
+the points times one denominator, the last coordinate an integer row over
+(1, log p_1, ..., log p_m), so a side test is an integer sign, or
+``exactnum._row_sign`` when m > 0.  Hulls (dimension <= 6, one more if
+lifted) are built beneath-beyond, farthest point first, each ridge keeping
+the two facets that share it; on rational points a new facet's functional
+is the pencil of the two facets at its horizon ridge, and the first
+simplex's are the columns of one elimination's det M^-1, M = [1 | p].
+Functionals, affine bases, ranks, solves and ``_simplex_det`` share one
+fraction-free elimination, ``_Echelon``.  An upper envelope is one hull of
+the lifted points (a flat lift gets one more point just below its graph),
+or over a line (k = 1) Andrew's monotone chain, ``_chain``, with no hull
+and no elimination; each projected upper simplex weighs its lifts by its
+|det|.  ``_envelope_integral`` and ``_envelope_map`` (the integral, and the
+vertex-value map without cells) take integer points as the place loop
+builds them and decode once; only the public ``upper_envelope`` converts
+exact input (``_envelope_setup``).  A lifted polytope lies between the upper
+and lower cells of one hull or chain pass, or is the graph of one affine
+function over the bases' hull when flat.
 """
 
 from __future__ import annotations
@@ -90,10 +81,6 @@ def _dot(a, b):
 def _exact(v):
     """A rational point with its integral coordinates as ints."""
     return tuple(x.numerator if x.denominator == 1 else x for x in v)
-
-
-def _is_lifted(x) -> bool:
-    return isinstance(x, LogLinearNumber) and not x.is_rational
 
 
 class _Echelon:
@@ -380,10 +367,7 @@ class _Chart:
         """Ambient (gradient, offset) of an affine function given in chart
         coordinates: the gradient M^T g lies in span(B), and the function
         agrees with the original on the chart's subspace."""
-        g_amb = tuple(
-            sum((g * row[i] for g, row in zip(gradient, self._left_inverse)), Fraction(0))
-            for i in range(len(self.origin))
-        )
+        g_amb = tuple(sum((g * row[i] for g, row in zip(gradient, self._left_inverse)), Fraction(0)) for i in range(len(self.origin)))
         return g_amb, offset - _dot(g_amb, self.origin)
 
 
@@ -505,18 +489,9 @@ def _build_rational(points):
         return _build_rational([points[i] for i in vertex_ids])
     order = {pid: k for k, pid in enumerate(vertex_ids)}
     vertices = tuple(points[i] for i in vertex_ids)
-    facets = tuple(
-        Facet(normal, offset, tuple(sorted(order[i] for i in members if i in order)))
-        for normal, offset, members in merged
-    )
+    facets = tuple(Facet(normal, offset, tuple(sorted(order[i] for i in members if i in order))) for normal, offset, members in merged)
     boundary = tuple(tuple(points[i] for i in sorted(F.ids)) for F in simplicial)
     return Polytope(d, d, vertices, facets, "full", boundary=boundary)
-
-
-def _lifted_integers(points):
-    """``_integer_points`` of lifted points, then their ``_integer_basis``."""
-    ints, primes, scale = _integer_points(points)
-    return ints, primes, scale, *_integer_basis(ints, len(points[0]) - 1)
 
 
 def _decode(coeffs, denominator, primes):
@@ -526,6 +501,11 @@ def _decode(coeffs, denominator, primes):
     return LogLinearNumber._make(q[0], dict(zip(primes, q[1:]))) if primes else q[0]
 
 
+def _sign(row, primes):
+    """Sign of the value of an integer row over (1, log p_1, ...)."""
+    return 0 if not any(row) else _row_sign(row, primes) if primes else (row[0] > 0) - (row[0] < 0)
+
+
 def _chain(ints, primes, lower):
     """Andrew's monotone chain (*Inf. Process. Lett.* 9, 1979) of integer
     points over a line: the upper (and, if asked, lower) chain of the
@@ -533,17 +513,14 @@ def _chain(ints, primes, lower):
     below (above) its neighbours' segment.  Segment i -> j is ``(fn, x_j -
     x_i, (i, j))``, fn primitive and outward as from ``_functionals``."""
 
-    def sign(row):  # of an integer row's value
-        return 0 if not any(row) else _row_sign(row, primes) if primes else (row[0] > 0) - (row[0] < 0)
-
     def height(a, b, c):  # of b over the segment a -> c, times x_c - x_a
-        return sign([(c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:])])
+        return _sign([(c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:])], primes)
 
     segments = []
     for s in (1, -1) if lower else (1,):
         best = {}  # base -> its point of the largest (smallest) lift
         for i, p in enumerate(ints):
-            if s * sign([a - b for a, b in zip(p[1:], ints[best.setdefault(p[0], i)][1:])]) > 0:
+            if (j := best.setdefault(p[0], i)) != i and s * _sign([a - b for a, b in zip(p[1:], ints[j][1:])], primes) > 0:
                 best[p[0]] = i
         if len(best) < 2:
             raise ValueError("lifted hull over a degenerate projection is unsupported")
@@ -561,16 +538,16 @@ def _chain(ints, primes, lower):
     return segments
 
 
-def _graph_simplices(points, integers, lower=False):
-    """Simplices of the graph of lifted points (``_lifted_integers`` of them
-    given, or only ``_integer_points`` over a line) whose bases span their
-    space, as ``(fn, w, ids)``: w is the projected |det| of an upper (and,
-    if asked, lower) simplex, fn its functionals.  Over a line they are the
-    segments of ``_chain``; else the simplicial facets of one hull.  A flat
-    lift (rank k) is hulled with its first point lowered by 1 in the
-    constant entry: no facet through that point faces up, so the upper
-    facets are the graph (not to be asked for its lower ones)."""
-    k = len(points[0]) - 1
+def _graph_simplices(integers, lower=False):
+    """Simplices of the graph of integer lifted points (as ``_span`` gives
+    them) whose bases span their space, as ``(fn, w, ids)``: w is the
+    projected |det| of an upper (and, if asked, lower) simplex, fn its
+    functionals.  Over a line they are the segments of ``_chain``; else the
+    simplicial facets of one hull, where a flat lift (rank k) gets its first
+    point lowered by 1 in the constant entry: no facet through that point
+    faces up, so the upper facets are the graph (not to be asked for its
+    lower ones)."""
+    k = len(integers[0][0]) - len(integers[1]) - 1
     if k == 1:
         return _chain(*integers[:2], lower)
     ints, primes, _, basis, rank, base = integers
@@ -608,7 +585,7 @@ def _graph_cells(points, integers, lower=False):
     functional into one ``_graph_cell`` each."""
     k = len(points[0]) - 1
     groups = {}
-    for fn, w, ids in _graph_simplices(points, integers, lower):
+    for fn, w, ids in _graph_simplices(integers, lower):
         groups.setdefault(fn, []).append((w, ids))
     upper, below = [], []
     for ids, fn, simplices in sorted((sorted(set().union(*(s for _, s in v))), fn, v) for fn, v in groups.items()):
@@ -619,29 +596,50 @@ def _graph_cells(points, integers, lower=False):
     return upper, below
 
 
-def _envelope_integral(points):
-    """Integral of the upper envelope of lifted points over the hull of
-    their bases, which must span their space, and k! times the volume of
-    that hull: the sums over ``_graph_simplices`` of |det| times the lift
-    rows, decoded once, and of |det|."""
-    k = len(points[0]) - 1
+def _span(ints, primes, scale):
+    """Deduplicated integer lifted points (``_integer_points``) as
+    ``_graph_simplices`` reads them, with their ``_integer_basis`` off a
+    line, and the dimension of their bases' affine span (over a line 0 or
+    1, from the bases alone)."""
+    k = len(ints[0]) - len(primes) - 1
     _check_dimension(k, False)
-    points = _dedup(points)
-    integers = _integer_points(points) if k == 1 else _lifted_integers(points)
-    ints, primes, scale = integers[:3]
-    total, dets = [0] * (len(ints[0]) - k), 0
-    for _, w, ids in _graph_simplices(points, integers):
+    ints = _dedup(ints)
+    if k == 1:
+        return (ints, primes, scale), int(len({p[0] for p in ints}) > 1)
+    integers = (ints, primes, scale, *_integer_basis(ints, k))
+    return integers, len(integers[-1]) - 1
+
+
+def _envelope_integral(ints, primes=(), scale=1):
+    """Integral of the upper envelope of integer lifted points (as
+    ``_integer_points`` gives them: bases, then a lift row over (1, log p_1,
+    ...), times ``scale``) over the hull of their bases, which must span
+    their space, and k! times the volume of that hull: the sums over
+    ``_graph_simplices`` of |det| times the lift rows, decoded once, and of
+    |det|."""
+    integers, k = _span(ints, primes, scale)[0], len(ints[0]) - len(primes) - 1
+    ints, total, dets = integers[0], [0] * (len(primes) + 1), 0
+    for _, w, ids in _graph_simplices(integers):
         dets += w
         total = [t + w * sum(col) for t, col in zip(total, zip(*(ints[i][k:] for i in ids)))]
     return _decode(total, scale ** (k + 1) * factorial(k + 1), primes), Fraction(dets, scale**k)
 
 
-def _envelope_map(points):
-    """The vertex-value map of ``upper_envelope(points)`` without cells: the
-    ``_exact`` base of each point of an upper simplex with its lift there."""
-    gens, graph, _ = _envelope_setup(points)
-    ids = (i for _, _, ids in _graph_simplices(*graph) for i in ids) if graph else [0]
-    return {_exact(gens[i][0]): gens[i][1] for i in ids}
+def _envelope_map(ints, primes=(), scale=1):
+    """The vertex-value map of the upper envelope of integer lifted points
+    (as ``_envelope_integral`` takes them) without cells: the base of each
+    point of an upper simplex with its lift there, ints where integral (all
+    of them at a finite place).  Bases of one point give the first largest
+    lift; bases spanning less than Q^k, which no multiheight member or
+    lifted polytope has, are read in ``upper_envelope``'s chart."""
+    integers, span = _span(ints, primes, scale)
+    ints, k = integers[0], len(ints[0]) - len(primes) - 1
+    if 0 < span < k:
+        integers = _envelope_setup([([Fraction(x, scale) for x in p[:k]], _decode(p[k:], scale, primes)) for p in ints])[1][1]
+    ids = dict.fromkeys(i for _, _, s in _graph_simplices(integers) for i in s) if span else [
+        max(range(len(ints)), key=cmp_to_key(lambda i, j: _sign(_vsub(ints[i][k:], ints[j][k:]), primes)))]
+    exact = (lambda row: row) if scale == 1 else lambda row: _exact([Fraction(x, scale) for x in row])
+    return {exact(ints[i][:k]): _decode(ints[i][k:], scale, primes) if primes else exact(ints[i][k:])[0] for i in ids}
 
 
 def _dedup(points):
@@ -650,36 +648,39 @@ def _dedup(points):
 
 def _build_lifted(points):
     """Polytope of deduplicated points whose last coordinate is lifted, over
-    bases that must span their space.  A flat one (rank k) is the graph,
-    over the bases' hull, of the function of its affine basis's functionals
-    (one cell, whose integral is not read); a full one is the region
-    between the upper and the lower cells of one hull (one chain pass over
-    a line), with the upper envelope's integral minus the lower's as its
-    volume."""
+    bases that must span their space.  A flat one (rank k; over a line, one
+    whose upper chain is its lower one) is the graph, over the bases' hull,
+    of one affine function; a full one is the region between the upper and
+    the lower cells of one hull (one chain pass over a line, walled at the
+    least and the greatest base), with the upper envelope's integral minus
+    the lower's as its volume."""
     k = len(points[0]) - 1
-    ints, _, _, basis, rank, base = integers = _lifted_integers(points)
-    proj = _build_rational(_dedup([p[:k] for p in points]))
-    if rank == k == len(base) - 1:
-        flat = _graph_cell(points, integers, tuple(_functionals([ints[i] for i in basis], k)), basis, ())
-        verts = tuple((*b, flat.value_at(b)) for b in proj.vertices)
-        return Polytope(k + 1, k, verts, _lifted_facets([flat], [flat], proj, verts), "lifted-flat")
-    upper, lower = _graph_cells(points, integers, lower=True)
+    integers, span = _span(*_integer_points(points))
+    bases = _dedup([p[:k] for p in points])
+    if k != 1 and integers[4] == k == span:  # the function of its affine basis's functionals
+        basis = integers[3]
+        upper = lower = [_graph_cell(points, integers, tuple(_functionals([integers[0][i] for i in basis], k)), basis, ())]
+    else:
+        upper, lower = _graph_cells(points, integers, lower=True)
+    if upper == lower:  # flat
+        proj = _build_rational(bases)
+        verts = tuple((*b, upper[0].value_at(b)) for b in proj.vertices)
+        return Polytope(k + 1, k, verts, _lifted_facets(upper, upper, proj.facets, verts), "lifted-flat")
+    walls = _build_rational(bases).facets if k != 1 else [  # over a line, b x <= a at each end
+        Facet((Fraction(s * x.denominator),), Fraction(s * x.numerator), ()) for s, (x,) in ((-1, min(bases)), (1, max(bases)))]
     verts = tuple(sorted({(*b, cell.value_at(b)) for cell in upper + lower for b in cell.vertices}))
-    lifted = Polytope(k + 1, k + 1, verts, _lifted_facets(upper, lower, proj, verts), "lifted-full")
+    lifted = Polytope(k + 1, k + 1, verts, _lifted_facets(upper, lower, walls, verts), "lifted-full")
     lifted._volume = sum(c.integral for c in upper) - sum(c.integral for c in lower)
     return lifted
 
 
-def _lifted_facets(upper, lower, proj, vertices):
+def _lifted_facets(upper, lower, walls, vertices):
     """Supporting halfspaces of a lifted polytope: one per graph cell plus
-    the vertical extensions of the projection's facets."""
+    the vertical extensions of the projection's facets, ``walls``."""
     halfspaces = [((*(-g for g in cell.gradient), Fraction(1)), cell.offset) for cell in upper]
     halfspaces += [((*cell.gradient, Fraction(-1)), -cell.offset) for cell in lower]
-    halfspaces += [((*F.normal, Fraction(0)), F.offset) for F in proj.facets]
-    return tuple(
-        Facet(normal, offset, tuple(i for i, v in enumerate(vertices) if not _dot(normal, v) - offset))
-        for normal, offset in halfspaces
-    )
+    halfspaces += [((*F.normal, Fraction(0)), F.offset) for F in walls]
+    return tuple(Facet(n, offset, tuple(i for i, v in enumerate(vertices) if not _dot(n, v) - offset)) for n, offset in halfspaces)
 
 
 def _check_dimension(d, lifted):
@@ -701,13 +702,12 @@ def convex_hull(points) -> Polytope:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("dimension mismatch")
-    for p in pts:
-        if any(_is_lifted(x) for x in p[: d - 1]):
-            raise ValueError("only the last coordinate may be lifted")
+    if any(isinstance(x, LogLinearNumber) for p in pts for x in p[: d - 1]):  # irrational, as _as_value leaves it
+        raise ValueError("only the last coordinate may be lifted")
     pts = _dedup(pts)
     if d == 0:
         return Polytope(0, 0, (tuple(),), (), "point")
-    lifted = any(_is_lifted(p[-1]) for p in pts)
+    lifted = any(isinstance(p[-1], LogLinearNumber) for p in pts)
     _check_dimension(d, lifted)
     if lifted:
         return _build_lifted(pts)
@@ -717,7 +717,7 @@ def convex_hull(points) -> Polytope:
 def _envelope_setup(points):
     """``upper_envelope``'s deduplicated ``(base, lift)`` generators (only
     one of the largest lift, and no graph, if the bases are one point), its
-    graph's lifted points and ``_lifted_integers``, in a chart of the bases'
+    graph's lifted points and integers (``_span``), in a chart of the bases'
     span when it is not Q^k, and that chart (else None)."""
     gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
     if not gens:
@@ -725,15 +725,13 @@ def _envelope_setup(points):
     k = len(gens[0][0])
     if any(len(b) != k for b, _ in gens):
         raise ValueError("dimension mismatch")
-    _check_dimension(k, False)
     lifted = [(*b, lift) for b, lift in gens]
-    integers = _lifted_integers(lifted)
-    base, origin = integers[-1], gens[0][0]  # base: the gens whose bases are affinely independent
-    if len(base) == 1:  # the first largest lift
+    integers, span = _span(*_integer_points(lifted))
+    if not span:  # the first largest lift
         return [max(gens, key=cmp_to_key(lambda a, b: value_sign(a[1] - b[1])))], None, None
-    chart = None if len(base) == k + 1 else _Chart(origin, [_vsub(gens[b][0], origin) for b in base[1:]])
+    chart = None if span == k else _Chart(origin := gens[0][0], [_vsub(gens[b][0], origin) for b in integers[-1][1:]])
     if chart is not None:
-        integers = _lifted_integers(lifted := [(*chart.to_chart(b), lift) for b, lift in gens])
+        integers = _span(*_integer_points(lifted := [(*chart.to_chart(b), lift) for b, lift in gens]))[0]
     return gens, (lifted, integers), chart
 
 

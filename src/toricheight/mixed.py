@@ -134,12 +134,12 @@ def _mixed_volume(sets):
     return total
 
 
-def _top(values, x):
-    """The points of a vertex-value map maximizing value - <x, point>, and
-    that maximum."""
+def _top(values, x, scale=1):
+    """The points of a vertex-value map maximizing scale * value - <x,
+    point>, and that maximum."""
     best, top, neg = None, [], [-c for c in x]
     for v, y in values.items():
-        t = sum(map(mul, neg, v), y)
+        t = sum(map(mul, neg, v), y if scale == 1 else scale * y)
         s = 1 if best is None else value_sign(t - best)
         if s > 0:
             best, top = t, [v]
@@ -171,7 +171,7 @@ def _mixed_integral(maps):
     if n == 1:
         xs = sorted(m := rest[0])
         for a, b in zip(xs, xs[1:]):
-            total += _top(first, ((m[b] - m[a]) / (b[0] - a[0]),))[0] * (b[0] - a[0])
+            total += _top(first, (m[b] - m[a],), b[0] - a[0])[0]
     elif len(normals) > 2:  # the sum is n-dimensional
         conv = rest[0]
         for m in rest[1:]:
@@ -198,7 +198,7 @@ def mixed_volume(polytopes):
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
     if any(p._kind.startswith("lifted") for p in polys):
-        maps = [[_envelope_map((v[:-1], s * v[-1]) for v in p.vertices) for p in polys] for s in (1, -1)]
+        maps = [[_envelope_map(*_integer_points([(*v[:-1], s * v[-1]) for v in p.vertices])) for p in polys] for s in (1, -1)]
         return sum(as_loglinear(_mixed_integral(m)) for m in maps)
     return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
 
@@ -295,6 +295,6 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
 
     per, total = _over_places(
         [m.coefficients for m in family.members],
-        lambda *ws: _mixed_integral([_envelope_map(zip(c, w)) for c, w in zip(coords, ws)]),
+        lambda *ws: _mixed_integral([_envelope_map([(*b, *t) for b, t in zip(c, rows)], primes) for c, (rows, primes) in zip(coords, ws)]),
     )
     return HeightReport(total, per, _mixed_volume([_dedup(c) for c in coords[1:]]), family.torus_dim, 1)

@@ -9,19 +9,8 @@ from fractions import Fraction
 from math import comb, factorial, inf, prod
 
 from .errors import EnumerationCapError, LatticeHypothesisError
-from .exactnum import (
-    LogLinearNumber,
-    Place,
-    _Record,
-    approximate,
-    as_fraction,
-    as_loglinear,
-    _float_row,
-    _row_sign,
-    log_abs,
-    padic_order,
-    relevant_places,
-)
+from .exactnum import LogLinearNumber, Place, _Record, approximate, as_fraction, as_loglinear, log_abs
+from .exactnum import _float_row, _prime_factors, _row_sign
 from .geomkernel import convex_hull, face_lattice, lattice_normalize
 from .geomkernel import _as_value, _decode, _envelope_integral, _integer_points
 
@@ -138,17 +127,22 @@ def degree(pair: MonomialPair) -> int:
 
 
 def _over_places(coefficient_lists, local):
-    """Per-place values of ``local`` on one weight vector per coefficient
-    list, and their sum.  ``local`` is positively homogeneous, so a finite
-    place p runs it on the integers -ord_p(c) and scales by log p: only the
-    archimedean weights are log-linear."""
-    per = []
-    for v in sorted({v for cs in coefficient_lists for v in relevant_places(cs)}):
-        p = v.prime
-        weights = ([-padic_order(c, p) if p else log_abs(c, v) for c in cs] for cs in coefficient_lists)
-        value = local(*weights)
-        per.append((v, LogLinearNumber.log_prime(p, as_fraction(value)) if p else as_loglinear(value)))
-    return tuple(per), sum((x for _, x in per), LogLinearNumber())
+    """Per-place values of ``local`` and their sum.  Each coefficient c is
+    factored once, numerator first; ``local`` gets per coefficient list its
+    integer rows over (1, log p_1, ..., log p_m) and those primes: log |c| =
+    (0, ord_p1(c), ...) at the archimedean place, (-ord_p(c),) at a finite
+    place p, whose rational value (``local`` is positively homogeneous) is
+    scaled by log p.  Finite values are summed in one map of log terms."""
+    orders = [[dict(_prime_factors(c.numerator)) | {p: -e for p, e in _prime_factors(c.denominator)} for c in cs]
+              for cs in coefficient_lists]
+    primes = [tuple(sorted({p for o in os for p in o})) for os in orders]
+    value = as_loglinear(local(*(([(0, *(o.get(p, 0) for p in ps)) for o in os], ps) for os, ps in zip(orders, primes))))
+    per, terms = [(Place.infinite(), value)], dict(value.logterms)
+    for p in sorted({p for ps in primes for p in ps}):
+        value = as_fraction(local(*(([(-o.get(p, 0),) for o in os], ()) for os in orders)))
+        per.append((Place.finite(p), LogLinearNumber._trusted(Fraction(0), ((p, value),) if value else ())))
+        terms[p] = terms.get(p, 0) + value
+    return tuple(per), LogLinearNumber._make(per[0][1].constant, terms)
 
 
 def normalized_height(pair: MonomialPair) -> HeightReport:
@@ -160,8 +154,8 @@ def normalized_height(pair: MonomialPair) -> HeightReport:
     coords, r, _ = lattice_normalize(pair.exponents)
     volumes = []
 
-    def local(w):
-        integral, volume = _envelope_integral([(*b, t) for b, t in zip(coords, w)])
+    def local(weights):  # rows and primes
+        integral, volume = _envelope_integral([(*b, *t) for b, t in zip(coords, weights[0])], weights[1])
         volumes.append(volume)
         return integral
 
@@ -189,7 +183,7 @@ def chow_weight(exponents, weights) -> LogLinearNumber:
     weights = list(weights)
     if len(weights) != len(exponents):
         raise ValueError("exponents and weights must have equal length")
-    return as_loglinear(_envelope_integral([(*a, _as_value(w)) for a, w in zip(exponents, weights)])[0] * factorial(n + 1))
+    return as_loglinear(_envelope_integral(*_integer_points([(*a, _as_value(w)) for a, w in zip(exponents, weights)]))[0] * factorial(n + 1))
 
 
 def _compositions(total: int, parts: int):
@@ -221,18 +215,24 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
     the degree: only a comparison the doubles cannot settle unpacks the
     difference for ``exactnum._row_sign``.  Degree k has at most min(C(k+N-1, k),
     prod_j (k * width_j + 1)) keys: their sum over k <= d must fit ``cap``."""
-    exponents, n = _require_full_lattice(exponents)
-    weights = [_as_value(w) for w in weights]
-    if len(weights) != len(exponents):
+    exponents, _ = _require_full_lattice(exponents)
+    rows = _integer_points([(_as_value(w),) for w in weights])
+    if len(rows[0]) != len(exponents):
         raise ValueError("exponents and weights must have equal length")
+    return as_loglinear(_hilbert_weight(exponents, *rows, degree_d, cap))
+
+
+def _hilbert_weight(exponents, rows, primes, scale, degree_d, cap):
+    """``hilbert_weight`` of exponents whose differences generate Z^n and
+    weight rows over (1, log p_1, ...) times ``scale``; rational: a Fraction."""
     if degree_d < 0:
         raise ValueError("degree must be nonnegative")
+    n = len(exponents[0])
     low, widths = [min(col) for col in zip(*exponents)], [max(col) - min(col) for col in zip(*exponents)]
     entries, last_count = 0, 1
     for k in range(1, degree_d + 1):
         entries += (last_count := min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths)))
         _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
-    rows, primes, scale = _integer_points([(w,) for w in weights])
     strides = [prod(degree_d * w + 1 for w in widths[:j]) for j in range(n)]
     steps = [(sum((x - lo) * t for x, lo, t in zip(a, low, strides)), row if primes else row[0])
              for a, row in zip(exponents, rows)]
@@ -247,7 +247,7 @@ def hilbert_weight(exponents, weights, degree_d: int, cap: int = DEFAULT_ENUMERA
                     old = get(key)
                     if old is None or new > old:
                         table[key] = new
-        return as_loglinear(_decode([sum(table.values())], scale, primes))
+        return _decode([sum(table.values())], scale, primes)
     # one signed slot per row entry, wide enough for a difference of two
     # entries and for the sum of the last table (each entry at most
     # degree_d * big in every slot)
@@ -285,7 +285,7 @@ def arithmetic_hilbert_norm(
     """Sum over places of the local Hilbert weights of the normalized
     exponents with the coefficient weight vectors."""
     coords, _, _ = lattice_normalize(pair.exponents)
-    return _over_places([pair.coefficients], lambda w: hilbert_weight(coords, w, degree_d, cap))[1]
+    return _over_places([pair.coefficients], lambda w: _hilbert_weight(coords, *w, 1, degree_d, cap))[1]
 
 
 def hilbert_asymptotic_gap_exact(
@@ -315,8 +315,8 @@ def symmetric_height_sum(pair: MonomialPair) -> LogLinearNumber:
     volumes; equals the height of the pair plus the height of its
     coefficient-wise inverse."""
     coords, r, _ = lattice_normalize(pair.exponents)
-    envelope = lambda w: _envelope_integral([(*b, t) for b, t in zip(coords, w)])[0]
-    lifted_volume = lambda w: envelope(w) + envelope([-t for t in w])  # upper minus lower integral
+    envelope = lambda rows, primes, s: _envelope_integral([(*b, *(s * x for x in t)) for b, t in zip(coords, rows)], primes)[0]
+    lifted_volume = lambda w: envelope(*w, 1) + envelope(*w, -1)  # upper minus lower integral
     return _over_places([pair.coefficients], lifted_volume)[1] * factorial(r + 1)
 
 

@@ -19,6 +19,9 @@ hull's facets.
 ``graph_simplices_by_hull`` is the route ``geomkernel._graph_simplices``
 read the upper and lower segments of lifted points over a line by, before
 its monotone chain: the facets of one beneath-beyond hull.
+``over_places_reference`` is ``toric._over_places`` as it read before it
+factored each coefficient once: ``relevant_places``, ``padic_order`` and
+``log_abs`` weights, and a per-place ``LogLinearNumber`` sum.
 ``interval_mpmath``, ``approximate_mpmath``, ``float_mpmath`` and
 ``float_logs_mpmath`` are ``exactnum``'s ``_interval``, ``_approximate``,
 ``LogLinearNumber.__float__`` and ``_float_logs`` as they read on ``mpmath``,
@@ -260,15 +263,16 @@ def envelope_values_reference(points):
     return _values(upper_envelope(points))
 
 
-def graph_simplices_by_hull(points, integers, lower=False):
+def graph_simplices_by_hull(integers, lower=False):
     """``geomkernel._graph_simplices`` by one hull at every dimension: the
     ``(fn, w, ids)`` of the upper (and, if asked, lower) simplicial facets of
-    ``_hull_core`` on ``_lifted_integers`` of the points, a flat lift with its
-    first point lowered by 1 in the constant entry."""
+    ``_hull_core`` on the ``_integer_points`` of lifted points and their
+    ``_integer_basis`` (found here if not given, as over a line), a flat
+    lift with its first point lowered by 1 in the constant entry."""
     from toricheight import geomkernel
 
-    k = len(points[0]) - 1
-    ints, primes, _, basis, rank, base = integers
+    k = len(integers[0][0]) - len(integers[1]) - 1
+    ints, primes, _, basis, rank, base = (*integers[:3], *geomkernel._integer_basis(integers[0], k))
     if len(base) <= k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
     if rank == k:
@@ -279,6 +283,23 @@ def graph_simplices_by_hull(points, integers, lower=False):
         for F in geomkernel._hull_core(ints, basis, primes)
         if F.fn[0][k] > 0 or (lower and F.fn[0][k] < 0)
     ]
+
+
+def over_places_reference(coefficient_lists, local):
+    """Per-place values of ``local`` on one exact weight list per
+    coefficient list, and their sum: the places of ``relevant_places``, at
+    a finite place p the orders -ord_p(c) (``padic_order``) with the value
+    scaled by log p, at the archimedean place the log-linear weights
+    ``log_abs``, each value a ``LogLinearNumber`` summed with ``+``."""
+    from toricheight.exactnum import LogLinearNumber, as_fraction, as_loglinear, log_abs, padic_order, relevant_places
+
+    per = []
+    for v in sorted({v for cs in coefficient_lists for v in relevant_places(cs)}):
+        p = v.prime
+        weights = ([-padic_order(c, p) if p else log_abs(c, v) for c in cs] for cs in coefficient_lists)
+        value = local(*weights)
+        per.append((v, LogLinearNumber.log_prime(p, as_fraction(value)) if p else as_loglinear(value)))
+    return tuple(per), sum((x for _, x in per), LogLinearNumber())
 
 
 def sum_normals_reference(sets):

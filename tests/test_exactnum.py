@@ -389,6 +389,13 @@ class TestFactorizer:
             assert _prime_factors(-n) == _prime_factors(n)
             assert _is_prime(n) == is_prime_oracle(n), n
 
+    def test_zero_raises_before_trial_division(self, monkeypatch):
+        # every prime divides 0, so trial division by 2 would never end: it
+        # must not start (it begins with the square root of the cofactor)
+        monkeypatch.setattr(exactnum, "isqrt", lambda n: pytest.fail("trial division started on 0"))
+        with pytest.raises(ValueError, match="0 has no prime factorization"):
+            _prime_factors(0)
+
     def test_random_below_10_12_against_oracle(self):
         rng = random.Random(12)
         for n in [rng.randrange(1, 10**12) for _ in range(40)]:

@@ -592,18 +592,21 @@ class TestLiftedRationalModel:
         assert [Fc.normal[:-1] for Fc in P.facets[2:]] == [Fc.normal for Fc in base.facets]
 
     @pytest.mark.parametrize(
-        "bases, lift, hulls, chains",
+        "bases, lift, hulls, chains, projections",
         [
-            (list(itertools.product(range(3), repeat=2)), lambda b: b[0] * b[1] * log2, 1, []),
-            ([(a,) for a in range(5)], lambda b: (b[0] % 2) * log2 - b[0] * log3, 0, [True]),
+            (list(itertools.product(range(3), repeat=2)), lambda b: b[0] * b[1] * log2, 1, [], 1),
+            ([(a,) for a in range(5)], lambda b: (b[0] % 2) * log2 - b[0] * log3, 0, [True], 0),
         ],
         ids=["grid", "segment"],
     )
-    def test_full_lift_hulls_lifted_points_once(self, monkeypatch, bases, lift, hulls, chains):
+    def test_full_lift_hulls_lifted_points_once(self, monkeypatch, bases, lift, hulls, chains, projections):
         # the upper and the lower cells are read from the facets of one hull,
-        # over a line from one pass of the monotone chain, asked for both
-        lifted, passes = [], []
-        real, chain = geomkernel._hull_core, geomkernel._chain
+        # over a line from one pass of the monotone chain, asked for both;
+        # the vertical facets come from the bases' hull, over a line from
+        # the least and the greatest base, with no rational hull at all
+        lifted, passes, rational = [], [], []
+        real, chain, build = geomkernel._hull_core, geomkernel._chain, geomkernel._build_rational
+        monkeypatch.setattr(geomkernel, "_build_rational", lambda points: rational.append(set(points)) or build(points))
 
         def counted(points, basis, primes):
             if primes:
@@ -614,6 +617,8 @@ class TestLiftedRationalModel:
         monkeypatch.setattr(geomkernel, "_chain", lambda ints, primes, lower: passes.append(lower) or chain(ints, primes, lower))
         P = convex_hull([(*b, lift(b)) for b in bases])
         assert (P._kind, len(lifted), passes) == ("lifted-full", hulls, chains)
+        assert rational.count({tuple(map(F, b)) for b in bases}) == projections
+        assert projections or not rational
         upper = upper_envelope([(b, lift(b)) for b in bases])
         lower = upper_envelope([(b, -lift(b)) for b in bases])
         assert volume(P) == sum(c.integral for c in upper) + sum(c.integral for c in lower)
@@ -682,11 +687,11 @@ class TestFlatLifts:
             watching.append(True)
             cells = upper_envelope(list(zip(bases, lifts)))
             if r == k:
-                integral, found = geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+                integral, found = geomkernel._envelope_integral(*_integer_points([(*b, t) for b, t in zip(bases, lifts)]))
                 assert (as_loglinear(integral), found) == (expected, dets)
             else:
                 with pytest.raises(ValueError, match="degenerate projection"):
-                    geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+                    geomkernel._envelope_integral(*_integer_points([(*b, t) for b, t in zip(bases, lifts)]))
             watching.clear()
             assert calls == []
             assert len(cells) == 1 and as_loglinear(cells[0].integral) == expected
@@ -1117,11 +1122,11 @@ class TestHullCoreDifferential:
         sets = [pts for pts in map(geomkernel._dedup, sets) if self.core_pairs(pts)]
         assert len(sets) > 60
         assert sum(len(pts[0]) == 2 for pts in sets) > 20
-        cells = [geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True) for pts in sets]
+        cells = [geomkernel._graph_cells(pts, lifted_integers(pts), lower=True) for pts in sets]
         monkeypatch.setattr(geomkernel, "_hull_core", reference_hull_core)
         monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
         for pts, (upper, lower) in zip(sets, cells):
-            ref_upper, ref_lower = geomkernel._graph_cells(pts, geomkernel._lifted_integers(pts), lower=True)
+            ref_upper, ref_lower = geomkernel._graph_cells(pts, lifted_integers(pts), lower=True)
             fields = cell_fields if len(pts[0]) > 2 else lambda c: sorted(cell_fields(c), key=repr)
             assert fields(upper) == fields(ref_upper)
             assert fields(lower) == fields(ref_lower)
@@ -1208,9 +1213,15 @@ def line_cases(seed):
     return cases
 
 
+def lifted_integers(points):
+    """``_integer_points`` of lifted points, then their ``_integer_basis``."""
+    ints, primes, scale = _integer_points(points)
+    return ints, primes, scale, *_integer_basis(ints, len(points[0]) - 1)
+
+
 def graph_points(points):
     lifted = geomkernel._dedup([(*map(F, b), geomkernel._as_value(t)) for b, t in points])
-    return lifted, geomkernel._lifted_integers(lifted)
+    return lifted, lifted_integers(lifted)
 
 
 def widths(simplices):
@@ -1242,13 +1253,13 @@ class TestChainAgainstHull:
             if len(base) < 2:
                 for graph in (geomkernel._graph_simplices, graph_simplices_by_hull):
                     with pytest.raises(ValueError, match="degenerate projection"):
-                        graph(lifted, integers)
+                        graph(integers)
                 continue
             lower = rank == 2  # a flat lift is not asked for its lower chain
             near.clear()
-            new = geomkernel._graph_simplices(lifted, integers, lower)
+            new = geomkernel._graph_simplices(integers, lower)
             ties += bool(near)  # signs the double filter left to intervals
-            ref = graph_simplices_by_hull(lifted, integers, lower)
+            ref = graph_simplices_by_hull(integers, lower)
             for fn, w, ids in new:
                 assert len(ids) == 2 and w == ints[ids[1]][0] - ints[ids[0]][0] > 0
             assert widths(new) == widths(ref)
@@ -1264,7 +1275,7 @@ class TestChainAgainstHull:
             lifted, integers = graph_points(points)
             if len(integers[-1]) > 1:
                 found.append((geomkernel._graph_cells(lifted, integers, lower=integers[4] == 2), upper_envelope(points)))
-            found.append(geomkernel._envelope_map(points))
+            found.append(geomkernel._envelope_map(*_integer_points([(*b, t) for b, t in points])))
         monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
         dropped = 0
         for points in cases:
@@ -1275,7 +1286,7 @@ class TestChainAgainstHull:
                 for cells, ref in ((upper, ref_upper), (lower, ref_lower)):
                     assert {c: c.integral for c in cells} == {c: c.integral for c in ref} and len(cells) == len(ref)
                     assert all(len(c.points) == 2 and set(c.points) == set(c.vertices) for c in cells)
-            new, ref = found.pop(0), geomkernel._envelope_map(points)
+            new, ref = found.pop(0), geomkernel._envelope_map(*_integer_points([(*b, t) for b, t in points]))
             assert new.keys() <= ref.keys()
             assert all(as_loglinear(new[x]) == as_loglinear(ref[x]) for x in new)
             for x in ref.keys() - new.keys():  # on a segment of the chain, with the same value
@@ -1293,7 +1304,7 @@ class TestChainAgainstHull:
             lifts = [F(rng.randint(-5, 5), 2) + rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 for _ in bases]
             bases += [bases[0]]
             lifts += [lifts[0] - log3]
-            integral, width = geomkernel._envelope_integral([(*b, t) for b, t in zip(bases, lifts)])
+            integral, width = geomkernel._envelope_integral(*_integer_points([(*b, t) for b, t in zip(bases, lifts)]))
             approx, bound = riemann_roof_oracle(bases, [float(t) for t in lifts])
             assert width == bases[-2][0] - bases[0][0]
             assert abs(float(as_loglinear(integral)) - approx) <= bound

@@ -2,9 +2,12 @@
 and every private module-level function or class is referenced by some
 module of the package.  No module imports ``mpmath`` (the package has no
 runtime dependency), ``dataclasses`` or ``typing`` (their imports would
-dominate the command line's start-up)."""
+dominate the command line's start-up), and ``import toricheight.cli``
+loads no module outside a pinned set."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,3 +100,22 @@ def test_no_module_imports(module):
                 assert all(a.name.split(".")[0] != module for a in node.names), (path.name, node.lineno)
             elif isinstance(node, ast.ImportFrom):
                 assert (node.module or "").split(".")[0] != module, (path.name, node.lineno)
+
+
+# what ``import toricheight.cli`` adds to a fresh interpreter's ``sys.modules``
+CLI_MODULES = {
+    "__future__", "_decimal", "_json", "argparse", "decimal", "fractions", "gettext", "json", "json.decoder",
+    "json.encoder", "json.scanner", "numbers", "toricheight", "toricheight.cli", "toricheight.errors",
+    "toricheight.exactnum", "toricheight.geomkernel", "toricheight.mixed", "toricheight.roof", "toricheight.toric",
+}
+
+
+def test_cli_import_set():
+    # an isolated interpreter (-I: no site customizations or PYTHON*
+    # variables), its modules before and after the import: a new module on
+    # the command line's import path would move its start-up time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import toricheight.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "toricheight.cli" in loaded and loaded <= CLI_MODULES, sorted(loaded - CLI_MODULES)

@@ -9,7 +9,7 @@ import pytest
 from toricheight.errors import LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
 import toricheight.geomkernel as geomkernel
-from toricheight.geomkernel import AffineCell, Polytope, _envelope_map, convex_hull, volume
+from toricheight.geomkernel import AffineCell, Polytope, _envelope_map, _integer_points, convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
     _sum_normals,
@@ -388,7 +388,7 @@ class TestReadFromTheHull:
                 points.append(points[-1])
             if kind == "single":
                 points.append((tuple(map(F, bases[0])), lifts[0]))
-            new, ref = _envelope_map(points), envelope_values_reference(points)
+            new, ref = _envelope_map(*_integer_points([(*b, t) for b, t in points])), envelope_values_reference(points)
             assert new == ref
             assert all(type(x) is int for v in new for x in v)
             charts += 0 < geomkernel._affine_basis(list(new))[1] < k

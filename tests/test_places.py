@@ -6,6 +6,7 @@ every place's weights to log-linear numbers, with the degree from a
 triangulation of the exponents' hull; both must agree exactly.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -16,20 +17,25 @@ import toricheight.geomkernel
 import toricheight.mixed
 import toricheight.roof
 import toricheight.toric
-from toricheight.exactnum import LogLinearNumber, Place, as_loglinear, relevant_places
-from toricheight.geomkernel import _envelope_integral, convex_hull, lattice_normalize
-from toricheight.mixed import EmbeddingFamily, _common_normalization, mixed_integral, mixed_volume, multiheight
+from toricheight import exactnum
+from toricheight.cli import main
+from toricheight.errors import FactorizationLimitError
+from toricheight.exactnum import LogLinearNumber, Place, _is_prime, as_loglinear, relevant_places
+from toricheight.geomkernel import _envelope_integral, _integer_points, convex_hull, lattice_normalize
+from toricheight.mixed import EmbeddingFamily, _common_normalization, _mixed_integral, mixed_integral, mixed_volume, multiheight
 from toricheight.roof import roof_from_weight, roof_integral
 from toricheight.toric import (
     MonomialPair,
     arithmetic_hilbert_norm,
     chow_weight,
+    degree,
     hilbert_weight,
     normalized_height,
     symmetric_height_sum,
     weight_vector,
 )
 
+from oracles import envelope_values_reference, over_places_reference
 from test_toric import triangulated_degree
 
 LL = LogLinearNumber
@@ -186,15 +192,22 @@ def _irrational(values):
     return any(isinstance(x, LL) and not x.is_rational for x in values)
 
 
-def _record(monkeypatch, module, name, lifts_of, calls=None):
+def _irrational_rows(rows, primes):
+    """Whether integer rows ending in coefficients of log p_1, ..., log p_m
+    (``geomkernel._integer_points``) hold a nonzero one."""
+    return any(any(r[len(r) - len(primes):]) for r in rows)
+
+
+def _record(monkeypatch, module, name, irrational, calls=None):
     """Wrap ``module.name``; each call appends whether it received an
-    irrational log-linear value, to ``calls`` if given."""
+    irrational value (``irrational`` of its arguments), to ``calls`` if
+    given."""
     calls = [] if calls is None else calls
     real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         args = (list(args[0]), *args[1:])
-        calls.append(_irrational(lifts_of(args)))
+        calls.append(irrational(args))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -216,7 +229,7 @@ class TestFinitePlacesAreRational:
     def test_height_envelopes(self, monkeypatch, n):
         rng = random.Random(127 + n)
         pair = MonomialPair.make(simplex_exponents(rng, n, 1), coefficients(rng, n + 2, "prime powers"))
-        calls = _record(monkeypatch, toricheight.toric, "_envelope_integral", lambda a: [p[-1] for p in a[0]])
+        calls = _record(monkeypatch, toricheight.toric, "_envelope_integral", lambda a: _irrational_rows(*a[:2]))
         normalized_height(pair)
         places = relevant_places(pair.coefficients)
         assert len(places) > 2 and calls[0]
@@ -224,7 +237,7 @@ class TestFinitePlacesAreRational:
 
     def test_hilbert_weights(self, monkeypatch):
         pair = MonomialPair.make([(0,), (1,), (2,), (3,)], [1, 4, F(1, 3), F(1, 2)])
-        calls = _record(monkeypatch, toricheight.toric, "hilbert_weight", lambda a: a[1])
+        calls = _record(monkeypatch, toricheight.toric, "_hilbert_weight", lambda a: _irrational_rows(*a[1:3]))
         arithmetic_hilbert_norm(pair, 4)
         assert calls[0]
         _only_first_place(calls, relevant_places(pair.coefficients), 1)
@@ -234,8 +247,8 @@ class TestFinitePlacesAreRational:
         rng = random.Random(131 + n)
         family = rand_family(rng, n, "prime powers")
         calls = []
-        for name in ("_envelope_map", "upper_envelope"):  # member roofs, sup-convolutions
-            _record(monkeypatch, toricheight.mixed, name, lambda a: [g[1] for g in a[0]], calls)
+        _record(monkeypatch, toricheight.mixed, "_envelope_map", lambda a: _irrational_rows(*a[:2]), calls)  # member roofs
+        _record(monkeypatch, toricheight.mixed, "upper_envelope", lambda a: _irrational([g[1] for g in a[0]]), calls)  # sup-convolutions
         multiheight(family)
         places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
         # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
@@ -281,9 +294,9 @@ class TestMultiheightWork:
                 depth[0] -= 1
 
         def counted(real, out):
-            def call(points):
+            def call(*args):
                 before = len(hulls), len(chains)
-                result = real(points)
+                result = real(*args)
                 out.append((len(hulls) - before[0], len(chains) - before[1]))
                 return result
             return call
@@ -350,10 +363,10 @@ class TestPlaceIntegralsFromOneHull:
         for _ in range(draws):
             bases, lifts = lifted_points(rng, n, kind, rng.randint(0, 3))
             points = [(*b, t) for b, t in zip(bases, lifts)]
-            integral, volume = _envelope_integral(points)
+            integral, volume = _envelope_integral(*_integer_points(points))
             assert as_loglinear(integral) == as_loglinear(roof_integral(roof_from_weight(bases, lifts)))
             assert volume == factorial(n) * convex_hull([tuple(map(F, b)) for b in bases]).volume()
-            lower = _envelope_integral([(*b, -t) for b, t in zip(bases, lifts)])[0]
+            lower = _envelope_integral(*_integer_points([(*b, -t) for b, t in zip(bases, lifts)]))[0]
             lifted = convex_hull([(*map(F, b), t) for b, t in zip(bases, lifts)])
             assert as_loglinear(integral + lower) == as_loglinear(lifted.volume())
 
@@ -362,8 +375,8 @@ class TestPlaceIntegralsFromOneHull:
         for lifts in ([3, F(7, 2), -1], [log2, F(1, 2), log2], [F(5)], [log2, log2]):
             points = [(t,) for t in lifts]
             top = max(lifts, key=float)
-            assert _envelope_integral(points) == (top if isinstance(top, LL) else F(top), 1)
-            assert as_loglinear(_envelope_integral([(-t,) for t in lifts])[0]) == -min(lifts, key=float)
+            assert _envelope_integral(*_integer_points(points)) == (top if isinstance(top, LL) else F(top), 1)
+            assert as_loglinear(_envelope_integral(*_integer_points([(-t,) for t in lifts]))[0]) == -min(lifts, key=float)
 
     def test_zero_dimensional_heights(self):
         # every monomial at one exponent: r = 0, the domain a point
@@ -412,3 +425,195 @@ class TestPlaceIntegralsFromOneHull:
             rep = normalized_height(pair)
             assert len(rep.per_place) == 4
             assert (hulls, chains, len(rows) > 0) == (([], [False] * 4, False) if n == 1 else ([n + 1] * 4, [], True))
+
+
+# ---------------------------------------------------------------------------
+# the integer place loop against the loop it replaced
+
+
+LARGE_PRIMES = (999_983, 1_000_003, 998_244_353, 2**31 - 1)  # semiprimes of up to 19 digits
+PLACE_STYLES = ("units", "prime powers", "large primes", "semiprimes", "mixed")
+
+
+def place_coeff(rng, style):
+    """A signed rational: a unit, prime powers of 2, 3 and 5, those times a
+    large prime or its inverse, or a semiprime of two large primes over
+    them, or any of these."""
+    if style == "mixed":
+        style = rng.choice(PLACE_STYLES[:-1])
+    if style == "units":
+        return rng.choice((1, -1))
+    c = prime_power_coeff(rng)
+    if style == "large primes":
+        return c * F(rng.choice(LARGE_PRIMES)) ** rng.choice((-1, 1, 2))
+    if style == "semiprimes":
+        p, q = rng.sample(LARGE_PRIMES, 2)
+        return c * p * q if rng.random() < 0.5 else c / (p * q)
+    return c
+
+
+def place_pair(rng, n, style):
+    exps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(2, 5 if n < 3 else 4))]
+    return MonomialPair.make(exps, [place_coeff(rng, style) for _ in exps])
+
+
+def place_family(rng, n, style):
+    members = []
+    for _ in range(n + 1):
+        exps = simplex_exponents(rng, n, rng.randint(0, 2) if n < 3 else 0)
+        members.append(MonomialPair.make(exps, [place_coeff(rng, style) for _ in exps]))
+    return EmbeddingFamily(tuple(members))
+
+
+def exact_places(per_place):
+    """Every per-place value a ``LogLinearNumber`` of ``Fraction`` fields."""
+    return all(type(x) is LL and type(x.constant) is F and all(type(c) is F for _, c in x.logterms) for _, x in per_place)
+
+
+def next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+class TestPlaceLoopAgainstReference:
+    """``toric._over_places`` factors each coefficient once and hands every
+    place integer rows; ``over_places_reference``, the loop it replaced,
+    runs the same local terms on ``padic_order`` and ``log_abs`` weights.
+    Per-place values, their types and the totals agree exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("style", PLACE_STYLES)
+    def test_heights_and_symmetric_sums(self, n, style):
+        rng = random.Random(f"place loop {n} {style}")
+        for _ in range(6 if n < 3 else 2):
+            pair = place_pair(rng, n, style)
+            coords, r, _ = lattice_normalize(pair.exponents)
+            envelope = lambda w: _envelope_integral(*_integer_points([(*b, t) for b, t in zip(coords, w)]))[0]
+            per, total = over_places_reference([pair.coefficients], envelope)
+            rep = normalized_height(pair)
+            assert (rep.per_place, rep.value, rep.degree) == (per, total * factorial(r + 1), degree(pair))
+            assert exact_places(rep.per_place) and exact_places(per)
+            lifted = over_places_reference([pair.coefficients], lambda w: envelope(w) + envelope([-t for t in w]))[1]
+            assert symmetric_height_sum(pair) == lifted * factorial(r + 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("style", PLACE_STYLES)
+    def test_hilbert_norms(self, n, style):
+        rng = random.Random(f"place loop hnorm {n} {style}")
+        for _ in range(4 if n == 1 else 2):
+            pair = place_pair(rng, n, style)
+            coords, _, _ = lattice_normalize(pair.exponents)
+            for d in (1, 3):
+                assert arithmetic_hilbert_norm(pair, d) == over_places_reference([pair.coefficients], lambda w: hilbert_weight(coords, w, d))[1]
+
+    @pytest.mark.parametrize("n, draws", [(1, 4), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("style", PLACE_STYLES)
+    def test_multiheights(self, n, draws, style):
+        rng = random.Random(f"place loop multiheight {n} {style}")
+        for _ in range(draws):
+            family = place_family(rng, n, style)
+            coords = _common_normalization(family)
+            local = lambda *ws: _mixed_integral([envelope_values_reference(list(zip(c, w))) for c, w in zip(coords, ws)])
+            per, total = over_places_reference([m.coefficients for m in family.members], local)
+            rep = multiheight(family)
+            assert (rep.per_place, rep.value) == (per, total) and exact_places(rep.per_place)
+
+    def test_unfactorable_coefficient(self, monkeypatch, capsys, tmp_path):
+        # products of two 15-digit primes, which rho cannot split within
+        # 1,000 steps, over each other: the loop names the numerator, the
+        # first it factors, as the one it replaced did, and the command line
+        # exits 6 with that message
+        rng = random.Random(239)
+        m, n = (next_prime(rng.randrange(10**14, 10**15)) * next_prime(rng.randrange(10**14, 10**15)) for _ in range(2))
+        monkeypatch.setattr(exactnum, "MAX_RHO_STEPS", 1000)
+        doc = {"exponents": [[0], [1], [2]], "coefficients": ["6", f"-{m}/{n}", "1"]}
+        pair = MonomialPair.make(doc["exponents"], map(F, doc["coefficients"]))
+        other = {"exponents": [[0], [1]], "coefficients": ["2", "3"]}
+        family = EmbeddingFamily((MonomialPair.make(other["exponents"], [2, 3]), pair))
+        cases = [(lambda: normalized_height(pair), [pair.coefficients]), (lambda: arithmetic_hilbert_norm(pair, 2), [pair.coefficients]),
+                 (lambda: multiheight(family), [m.coefficients for m in family.members])]
+        messages = set()
+        for call, lists in cases:
+            for run in (call, lambda: over_places_reference(lists, lambda *ws: 0)):
+                with pytest.raises(FactorizationLimitError) as error:
+                    run()
+                messages.add(str(error.value))
+        (message,) = messages
+        assert message.startswith(f"{m} was not factored") and "MAX_RHO_STEPS" in message
+        (tmp_path / "pair.json").write_text(json.dumps(doc))
+        (tmp_path / "family.json").write_text(json.dumps({"pairs": [other, doc]}))
+        for argv in (["height", "pair.json"], ["hnorm", "pair.json", "--degree", "2"], ["multiheight", "family.json"]):
+            code = main([argv[0], str(tmp_path / argv[1]), *argv[2:]])
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (6, "", f"error: {message}\n")
+
+
+class TestPlaceLoopWork:
+    """The place loop builds no log-linear weight: no ``relevant_places``,
+    ``padic_order`` or ``log_abs`` runs; a Hilbert norm normalizes its
+    exponents once; a 1-D roof needs no elimination; and a multiheight
+    member's map at a finite place is made of ints, with no ``Fraction``."""
+
+    def test_no_place_functions(self, monkeypatch):
+        rng = random.Random(241)
+        pairs = [place_pair(rng, n, "mixed") for n in (1, 1, 2, 3)]
+        families = [place_family(rng, n, "mixed") for n in (1, 2)]
+        run = lambda: ([(normalized_height(p), arithmetic_hilbert_norm(p, 2), symmetric_height_sum(p)) for p in pairs],
+                       [multiheight(f) for f in families])
+        expected = run()
+        for module, name in ((exactnum, "relevant_places"), (exactnum, "padic_order"), (exactnum, "log_abs"),
+                             (toricheight.toric, "log_abs")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+        assert run() == expected
+        assert sum(len(rep.per_place) for rep, _, _ in expected[0]) > 3 * len(pairs)
+
+    def test_one_normalization_per_hilbert_norm(self, monkeypatch):
+        rng = random.Random(251)
+        pairs = [place_pair(rng, n, "prime powers") for n in (1, 1, 2, 3)]
+        expected = [loglinear_hnorm(pair, 3) for pair in pairs]
+        calls, real = [], toricheight.toric.lattice_normalize
+        monkeypatch.setattr(toricheight.toric, "lattice_normalize", lambda vectors: calls.append(1) or real(vectors))
+        for pair, value in zip(pairs, expected):
+            del calls[:]
+            assert arithmetic_hilbert_norm(pair, 3) == value
+            assert len(calls) == 1 and len(relevant_places(pair.coefficients)) > 2
+
+    def test_one_dimensional_roofs_need_no_elimination(self, monkeypatch):
+        rng = random.Random(257)
+        cases = [lifted_points(rng, 1, kind, rng.randint(0, 3)) for kind in ("integer", "rational", "loglinear", "flat") for _ in range(8)]
+        cases += [([(2,), (2,), (2,)], [1, LL.log_prime(3), F(5, 2)])]  # one base: its largest lift
+        expected = [(roof_integral(roof := roof_from_weight(*case)), roof.cells) for case in cases]
+        rows, add = [], toricheight.geomkernel._Echelon.add
+        monkeypatch.setattr(toricheight.geomkernel._Echelon, "add", lambda echelon, vec: rows.append(vec) or add(echelon, vec))
+        for case, (integral, cells) in zip(cases, expected):
+            roof = roof_from_weight(*case)
+            assert (roof_integral(roof), roof.cells) == (integral, cells)
+        assert rows == []
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_finite_member_maps_are_ints(self, monkeypatch, n):
+        rng = random.Random(263 + n)
+        families = [rand_family(rng, n, style) for style in ("prime powers", "flat", "prime powers")]
+        expected = [multiheight(family) for family in families]
+        made, chains, seen = [0], [], []
+        real_new, real_map, real_chain = F.__new__, toricheight.mixed._envelope_map, toricheight.geomkernel._chain
+
+        def new(cls, *args, **kwargs):
+            made[0] += 1
+            return real_new(cls, *args, **kwargs)
+
+        def member(ints, primes=(), scale=1):
+            if primes:  # the archimedean place
+                return real_map(ints, primes, scale)
+            made[0], before = 0, len(chains)
+            result = real_map(ints, primes, scale)
+            seen.append((made[0], chains[before:], {type(x) for p in ints for x in p}, {type(x) for v, y in result.items() for x in (*v, y)}))
+            return result
+
+        monkeypatch.setattr(F, "__new__", new)
+        monkeypatch.setattr(toricheight.mixed, "_envelope_map", member)
+        monkeypatch.setattr(toricheight.geomkernel, "_chain", lambda *args: chains.append(made[0]) or real_chain(*args))
+        assert [multiheight(family) for family in families] == expected
+        # no Fraction up to the chain (none in the whole map), which comes once over a line
+        assert len(seen) > 3 * (n + 1) and all(record == (0, [0] if n == 1 else [], {int}, {int}) for record in seen)
