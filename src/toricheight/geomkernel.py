@@ -14,12 +14,12 @@ fraction-free elimination, ``_Echelon``.  An upper envelope is one hull of
 the lifted points (a flat lift gets one more point just below its graph),
 or over a line (k = 1) Andrew's monotone chain, ``_chain``, with no hull
 and no elimination; each projected upper simplex weighs its lifts by its
-|det|.  ``_envelope_integral`` and ``_envelope_map`` (the integral, and the
-vertex-value map without cells) take integer points as the place loop
-builds them and decode once; only the public ``upper_envelope`` converts
-exact input (``_envelope_setup``).  A lifted polytope lies between the upper
-and lower cells of one hull or chain pass, or is the graph of one affine
-function over the bases' hull when flat.
+|det|.  ``_envelope_integral`` (the integral, decoded once) and
+``_envelope_map`` (the vertex-value map of integer rows, with no cell) take
+integer points as the place loop and ``mixed`` build them; only the public
+``upper_envelope`` converts exact input.  A lifted polytope lies between
+the upper and lower cells of one hull or chain pass, or is the graph of
+one affine function over the bases' hull when flat.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def _vadd(a, b):
 
 def _dot(a, b):
     return sum(map(mul, a, b))
-
-
-def _exact(v):
-    """A rational point with its integral coordinates as ints."""
-    return tuple(x.numerator if x.denominator == 1 else x for x in v)
 
 
 class _Echelon:
@@ -627,19 +622,19 @@ def _envelope_integral(ints, primes=(), scale=1):
 
 def _envelope_map(ints, primes=(), scale=1):
     """The vertex-value map of the upper envelope of integer lifted points
-    (as ``_envelope_integral`` takes them) without cells: the base of each
-    point of an upper simplex with its lift there, ints where integral (all
-    of them at a finite place).  Bases of one point give the first largest
-    lift; bases spanning less than Q^k, which no multiheight member or
-    lifted polytope has, are read in ``upper_envelope``'s chart."""
+    (as ``_envelope_integral`` takes them), with no cell and in the given
+    integers: each upper simplex's points, base to lift row.  Bases of one
+    point give the first largest lift; bases spanning less than Q^k are
+    read in ``upper_envelope``'s chart of the unscaled bases."""
     integers, span = _span(ints, primes, scale)
     ints, k = integers[0], len(ints[0]) - len(primes) - 1
     if 0 < span < k:
-        integers = _envelope_setup([([Fraction(x, scale) for x in p[:k]], _decode(p[k:], scale, primes)) for p in ints])[1][1]
+        origin, *rest = (ints[i][:k] for i in integers[-1])
+        chart = _Chart(origin, [_vsub(b, origin) for b in rest])
+        integers = _span(_integer_points([(*(scale * x for x in chart.to_chart(p[:k])), *p[k:]) for p in ints])[0], primes, 1)[0]
     ids = dict.fromkeys(i for _, _, s in _graph_simplices(integers) for i in s) if span else [
         max(range(len(ints)), key=cmp_to_key(lambda i, j: _sign(_vsub(ints[i][k:], ints[j][k:]), primes)))]
-    exact = (lambda row: row) if scale == 1 else lambda row: _exact([Fraction(x, scale) for x in row])
-    return {exact(ints[i][:k]): _decode(ints[i][k:], scale, primes) if primes else exact(ints[i][k:])[0] for i in ids}
+    return {ints[i][:k]: ints[i][k:] for i in ids}
 
 
 def _dedup(points):
@@ -714,11 +709,12 @@ def convex_hull(points) -> Polytope:
     return _build_rational(sorted(pts))
 
 
-def _envelope_setup(points):
-    """``upper_envelope``'s deduplicated ``(base, lift)`` generators (only
-    one of the largest lift, and no graph, if the bases are one point), its
-    graph's lifted points and integers (``_span``), in a chart of the bases'
-    span when it is not Q^k, and that chart (else None)."""
+def upper_envelope(points) -> list[AffineCell]:
+    """Regular subdivision induced by the upper envelope of ``(base, lift)``
+    points: cells partitioning the hull of the bases, each with the affine
+    function of its envelope piece, in the bases' coordinates (read in a
+    chart of their span when it is not Q^k); bases of one point give one
+    cell, of the first largest lift."""
     gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
     if not gens:
         raise ValueError("need at least one point")
@@ -727,28 +723,16 @@ def _envelope_setup(points):
         raise ValueError("dimension mismatch")
     lifted = [(*b, lift) for b, lift in gens]
     integers, span = _span(*_integer_points(lifted))
-    if not span:  # the first largest lift
-        return [max(gens, key=cmp_to_key(lambda a, b: value_sign(a[1] - b[1])))], None, None
-    chart = None if span == k else _Chart(origin := gens[0][0], [_vsub(gens[b][0], origin) for b in integers[-1][1:]])
-    if chart is not None:
-        integers = _span(*_integer_points(lifted := [(*chart.to_chart(b), lift) for b, lift in gens]))[0]
-    return gens, (lifted, integers), chart
-
-
-def upper_envelope(points) -> list[AffineCell]:
-    """Regular subdivision induced by the upper envelope of lifted points.
-
-    ``points`` are ``(base, lift)`` pairs; the returned cells partition the
-    hull of the bases and carry the affine function of the envelope piece,
-    all in the bases' ambient coordinates.
-    """
-    gens, graph, chart = _envelope_setup(points)
-    if graph is None:
-        ((origin, best),) = gens
-        return [AffineCell((origin,), (Fraction(0),) * len(origin), best, Fraction(0) if origin else best)]
-    cells = _graph_cells(*graph)[0]
-    return cells if chart is None else [  # measure zero in Q^k
-        AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0)) for c in cells
+    if not span:
+        origin, best = max(gens, key=cmp_to_key(lambda a, b: value_sign(a[1] - b[1])))
+        return [AffineCell((origin,), (Fraction(0),) * k, best, Fraction(0) if origin else best)]
+    if span == k:
+        return _graph_cells(lifted, integers)[0]
+    chart = _Chart(origin := gens[0][0], [_vsub(gens[b][0], origin) for b in integers[-1][1:]])
+    lifted = [(*chart.to_chart(b), lift) for b, lift in gens]
+    return [  # measure zero in Q^k
+        AffineCell(tuple(map(chart.to_ambient, c.points)), *chart.pullback_affine(c.gradient, c.offset), Fraction(0))
+        for c in _graph_cells(lifted, _span(*_integer_points(lifted))[0])[0]
     ]
 
 

@@ -5,34 +5,34 @@ Mixed volumes of rational polytopes and mixed integrals are one facet
 recursion, MV_n(K_1, ..., K_n) = sum over the primitive outer facet
 normals w of K_2 + ... + K_n of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w),
 the faces read in the lattice w^perp, the normals for n >= 3 from the
-simplicial facets of one hull core of the sum's points.  A mixed integral
-of n+1 roofs is that recursion applied to their lifted polytopes; it runs
-on vertex-value maps and, at each level, builds the sup-convolution of all
-roofs but the first (n - 1 upper envelopes, none in dimension 1).  The map
-of a multiheight member or a lifted polytope's boundary is read from one
-hull's upper facets, or one chain's over a line (``_envelope_map``), that of an input roof or a
-sup-convolution from its cells (``_values``), with no ``Roof`` and no
-cell polytope.  Both keep the diagonal identities
-MV(Q, ..., Q) = n! Vol(Q) and MI(f, ..., f) = (n+1)! Int(f).  Mixed
-volumes of lifted polytopes, whose normals are not
-rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) =
-MI(u_0, ..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof of P_i and l_i
-its lower boundary, by induction on the facet recursion from
-MV_1([l, u]) = u - l.
+simplicial facets of one hull core of the sum's points.  It runs on the
+integers of one ``_integer_points`` of all a call's points, scale s, and
+MV(s.) = s^n MV, MI(s.) = s^(n+1) MI.  A mixed integral of n+1 roofs is
+the recursion on their lifted polytopes, on maps {base: integer row over
+(1, log p_1, ...)}, each read from one hull's or chain's upper simplices
+(``_envelope_map``: an input roof's from its generators, with no cell).
+The cells of the sup-convolution g_1 sup ... sup g_n at each level (n - 1
+envelopes of summed points, none in dimension 1) are its upper simplices
+grouped by functionals fn, which rank points by the integer rows
+f_t.(v, y) (``_top``, ``_sign``).  Both keep MV(Q, ..., Q) = n! Vol(Q) and MI(f, ...,
+f) = (n+1)! Int(f).  Mixed volumes of lifted polytopes, whose normals are
+not rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) = MI(u_0,
+..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof of P_i and l_i its
+lower boundary, by induction on the facet recursion from MV_1([l, u]) =
+u - l.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
 from .errors import LatticeHypothesisError
-from .exactnum import LogLinearNumber, _Record, as_loglinear, value_sign
-from .geomkernel import lattice_normalize, upper_envelope
-from .geomkernel import _dedup, _dot, _envelope_map, _exact, _functionals, _hull_core, _integer_basis, _integer_points, _vadd
-from .roof import lifted_polytope, roof_from_weight
+from .exactnum import LogLinearNumber, _Record, as_loglinear, certified_sign
+from .geomkernel import lattice_normalize, _as_value, _decode, _dedup, _dot, _envelope_map, _functionals, _graph_simplices
+from .geomkernel import _hull_core, _integer_basis, _integer_points, _sign, _span, _vadd, _vsub
+from .roof import lifted_polytope
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
 
 
 def _primitive(v):
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    s = lcm(*(x.denominator for x in v))
-    v = [int(x * s) for x in v]
+    """The primitive integer vector on the ray of a nonzero integer vector."""
     g = gcd(*v)
     return tuple(x // g for x in v)
 
@@ -70,14 +68,9 @@ def _complement(w):
     return [r for r, x in zip(rows, cur) if not x]
 
 
-def _values(cells):
-    """The vertex-value map of envelope cells: their points (every vertex among them) with their values."""
-    return {_exact(v): c.value_at(v) for c in cells for v in c.points}
-
-
 def _sum_normals(sets, n):
     """Primitive integer outer facet normals of the Minkowski sum of
-    rational point sets in Q^n: in the plane, the summands' edge normals;
+    integer point sets in Z^n: in the plane, the summands' edge normals;
     else its hull core's when it is n-dimensional, plus or minus its
     hyperplane's when (n-1)-dimensional, none when lower."""
     if n == 1:
@@ -91,8 +84,7 @@ def _sum_normals(sets, n):
                     if _dot(w, p) == max(_dot(w, v) for v in s):
                         normals[w] = None
         return list(normals)
-    points = _dedup(tuple(map(sum, zip(*c))) for c in itertools.product(*sets))
-    ints = _integer_points(points)[0]
+    ints = _dedup(tuple(map(sum, zip(*c))) for c in itertools.product(*sets))
     basis, rank, _ = _integer_basis(ints, n - 1)
     if rank == n - 1:
         w = _primitive(_functionals([ints[i] for i in basis], n - 1)[0][:-1])
@@ -117,7 +109,7 @@ def _split(items):
 
 
 def _mixed_volume(sets):
-    """MV_n of n rational point sets in Q^n by the facet recursion
+    """MV_n of n integer point sets in Z^n by the facet recursion
     MV_n(K_1, ..., K_n) = sum over the facet normals w of K_2 + ... + K_n
     of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w), MV_0 = 1, each face K^w (the
     points maximizing <w, .>) read in the lattice w^perp.  K_1 is the
@@ -134,57 +126,69 @@ def _mixed_volume(sets):
     return total
 
 
-def _top(values, x, scale=1):
-    """The points of a vertex-value map maximizing scale * value - <x,
-    point>, and that maximum."""
-    best, top, neg = None, [], [-c for c in x]
+def _top(values, fn, primes):
+    """The points of a vertex-value map maximizing the row of the
+    functionals fn at (point, value), f_t.(v, y), and that row."""
+    best, top = None, []
     for v, y in values.items():
-        t = sum(map(mul, neg, v), y if scale == 1 else scale * y)
-        s = 1 if best is None else value_sign(t - best)
+        p = (*v, *y)
+        row = [_dot(f, p) for f in fn]
+        s = 1 if best is None else _sign(_vsub(row, best), primes)
         if s > 0:
-            best, top = t, [v]
+            best, top = row, [v]
         elif s == 0:
             top.append(v)
     return best, top
 
 
-def _mixed_integral(maps):
-    """MI_n of n+1 roofs over Q^n given by their vertex-value maps: the
-    facet recursion on their lifted polytopes.  With g_0 the roof with the
-    most vertices and Delta_i the domains, the sum over the facet normals w
-    of Delta_1 + ... + Delta_n of h_{Delta_0}(w) MI_(n-1)(g_1 on
-    Delta_1^w, ..., g_n on Delta_n^w), read in w^perp, plus the sum over
-    the cells of g_1 sup ... sup g_n, of gradient x, of
-    max_v (g_0(v) - <x, v>) MV_n(C_1, ..., C_n), C_i the vertices of g_i
-    maximizing g_i(v) - <x, v>; MI_0(g) = g(point).  In dimension 1 the
-    cells are g_1's consecutive vertices."""
+def _mixed_integral(maps, primes):
+    """MI_n, as a row, of n+1 roofs over Z^n given by vertex-value maps:
+    with g_0 the roof with the most vertices and Delta_i the domains, the
+    sum over the facet normals w of Delta_1 + ... + Delta_n of
+    h_{Delta_0}(w) MI_(n-1)(g_1 on Delta_1^w, ..., g_n on Delta_n^w), read
+    in w^perp, plus the sum over the cells of g_1 sup ... sup g_n, of
+    functionals fn and a = fn[0][n] > 0, of max_v f_t.(v, g_0(v)) MV_n(C_1,
+    ..., C_n) / a, C_i the maximizing vertices of g_i; MI_0(g) = g(point).
+    Over a line a cell u -> v of g_1 is (g_1(u) - g_1(v), v - u), a = MV_1."""
     n = len(maps) - 1
     if n == 0:
         return next(iter(maps[0].values()))
     first, rest = _split(maps)
     normals = _sum_normals([list(m) for m in rest], n)
-    total = 0
+    total = [0] * (len(primes) + 1)
     for w in normals:
         rows = _complement(w)
         faces = [{v: m[v] for v in _face(list(m), w)} for m in rest]
-        total += max(_dot(w, v) for v in first) * _mixed_integral([dict(zip(_project(f, rows), f.values())) for f in faces])
+        h = max(_dot(w, v) for v in first)
+        total = [t + h * x for t, x in zip(total, _mixed_integral([dict(zip(_project(f, rows), f.values())) for f in faces], primes))]
     if n == 1:
         xs = sorted(m := rest[0])
         for a, b in zip(xs, xs[1:]):
-            total += _top(first, (m[b] - m[a],), b[0] - a[0])[0]
-    elif len(normals) > 2:  # the sum is n-dimensional
+            fn = [(x - y, *(b[0] - a[0] if u == t else 0 for u in range(len(primes) + 1))) for t, (x, y) in enumerate(zip(m[a], m[b]))]
+            total = [t + x for t, x in zip(total, _top(first, fn, primes)[0])]
+    elif len(normals) > 2:  # the sum is n-dimensional: the cells are the upper simplices of the summed points
         conv = rest[0]
-        for m in rest[1:]:
-            conv = _values(cells := upper_envelope((_vadd(p, q), a + b) for p, a in conv.items() for q, b in m.items()))
-        for c in cells:
+        for i in range(1, n):
+            sums = [(*_vadd(p, q), *_vadd(y, z)) for p, y in conv.items() for q, z in rest[i].items()]
+            if i < n - 1:  # a partial sup-convolution, by its map
+                conv = _envelope_map(sums, primes)
+        for fn in dict.fromkeys(fn for fn, _, _ in _graph_simplices(_span(sums, primes, 1)[0])):
             faces = []
             for m in rest:
-                if len(face := _top(m, c.gradient)[1]) == 1:
+                if len(face := _top(m, fn, primes)[1]) == 1:
                     break
                 faces.append(face)
             else:
-                total += _top(first, c.gradient)[0] * _mixed_volume(faces)
+                mv, a = _mixed_volume(faces), fn[0][n]
+                total = [t + Fraction(x * mv, a) for t, x in zip(total, _top(first, fn, primes)[0])]
     return total
+
+
+def _joint(point_sets):
+    """Point sets as integers of one ``_integer_points``, its primes and scale."""
+    ints, primes, scale = _integer_points([p for s in point_sets for p in s])
+    it = iter(ints)
+    return [list(itertools.islice(it, len(s))) for s in point_sets], primes, scale
 
 
 def mixed_volume(polytopes):
@@ -198,22 +202,29 @@ def mixed_volume(polytopes):
     if any(p.ambient_dim != n for p in polys):
         raise ValueError(f"need {n} polytopes in ambient dimension {n}")
     if any(p._kind.startswith("lifted") for p in polys):
-        maps = [[_envelope_map(*_integer_points([(*v[:-1], s * v[-1]) for v in p.vertices])) for p in polys] for s in (1, -1)]
-        return sum(as_loglinear(_mixed_integral(m)) for m in maps)
-    return Fraction(_mixed_volume([[_exact(v) for v in p.vertices] for p in polys]))
+        return sum(_roofs_integral([[(*v[:-1], s * v[-1]) for v in p.vertices] for p in polys]) for s in (1, -1))
+    sets, _, scale = _joint([p.vertices for p in polys])
+    return Fraction(_mixed_volume(sets), scale**n)
+
+
+def _roofs_integral(point_sets):
+    """Mixed integral of the roofs of n+1 sets of lifted points (*base, lift)."""
+    n = len(point_sets) - 1
+    if n < 0:
+        raise ValueError("need at least one roof")
+    if any(len(p) != n + 1 for s in point_sets for p in s):
+        raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
+    sets, primes, scale = _joint(point_sets)
+    total = _mixed_integral([_envelope_map(s, primes, scale) for s in sets], primes)
+    return as_loglinear(_decode(total, scale ** (n + 1), primes))
 
 
 def mixed_integral(roofs):
     """Mixed integral of n+1 roofs over bases of dimension n, the
     polarization of the roof integral under sup-convolution (MI(f, ..., f)
-    = (n+1)! Int(f)), computed by the facet recursion."""
-    roofs = list(roofs)
-    n = len(roofs) - 1
-    if n < 0:
-        raise ValueError("need at least one roof")
-    if any(f.base_dim != n for f in roofs):
-        raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
-    return as_loglinear(_mixed_integral([_values(f.cells) for f in roofs]))
+    = (n+1)! Int(f)), computed by the facet recursion on the roofs'
+    generators."""
+    return _roofs_integral([[(*g.base, g.lift) for g in f.generators] for f in roofs])
 
 
 def mixed_integral_via_mv(roofs, floors):
@@ -229,7 +240,7 @@ def mixed_integral_via_mv(roofs, floors):
         raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
     lifted = []
     for f, mu in zip(roofs, floors):
-        if value_sign(as_loglinear(mu)) > 0:
+        if certified_sign(mu) > 0:
             raise ValueError("floors must be nonpositive")
         lifted.append(lifted_polytope(f, mu))  # also checks mu <= min(f)
     total = mixed_volume(lifted)
@@ -242,11 +253,14 @@ def mixed_integral_via_mv(roofs, floors):
 def multi_chow_weight(datasets) -> LogLinearNumber:
     """Polarized Chow weight of several (exponents, weights) datasets with
     full lattices, as the mixed integral of their roofs."""
-    roofs = []
+    sets = []
     for exponents, weights in datasets:
         exponents, _ = _require_full_lattice(exponents)
-        roofs.append(roof_from_weight(exponents, list(weights)))
-    return mixed_integral(roofs)
+        weights = list(weights)
+        if len(exponents) != len(weights):
+            raise ValueError("exponents and weights must have equal length")
+        sets.append([(*a, _as_value(w)) for a, w in zip(exponents, weights)])
+    return _roofs_integral(sets)
 
 
 class EmbeddingFamily(_Record):
@@ -293,8 +307,11 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
     the mixed degree MV_n(A_1, ..., A_n) of the exponent sets."""
     coords = _common_normalization(family)
 
-    per, total = _over_places(
-        [m.coefficients for m in family.members],
-        lambda *ws: _mixed_integral([_envelope_map([(*b, *t) for b, t in zip(c, rows)], primes) for c, (rows, primes) in zip(coords, ws)]),
-    )
+
+    def local(*weights):  # rows, and the primes every member shares
+        primes = weights[0][1]
+        maps = [_envelope_map([(*b, *t) for b, t in zip(c, rows)], primes) for c, (rows, _) in zip(coords, weights)]
+        return _decode(_mixed_integral(maps, primes), 1, primes)
+
+    per, total = _over_places([m.coefficients for m in family.members], local)
     return HeightReport(total, per, _mixed_volume([_dedup(c) for c in coords[1:]]), family.torus_dim, 1)

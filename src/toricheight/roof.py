@@ -9,7 +9,7 @@ from above.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 
 from .exactnum import _Record, as_fraction, value_sign
@@ -31,6 +31,7 @@ __all__ = [
 
 
 LiftedPoint = namedtuple("LiftedPoint", ["base", "lift"])
+_by_value = cmp_to_key(lambda a, b: value_sign(a - b))  # orders exact values; min keeps the first least
 
 
 class Roof(_Record):
@@ -54,13 +55,7 @@ class Roof(_Record):
 
     def min_value(self):
         """Minimum over the domain; concavity puts it at a cell vertex."""
-        best = None
-        for cell in self.cells:
-            for v in cell.vertices:
-                val = cell.value_at(v)
-                if best is None or value_sign(val - best) < 0:
-                    best = val
-        return best
+        return min((cell.value_at(v) for cell in self.cells for v in cell.vertices), key=_by_value)
 
     def vertex_values(self):
         """Subdivision vertices with their roof values, deduplicated."""
@@ -96,12 +91,7 @@ def roof_eval(f: Roof, x):
     x = tuple(_as_value(c) for c in x)
     if not f.domain.contains(x):
         raise ValueError(f"{x} is outside the roof domain")
-    best = None
-    for cell in f.cells:
-        val = cell.value_at(x)
-        if best is None or value_sign(val - best) < 0:
-            best = val
-    return best
+    return min((cell.value_at(x) for cell in f.cells), key=_by_value)
 
 
 def roof_integral(f: Roof):

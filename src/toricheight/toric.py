@@ -129,16 +129,16 @@ def degree(pair: MonomialPair) -> int:
 def _over_places(coefficient_lists, local):
     """Per-place values of ``local`` and their sum.  Each coefficient c is
     factored once, numerator first; ``local`` gets per coefficient list its
-    integer rows over (1, log p_1, ..., log p_m) and those primes: log |c| =
-    (0, ord_p1(c), ...) at the archimedean place, (-ord_p(c),) at a finite
-    place p, whose rational value (``local`` is positively homogeneous) is
-    scaled by log p.  Finite values are summed in one map of log terms."""
+    integer rows over (1, log p_1, ..., log p_m), the primes of all lists:
+    log |c| = (0, ord_p1(c), ...) at the archimedean place, (-ord_p(c),) at
+    a finite place p, whose rational value (``local`` is positively
+    homogeneous) is scaled by log p.  Finite values sum in one log map."""
     orders = [[dict(_prime_factors(c.numerator)) | {p: -e for p, e in _prime_factors(c.denominator)} for c in cs]
               for cs in coefficient_lists]
-    primes = [tuple(sorted({p for o in os for p in o})) for os in orders]
-    value = as_loglinear(local(*(([(0, *(o.get(p, 0) for p in ps)) for o in os], ps) for os, ps in zip(orders, primes))))
+    primes = tuple(sorted({p for os in orders for o in os for p in o}))
+    value = as_loglinear(local(*(([(0, *(o.get(p, 0) for p in primes)) for o in os], primes) for os in orders)))
     per, terms = [(Place.infinite(), value)], dict(value.logterms)
-    for p in sorted({p for ps in primes for p in ps}):
+    for p in primes:
         value = as_fraction(local(*(([(-o.get(p, 0),) for o in os], ()) for os in orders)))
         per.append((Place.finite(p), LogLinearNumber._trusted(Fraction(0), ((p, value),) if value else ())))
         terms[p] = terms.get(p, 0) + value
@@ -232,7 +232,8 @@ def _hilbert_weight(exponents, rows, primes, scale, degree_d, cap):
     entries, last_count = 0, 1
     for k in range(1, degree_d + 1):
         entries += (last_count := min(comb(k + len(exponents) - 1, k), prod(k * w + 1 for w in widths)))
-        _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
+        if entries > cap:
+            _check_cap(entries, f"Hilbert table entries up to degree {k}", cap)
     strides = [prod(degree_d * w + 1 for w in widths[:j]) for j in range(n)]
     steps = [(sum((x - lo) * t for x, lo, t in zip(a, low, strides)), row if primes else row[0])
              for a, row in zip(exponents, rows)]

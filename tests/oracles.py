@@ -15,7 +15,10 @@ one by one through the exact row sign, the reference for its packed table.
 routes ``mixed`` read an upper envelope's vertex-value map (the values of
 its cells' affine functions) and a Minkowski sum's facet normals (the
 merged facets of its polytope) by, before both were read from the one
-hull's facets.
+hull's facets.  ``mixed_integral_reference`` is the facet recursion as it
+ran on those maps in log-linear arithmetic, with ``upper_envelope`` cells
+for its sup-convolutions and ``mixed_volume_reference`` for rational
+faces, before it ran on integer rows.
 ``graph_simplices_by_hull`` is the route ``geomkernel._graph_simplices``
 read the upper and lower segments of lifted points over a line by, before
 its monotone chain: the facets of one beneath-beyond hull.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -252,15 +256,130 @@ def hilbert_weight_rows(exponents, weights, degree_d):
     return as_loglinear(_decode(list(map(sum, zip(*table.values()))), scale, primes))
 
 
+def cell_values(cells):
+    """The vertex-value map of envelope cells: their points (every vertex
+    among them), integral coordinates as ints, with their values."""
+    return {tuple(x.numerator if x.denominator == 1 else x for x in v): c.value_at(v) for c in cells for v in c.points}
+
+
+def decoded_map(raw, primes, scale):
+    """A vertex-value map of integer rows (``geomkernel._envelope_map``) as
+    exact numbers: each base over ``scale``, each row decoded."""
+    from toricheight.geomkernel import _decode
+
+    return {tuple(Fraction(x, scale) for x in v): _decode(y, scale, primes) for v, y in raw.items()}
+
+
 def envelope_values_reference(points):
     """Vertex-value map of the upper envelope of ``(base, lift)`` points:
     every point of its cells, its integral coordinates as ints, with the
-    value of its cell's affine function there (``mixed._values`` of
+    value of its cell's affine function there (``cell_values`` of
     ``upper_envelope``)."""
     from toricheight.geomkernel import upper_envelope
-    from toricheight.mixed import _values
 
-    return _values(upper_envelope(points))
+    return cell_values(upper_envelope(points))
+
+
+def _rational_normals(sets, n):
+    """``mixed._sum_normals`` on rational point sets: primitive integer
+    outer facet normals of their Minkowski sum."""
+    from toricheight.geomkernel import _dot, _functionals, _hull_core, _integer_basis, _integer_points
+
+    def primitive(v):
+        s = math.lcm(*(Fraction(x).denominator for x in v))
+        v = [int(x * s) for x in v]
+        g = math.gcd(*v)
+        return tuple(x // g for x in v)
+
+    if n == 1:
+        return [(1,), (-1,)]
+    if n == 2:
+        normals = {}
+        for s in sets:
+            for p, q in itertools.combinations(s, 2):
+                w = primitive((q[1] - p[1], p[0] - q[0]))
+                for w in (w, (-w[0], -w[1])):
+                    if _dot(w, p) == max(_dot(w, v) for v in s):
+                        normals[w] = None
+        return list(normals)
+    ints = _integer_points(list(dict.fromkeys(tuple(map(sum, zip(*c))) for c in itertools.product(*sets))))[0]
+    basis, rank, _ = _integer_basis(ints, n - 1)
+    if rank == n - 1:
+        w = primitive(_functionals([ints[i] for i in basis], n - 1)[0][:-1])
+        return [w, tuple(-x for x in w)]
+    return list(dict.fromkeys(primitive(F.fn[0][:-1]) for F in _hull_core(ints, basis, ()))) if rank == n else []
+
+
+def mixed_volume_reference(sets):
+    """``mixed._mixed_volume`` on rational point sets: the facet recursion
+    with the normals of ``_rational_normals``."""
+    from toricheight.geomkernel import _dot
+    from toricheight.mixed import _complement, _face, _project, _split
+
+    if not sets:
+        return 1
+    first, rest = _split(sets)
+    total = 0
+    for w in _rational_normals(rest, len(sets)):
+        faces = [_face(s, w) for s in rest]
+        if all(len(f) > 1 for f in faces):
+            rows = _complement(w)
+            total += max(_dot(w, v) for v in first) * mixed_volume_reference([_project(f, rows) for f in faces])
+    return total
+
+
+def _top_reference(values, x, scale=1):
+    """The points of a vertex-value map maximizing scale * value - <x,
+    point>, and that maximum, in log-linear arithmetic."""
+    from toricheight.exactnum import value_sign
+
+    best, top, neg = None, [], [-c for c in x]
+    for v, y in values.items():
+        t = sum(map(operator.mul, neg, v), y if scale == 1 else scale * y)
+        s = 1 if best is None else value_sign(t - best)
+        if s > 0:
+            best, top = t, [v]
+        elif s == 0:
+            top.append(v)
+    return best, top
+
+
+def mixed_integral_reference(maps):
+    """The facet recursion for MI_n of n+1 roofs given by exact
+    vertex-value maps (``cell_values``), as ``mixed._mixed_integral`` ran it
+    on log-linear values: every sup-convolution a ``cell_values`` of
+    ``upper_envelope``, every cell ranked by value - <gradient, point> with
+    ``value_sign``."""
+    from toricheight.geomkernel import _dot, _vadd, upper_envelope
+    from toricheight.mixed import _complement, _face, _project, _split
+
+    n = len(maps) - 1
+    if n == 0:
+        return next(iter(maps[0].values()))
+    first, rest = _split(maps)
+    normals = _rational_normals([list(m) for m in rest], n)
+    total = 0
+    for w in normals:
+        rows = _complement(w)
+        faces = [{v: m[v] for v in _face(list(m), w)} for m in rest]
+        total += max(_dot(w, v) for v in first) * mixed_integral_reference([dict(zip(_project(f, rows), f.values())) for f in faces])
+    if n == 1:
+        xs = sorted(m := rest[0])
+        for a, b in zip(xs, xs[1:]):
+            total += _top_reference(first, (m[b] - m[a],), b[0] - a[0])[0]
+    elif len(normals) > 2:  # the sum is n-dimensional
+        conv = rest[0]
+        for m in rest[1:]:
+            conv = cell_values(cells := upper_envelope((_vadd(p, q), a + b) for p, a in conv.items() for q, b in m.items()))
+        for c in cells:
+            faces = []
+            for m in rest:
+                if len(face := _top_reference(m, c.gradient)[1]) == 1:
+                    break
+                faces.append(face)
+            else:
+                total += _top_reference(first, c.gradient)[0] * mixed_volume_reference(faces)
+    return total
 
 
 def graph_simplices_by_hull(integers, lower=False):

@@ -35,7 +35,7 @@ from toricheight.mixed import EmbeddingFamily, mixed_integral, mixed_volume, mul
 from toricheight.roof import roof_from_generators, roof_from_weight, roof_integral
 from toricheight.toric import MonomialPair, normalized_height
 
-from oracles import graph_simplices_by_hull, grid_volume_bounds, log_basis_det, minor_rank, rational_det, riemann_roof_oracle
+from oracles import decoded_map, graph_simplices_by_hull, grid_volume_bounds, log_basis_det, minor_rank, rational_det, riemann_roof_oracle
 from test_roof import rebuilt_cell_integral
 
 LL = LogLinearNumber
@@ -1237,6 +1237,12 @@ def row_integral(ints, simplices):
     return [sum(w * sum(ints[i][t] for i in ids) for fn, w, ids in simplices if fn[0][1] > 0) for t in range(1, len(ints[0]))]
 
 
+def envelope_map(points):
+    """``_envelope_map`` of ``(base, lift)`` points, decoded."""
+    ints, primes, scale = _integer_points([(*b, t) for b, t in points])
+    return decoded_map(geomkernel._envelope_map(ints, primes, scale), primes, scale)
+
+
 class TestChainAgainstHull:
     """Over a line ``_graph_simplices`` is Andrew's monotone chain; the one
     hull it replaced there, ``graph_simplices_by_hull``, is the reference.
@@ -1275,7 +1281,7 @@ class TestChainAgainstHull:
             lifted, integers = graph_points(points)
             if len(integers[-1]) > 1:
                 found.append((geomkernel._graph_cells(lifted, integers, lower=integers[4] == 2), upper_envelope(points)))
-            found.append(geomkernel._envelope_map(*_integer_points([(*b, t) for b, t in points])))
+            found.append(envelope_map(points))
         monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
         dropped = 0
         for points in cases:
@@ -1286,7 +1292,7 @@ class TestChainAgainstHull:
                 for cells, ref in ((upper, ref_upper), (lower, ref_lower)):
                     assert {c: c.integral for c in cells} == {c: c.integral for c in ref} and len(cells) == len(ref)
                     assert all(len(c.points) == 2 and set(c.points) == set(c.vertices) for c in cells)
-            new, ref = found.pop(0), geomkernel._envelope_map(*_integer_points([(*b, t) for b, t in points]))
+            new, ref = found.pop(0), envelope_map(points)
             assert new.keys() <= ref.keys()
             assert all(as_loglinear(new[x]) == as_loglinear(ref[x]) for x in new)
             for x in ref.keys() - new.keys():  # on a segment of the chain, with the same value

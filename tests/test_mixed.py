@@ -12,6 +12,7 @@ import toricheight.geomkernel as geomkernel
 from toricheight.geomkernel import AffineCell, Polytope, _envelope_map, _integer_points, convex_hull, volume
 from toricheight.mixed import (
     EmbeddingFamily,
+    _common_normalization,
     _sum_normals,
     mixed_integral,
     mixed_integral_via_mv,
@@ -29,7 +30,17 @@ from toricheight.roof import (
 )
 from toricheight.toric import MonomialPair, chow_weight, normalized_height
 
-from oracles import _int_det, envelope_values_reference, mixed_area, sum_normals_reference
+from oracles import (
+    _int_det,
+    cell_values,
+    decoded_map,
+    envelope_values_reference,
+    mixed_area,
+    mixed_integral_reference,
+    mixed_volume_reference,
+    over_places_reference,
+    sum_normals_reference,
+)
 
 LL = LogLinearNumber
 log2 = LL.log_prime(2)
@@ -289,15 +300,16 @@ def count_calls(monkeypatch, name, modules):
 
 
 class TestFacetRecursionWork:
-    """The recursion makes n - 1 sup-convolutions for a mixed integral,
-    no ``Roof`` and no cell polytope, no hull for a plane mixed volume and
-    no polytope for a Minkowski sum's normals, and neither a Minkowski sum
-    nor a lifted hull for a mixed volume of lifted polytopes."""
+    """The recursion makes n - 1 sup-convolutions per level, the last one
+    read for its cells (none in 1-D), no ``Roof`` and no cell; no
+    hull for a plane mixed volume, no polytope for a Minkowski sum's
+    normals, and neither a Minkowski sum nor a lifted hull for a mixed
+    volume of lifted polytopes."""
 
     @pytest.mark.parametrize("n, envelopes", [(1, 0), (2, 1)])
     def test_envelopes_per_mixed_integral(self, monkeypatch, n, envelopes):
         rng = random.Random(151 + n)
-        calls = count_calls(monkeypatch, "upper_envelope", ("geomkernel", "roof", "mixed"))
+        calls = count_calls(monkeypatch, "_graph_simplices", ("mixed",))  # the sup-convolution's cells
         for _ in range(10):
             roofs = [rand_roof(rng, n) for _ in range(n + 1)]
             calls.clear()
@@ -306,7 +318,7 @@ class TestFacetRecursionWork:
 
     def test_no_roof_or_cell_polytope(self, monkeypatch):
         """Mixed integrals, lifted mixed volumes and multiheights read their
-        vertex-value maps from envelope cells' points: no ``Roof`` is built
+        vertex-value maps from one hull's upper facets: no ``Roof`` is built
         and no cell's polytope is read."""
         rng = random.Random(173)
         roofs = [[rand_roof(rng, n) for _ in range(n + 1)] for n in (1, 2, 2, 2)]
@@ -388,9 +400,11 @@ class TestReadFromTheHull:
                 points.append(points[-1])
             if kind == "single":
                 points.append((tuple(map(F, bases[0])), lifts[0]))
-            new, ref = _envelope_map(*_integer_points([(*b, t) for b, t in points])), envelope_values_reference(points)
-            assert new == ref
-            assert all(type(x) is int for v in new for x in v)
+            ints, primes, scale = _integer_points([(*b, t) for b, t in points])
+            raw = _envelope_map(ints, primes, scale)
+            assert all(type(x) is int for v, y in raw.items() for x in (*v, *y))
+            new = decoded_map(raw, primes, scale)
+            assert new == envelope_values_reference(points)
             charts += 0 < geomkernel._affine_basis(list(new))[1] < k
         assert charts >= 10
 
@@ -412,6 +426,126 @@ class TestReadFromTheHull:
                 assert set(normals) == set(sum_normals_reference(sets))
                 compared[n] += 1
         assert min(compared.values()) >= 4
+
+
+def same(new, ref):
+    """Equal values of one type, down to a log-linear number's fields."""
+    fields = lambda x: (type(x), type(x.constant), tuple(type(c) for _, c in x.logterms)) if isinstance(x, LL) else (type(x),)
+    return new == ref and fields(new) == fields(ref)
+
+
+def lifted_reference(polys):
+    """A lifted mixed volume as two mixed integrals of ``cell_values`` maps
+    through the log-linear recursion."""
+    maps = [[envelope_values_reference([(v[:-1], s * v[-1]) for v in p.vertices]) for p in polys] for s in (1, -1)]
+    return sum(as_loglinear(mixed_integral_reference(m)) for m in maps)
+
+
+def full_lattice_dataset(rng, n):
+    """Exponents holding the standard simplex, so that their lattice is
+    Z^n, some repeated, with log-linear weights."""
+    exps = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+    exps += [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))] + [rng.choice(exps)]
+    return exps, [rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 + F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in exps]
+
+
+class TestAgainstLogLinearRecursion:
+    """The facet recursion on integer rows against the log-linear one it
+    replaced (``mixed_integral_reference`` on ``cell_values`` maps, and
+    ``mixed_volume_reference`` on rational points): equal in value and
+    type, and with no log-linear work inside it."""
+
+    @pytest.mark.parametrize("n, draws", [(1, 60), (2, 24), (3, 6)])
+    def test_mixed_integrals(self, n, draws):
+        rng = random.Random(f"integer recursion {n}")
+        for i in range(draws):
+            if i % 3 == 0:
+                roofs = [rand_roof(rng, n) for _ in range(n + 1)]
+            elif i % 3 == 1:  # repeated, collinear and single-point bases
+                roofs = [rand_any_roof(rng, n) for _ in range(n + 1)]
+            else:  # bases in halves: scale 2
+                roofs = [
+                    roof_from_generators([(tuple(F(rng.randint(0, 4), 2) for _ in range(n)), rng.randint(-2, 2) * log2 + F(rng.randint(-3, 3), 3))
+                                          for _ in range(rng.randint(1, n + 3))])
+                    for _ in range(n + 1)
+                ]
+            assert same(mixed_integral(roofs), as_loglinear(mixed_integral_reference([cell_values(f.cells) for f in roofs])))
+            if n < 3 and all(f.domain.is_full_dimensional for f in roofs):
+                floors = [floor_below(f, rng) for f in roofs]
+                lifted = [lifted_polytope(f, mu) for f, mu in zip(roofs, floors)]
+                ref = lifted_reference(lifted)
+                for j, mu in enumerate(floors):
+                    others = [[v for v in roofs[t].domain.vertices] for t in range(n + 1) if t != j]
+                    ref = ref + as_loglinear(mu) * Fraction(mixed_volume_reference(others))
+                assert same(mixed_integral_via_mv(roofs, floors), as_loglinear(ref))
+
+    @pytest.mark.parametrize("n, draws", [(1, 20), (2, 10), (3, 2)])
+    def test_mixed_volumes(self, n, draws):
+        rng = random.Random(f"integer recursion volumes {n}")
+        for i in range(draws):
+            polys = [rand_lifted(rng, n) for _ in range(n + 1)] if n < 3 else []
+            if polys and i % 2:
+                polys[rng.randrange(n + 1)] = rand_rational_member(rng, n, i // 2 % 3)
+            if polys:
+                assert same(mixed_volume(polys), lifted_reference(polys))
+            rational = [
+                convex_hull([tuple(F(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(rng.randint(1, n + 2))])
+                for _ in range(n)
+            ]
+            assert same(mixed_volume(rational), Fraction(mixed_volume_reference([list(p.vertices) for p in rational])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_multi_chow_weights(self, n):
+        rng = random.Random(f"integer recursion chow {n}")
+        for _ in range(12 if n < 3 else 3):
+            datasets = [full_lattice_dataset(rng, n) for _ in range(n + 1)]
+            ref = mixed_integral_reference([cell_values(roof_from_weight(e, w).cells) for e, w in datasets])
+            assert same(multi_chow_weight(datasets), as_loglinear(ref))
+
+    @pytest.mark.parametrize("n, draws", [(1, 6), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("style", ["units", "prime powers", "semiprimes"])
+    def test_multiheights(self, n, draws, style):
+        from test_places import place_family
+
+        rng = random.Random(f"integer recursion multiheight {n} {style}")
+        for _ in range(draws):
+            family = place_family(rng, n, style)
+            coords = _common_normalization(family)
+            local = lambda *ws: mixed_integral_reference([envelope_values_reference(list(zip(c, w))) for c, w in zip(coords, ws)])
+            per, total = over_places_reference([m.coefficients for m in family.members], local)
+            rep = multiheight(family)
+            assert same(rep.value, total) and all(v == u and same(x, y) for (v, x), (u, y) in zip(rep.per_place, per))
+            assert len(rep.per_place) == len(per)
+            assert same(rep.degree, mixed_volume_reference([list(dict.fromkeys(c)) for c in coords[1:]]))
+
+    def test_no_log_linear_work_inside(self, monkeypatch):
+        """On integer maps the recursion makes no ``LogLinearNumber``, calls
+        no ``value_sign`` or ``certified_sign``, and builds no
+        ``upper_envelope`` or ``AffineCell``."""
+        import toricheight.mixed as mixed
+        import toricheight.roof as roof
+        import toricheight.toric as toric
+        from toricheight import exactnum
+
+        rng = random.Random(191)
+        cases = []
+        for n in (1, 1, 2, 2, 2, 3, 3):
+            roofs = [(rand_roof if n % 2 else rand_any_roof)(rng, n) for _ in range(n + 1)]
+            sets, primes, scale = mixed._joint([[(*g.base, g.lift) for g in f.generators] for f in roofs])
+            maps = [_envelope_map(s, primes, scale) for s in sets]
+            cases.append((maps, primes, mixed._mixed_integral(maps, primes)))
+        convolutions = count_calls(monkeypatch, "_graph_simplices", ("mixed",))
+        fail = lambda *args, **kwargs: pytest.fail("log-linear work inside the recursion")
+        monkeypatch.setattr(LL, "__init__", fail)
+        monkeypatch.setattr(LL, "_trusted", classmethod(fail))
+        monkeypatch.setattr(AffineCell, "__init__", fail)
+        for module in (exactnum, geomkernel, roof, toric, mixed):
+            for name in ("value_sign", "certified_sign", "upper_envelope"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fail)
+        for maps, primes, expected in cases:
+            assert mixed._mixed_integral(maps, primes) == expected
+        assert len(convolutions) >= 3 and all(primes for _, primes, _ in cases)
 
 
 class TestMixedVolume:

@@ -22,7 +22,7 @@ from toricheight.cli import main
 from toricheight.errors import FactorizationLimitError
 from toricheight.exactnum import LogLinearNumber, Place, _is_prime, as_loglinear, relevant_places
 from toricheight.geomkernel import _envelope_integral, _integer_points, convex_hull, lattice_normalize
-from toricheight.mixed import EmbeddingFamily, _common_normalization, _mixed_integral, mixed_integral, mixed_volume, multiheight
+from toricheight.mixed import EmbeddingFamily, _common_normalization, mixed_integral, mixed_volume, multiheight
 from toricheight.roof import roof_from_weight, roof_integral
 from toricheight.toric import (
     MonomialPair,
@@ -35,7 +35,7 @@ from toricheight.toric import (
     weight_vector,
 )
 
-from oracles import envelope_values_reference, over_places_reference
+from oracles import envelope_values_reference, mixed_integral_reference, over_places_reference
 from test_toric import triangulated_degree
 
 LL = LogLinearNumber
@@ -188,10 +188,6 @@ class TestAgainstLogLinearLoop:
 # structure: only the archimedean place sees log-linear weights
 
 
-def _irrational(values):
-    return any(isinstance(x, LL) and not x.is_rational for x in values)
-
-
 def _irrational_rows(rows, primes):
     """Whether integer rows ending in coefficients of log p_1, ..., log p_m
     (``geomkernel._integer_points``) hold a nonzero one."""
@@ -248,7 +244,7 @@ class TestFinitePlacesAreRational:
         family = rand_family(rng, n, "prime powers")
         calls = []
         _record(monkeypatch, toricheight.mixed, "_envelope_map", lambda a: _irrational_rows(*a[:2]), calls)  # member roofs
-        _record(monkeypatch, toricheight.mixed, "upper_envelope", lambda a: _irrational([g[1] for g in a[0]]), calls)  # sup-convolutions
+        _record(monkeypatch, toricheight.mixed, "_graph_simplices", lambda a: _irrational_rows(*a[0][:2]), calls)  # sup-convolutions
         multiheight(family)
         places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
         # n+1 member roofs and the facet recursion's n-1 sup-convolutions per place
@@ -276,20 +272,20 @@ class TestMultiheightWork:
             families.append(EmbeddingFamily(tuple(members)))
         expected = [loglinear_multiheight(f) for f in families]
         gk = toricheight.geomkernel
-        for module, name in ((toricheight.mixed, "roof_from_weight"), (toricheight.roof, "convex_hull"),
+        for module, name in ((toricheight.roof.Roof, "__init__"), (toricheight.roof, "convex_hull"),
                              (gk, "convex_hull"), (gk, "_build_rational")):
             monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
         hulls, chains, maps, convolutions, depth = [], [], [], [], [0]
         real_core, real_chain, real_map = gk._hull_core, gk._chain, toricheight.mixed._envelope_map
-        real_envelope, real_recursion = toricheight.mixed.upper_envelope, toricheight.mixed._mixed_integral
+        real_envelope, real_recursion = toricheight.mixed._graph_simplices, toricheight.mixed._mixed_integral
         real_cell = gk.AffineCell.__init__
         monkeypatch.setattr(gk, "_hull_core", lambda *args: hulls.append(1) or real_core(*args))
         monkeypatch.setattr(gk, "_chain", lambda *args: chains.append(1) or real_chain(*args))
 
-        def recursion(maps):  # member maps are read before it runs, sup-convolutions inside it
+        def recursion(maps, primes):  # member maps are read before it runs, sup-convolutions inside it
             depth[0] += 1
             try:
-                return real_recursion(maps)
+                return real_recursion(maps, primes)
             finally:
                 depth[0] -= 1
 
@@ -303,9 +299,9 @@ class TestMultiheightWork:
 
         counted_envelope = counted(real_envelope, convolutions)
 
-        def envelope(points):
+        def envelope(integers):
             assert depth[0], "an upper envelope was built for a member"
-            return counted_envelope(points)
+            return counted_envelope(integers)
 
         def cell(self, *args):
             assert depth[0], "a cell was built for a member"
@@ -313,7 +309,7 @@ class TestMultiheightWork:
 
         monkeypatch.setattr(toricheight.mixed, "_mixed_integral", recursion)
         monkeypatch.setattr(toricheight.mixed, "_envelope_map", counted(real_map, maps))
-        monkeypatch.setattr(toricheight.mixed, "upper_envelope", envelope)
+        monkeypatch.setattr(toricheight.mixed, "_graph_simplices", envelope)
         monkeypatch.setattr(gk.AffineCell, "__init__", cell)
         for family, reference in zip(families, expected):
             places = sorted({v for m in family.members for v in relevant_places(m.coefficients)})
@@ -514,7 +510,7 @@ class TestPlaceLoopAgainstReference:
         for _ in range(draws):
             family = place_family(rng, n, style)
             coords = _common_normalization(family)
-            local = lambda *ws: _mixed_integral([envelope_values_reference(list(zip(c, w))) for c, w in zip(coords, ws)])
+            local = lambda *ws: mixed_integral_reference([envelope_values_reference(list(zip(c, w))) for c, w in zip(coords, ws)])
             per, total = over_places_reference([m.coefficients for m in family.members], local)
             rep = multiheight(family)
             assert (rep.per_place, rep.value) == (per, total) and exact_places(rep.per_place)
@@ -608,7 +604,7 @@ class TestPlaceLoopWork:
                 return real_map(ints, primes, scale)
             made[0], before = 0, len(chains)
             result = real_map(ints, primes, scale)
-            seen.append((made[0], chains[before:], {type(x) for p in ints for x in p}, {type(x) for v, y in result.items() for x in (*v, y)}))
+            seen.append((made[0], chains[before:], {type(x) for p in ints for x in p}, {type(x) for v, y in result.items() for x in (*v, *y)}))
             return result
 
         monkeypatch.setattr(F, "__new__", new)
