@@ -16,8 +16,8 @@ or over a line (k = 1) Andrew's monotone chain, ``_chain``, with no hull
 and no elimination; each projected upper simplex weighs its lifts by its
 |det|.  ``_envelope_integral`` (the integral, decoded once) and
 ``_envelope_map`` (the vertex-value map of integer rows, with no cell) take
-integer points as the place loop and ``mixed`` build them; only the public
-``upper_envelope`` converts exact input.  A lifted polytope lies between
+integer points as the place loop and ``mixed`` build them; ``_exact_pairs``
+alone converts exact roof input.  A lifted polytope lies between
 the upper and lower cells of one hull or chain pass, or is the graph of
 one affine function over the bases' hull when flat.
 """
@@ -60,10 +60,6 @@ def _as_value(x):
     if isinstance(x, LogLinearNumber):
         return x.constant if x.is_rational else x
     return as_fraction(x)
-
-
-def _normalize_point(p) -> tuple:
-    return tuple(_as_value(x) for x in p)
 
 
 def _vsub(a, b):
@@ -403,7 +399,7 @@ class Polytope:
     # -- membership ------------------------------------------------------
 
     def contains(self, point) -> bool:
-        point = _normalize_point(point)
+        point = tuple(map(_as_value, point))
         if len(point) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         if self._kind == "point":
@@ -687,11 +683,23 @@ def _check_dimension(d, lifted):
         )
 
 
+def _exact_pairs(points):
+    """Deduplicated exact ``(base, lift)`` pairs: at least one, over bases of one dimension <= MAX_DIMENSION."""
+    gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
+    if not gens:
+        raise ValueError("need at least one point")
+    k = len(gens[0][0])
+    if any(len(b) != k for b, _ in gens):
+        raise ValueError("dimension mismatch")
+    _check_dimension(k, False)
+    return gens
+
+
 def convex_hull(points) -> Polytope:
     """Exact convex hull.  Handles lower-dimensional rational input via an
     affine chart; lifted input (log-linear last coordinate) must project
     onto a full-dimensional rational configuration."""
-    pts = [_normalize_point(p) for p in points]
+    pts = [tuple(map(_as_value, p)) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     d = len(pts[0])
@@ -715,12 +723,8 @@ def upper_envelope(points) -> list[AffineCell]:
     function of its envelope piece, in the bases' coordinates (read in a
     chart of their span when it is not Q^k); bases of one point give one
     cell, of the first largest lift."""
-    gens = _dedup([(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in points])
-    if not gens:
-        raise ValueError("need at least one point")
+    gens = _exact_pairs(points)
     k = len(gens[0][0])
-    if any(len(b) != k for b, _ in gens):
-        raise ValueError("dimension mismatch")
     lifted = [(*b, lift) for b, lift in gens]
     integers, span = _span(*_integer_points(lifted))
     if not span:

@@ -30,9 +30,9 @@ from math import gcd
 
 from .errors import LatticeHypothesisError
 from .exactnum import LogLinearNumber, _Record, as_loglinear, certified_sign
-from .geomkernel import lattice_normalize, _as_value, _decode, _dedup, _dot, _envelope_map, _functionals, _graph_simplices
+from .geomkernel import lattice_normalize, _decode, _dedup, _dot, _envelope_map, _functionals, _graph_simplices
 from .geomkernel import _hull_core, _integer_basis, _integer_points, _sign, _span, _vadd, _vsub
-from .roof import lifted_polytope
+from .roof import lifted_polytope, roof_from_weight
 from .toric import HeightReport, MonomialPair, _over_places, _require_full_lattice
 
 __all__ = [
@@ -207,13 +207,17 @@ def mixed_volume(polytopes):
     return Fraction(_mixed_volume(sets), scale**n)
 
 
+def _count_message(count, dims):
+    return f"need n+1 roofs over bases of dimension n; got {count} roofs over bases of dimension {', '.join(map(str, sorted(dims)))}"
+
+
 def _roofs_integral(point_sets):
     """Mixed integral of the roofs of n+1 sets of lifted points (*base, lift)."""
     n = len(point_sets) - 1
     if n < 0:
         raise ValueError("need at least one roof")
     if any(len(p) != n + 1 for s in point_sets for p in s):
-        raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
+        raise ValueError(_count_message(n + 1, {len(p) - 1 for s in point_sets for p in s}))
     sets, primes, scale = _joint(point_sets)
     total = _mixed_integral([_envelope_map(s, primes, scale) for s in sets], primes)
     return as_loglinear(_decode(total, scale ** (n + 1), primes))
@@ -237,7 +241,7 @@ def mixed_integral_via_mv(roofs, floors):
     if len(floors) != len(roofs):
         raise ValueError("one floor per roof")
     if any(f.base_dim != n for f in roofs):
-        raise ValueError(f"need {n + 1} roofs over a base of dimension {n}")
+        raise ValueError(_count_message(n + 1, {f.base_dim for f in roofs}))
     lifted = []
     for f, mu in zip(roofs, floors):
         if certified_sign(mu) > 0:
@@ -252,15 +256,8 @@ def mixed_integral_via_mv(roofs, floors):
 
 def multi_chow_weight(datasets) -> LogLinearNumber:
     """Polarized Chow weight of several (exponents, weights) datasets with
-    full lattices, as the mixed integral of their roofs."""
-    sets = []
-    for exponents, weights in datasets:
-        exponents, _ = _require_full_lattice(exponents)
-        weights = list(weights)
-        if len(exponents) != len(weights):
-            raise ValueError("exponents and weights must have equal length")
-        sets.append([(*a, _as_value(w)) for a, w in zip(exponents, weights)])
-    return _roofs_integral(sets)
+    full lattices, the mixed integral of their roofs."""
+    return mixed_integral(roof_from_weight(_require_full_lattice(e)[0], w) for e, w in datasets)
 
 
 class EmbeddingFamily(_Record):

@@ -1,9 +1,9 @@
 """Concave piecewise-affine roof functions over rational polytopes.
 
-A roof is the upper envelope of finitely many lifted generator points.
-Cells form the induced regular subdivision; the function value anywhere is
-the minimum of the cell functions, each of which supports the lifted hull
-from above.
+A roof is the upper envelope of finitely many lifted generator points and
+holds only them.  Its cells, the induced regular subdivision, are built on
+first read; the function value anywhere is the minimum of the cell
+functions, each of which supports the lifted hull from above.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from collections import namedtuple
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
 
-from .exactnum import _Record, as_fraction, value_sign
+from .exactnum import _Record, value_sign
 from .geomkernel import AffineCell, Face, FaceLattice, Polytope, convex_hull, intersect_polytopes, upper_envelope
-from .geomkernel import _as_value, _dedup, _vadd
+from .geomkernel import _as_value, _exact_pairs, _vadd
 
 __all__ = [
     "LiftedPoint",
@@ -35,15 +35,17 @@ _by_value = cmp_to_key(lambda a, b: value_sign(a - b))  # orders exact values; m
 
 
 class Roof(_Record):
-    """Concave piecewise-affine function given by its subdivision cells and
-    the generator points it envelopes.  The domain, the hull of the
-    generator bases, is built on first use."""
+    """Concave piecewise-affine function given by the generator points it
+    envelopes; its cells and its domain, the hull of their bases, are built on first read."""
 
-    _fields = ("cells", "generators")
+    _fields = ("generators",)
 
-    def __init__(self, cells: tuple[AffineCell, ...], generators: tuple[LiftedPoint, ...]):
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, generators: tuple[LiftedPoint, ...]):
         object.__setattr__(self, "generators", generators)
+
+    @cached_property
+    def cells(self) -> tuple[AffineCell, ...]:
+        return tuple(upper_envelope(self.generators))
 
     @cached_property
     def domain(self) -> Polytope:
@@ -67,10 +69,7 @@ class Roof(_Record):
 
 
 def roof_from_generators(generators) -> Roof:
-    gens = _dedup(
-        [LiftedPoint(tuple(as_fraction(x) for x in base), _as_value(lift)) for base, lift in generators]
-    )
-    return Roof(tuple(upper_envelope(gens)), tuple(gens))
+    return Roof(tuple(LiftedPoint(*g) for g in _exact_pairs(generators)))
 
 
 def roof_from_weight(exponents, weights) -> Roof:

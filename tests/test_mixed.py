@@ -646,6 +646,21 @@ class TestMixedIntegral:
         with pytest.raises(ValueError):
             mixed_integral([rand_roof(random.Random(1)), rand_roof(random.Random(2), n=2)])
 
+    def test_count_error_names_what_was_given(self):
+        # three roofs over a line are not told that they need a 2-D base
+        line = roof_from_weight([(0,), (1,)], [0, 1])
+        plane = roof_from_weight([(0, 0), (1, 0), (0, 1)], [0, 1, 2])
+        need = "need n+1 roofs over bases of dimension n; got "
+        for roofs, given in [([line] * 3, "3 roofs over bases of dimension 1"),
+                             ([line, plane], "2 roofs over bases of dimension 1, 2"),
+                             ([plane] * 2, "2 roofs over bases of dimension 2")]:
+            with pytest.raises(ValueError) as info:
+                mixed_integral(roofs)
+            assert str(info.value) == need + given
+            with pytest.raises(ValueError) as info:
+                mixed_integral_via_mv(roofs, [-1] * len(roofs))
+            assert str(info.value) == need + given
+
 
 class TestRouteEquivalence:
     def test_flat_cube(self):

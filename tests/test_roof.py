@@ -1,4 +1,7 @@
+import copy
 import itertools
+import json
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,9 +10,13 @@ from operator import mul
 import pytest
 
 import toricheight.geomkernel as geomkernel
+import toricheight.roof as roof
 import toricheight.toric as toric
+from toricheight.cli import main
+from toricheight.errors import DimensionLimitError, LatticeHypothesisError
 from toricheight.exactnum import LogLinearNumber, as_loglinear, certified_sign
-from toricheight.geomkernel import convex_hull, face_lattice, lattice_normalize, triangulate, volume
+from toricheight.geomkernel import AffineCell, convex_hull, face_lattice, lattice_normalize, triangulate, upper_envelope, volume
+from toricheight.mixed import mixed_integral, multi_chow_weight
 from toricheight.roof import (
     lifted_polytope,
     restrict_to_face,
@@ -279,6 +286,141 @@ class TestOneHullPerRoof:
                 calls.clear()
                 toric.normalized_height(toric.MonomialPair.make(exps, coeffs))
                 assert all(points == domain for points in calls)
+
+
+def seeded_generators(rng, n):
+    """Generators over bases in {0, 1, 2}^n, rational or log-linear lifts:
+    one point, repeats, collinear bases and spans below Q^n come up often."""
+    kind = rng.choice(("point", "collinear", "flat", "any"))
+    if kind == "point":
+        bases = [(1,) * n] * rng.randint(1, 3)
+    elif kind == "collinear":
+        bases = [tuple(k * (j == 0) + 1 for j in range(n)) for k in range(rng.randint(2, 4))]
+    elif kind == "flat" and n > 1:
+        bases = [(*(rng.randint(0, 2) for _ in range(n - 1)), 1) for _ in range(rng.randint(2, 6))]
+    else:
+        bases = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+    lifts = [rng.randint(-3, 3) * log2 + F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.7 else F(rng.randint(-3, 3))
+             for _ in bases]
+    return list(zip(bases, lifts))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Counts of the upper envelopes and affine cells made from here on."""
+    counts = {"envelopes": 0, "cells": 0}
+    envelope, init = geomkernel.upper_envelope, AffineCell.__init__
+
+    def counted_envelope(points):
+        counts["envelopes"] += 1
+        return envelope(points)
+
+    def counted_init(cell, *args):
+        counts["cells"] += 1
+        init(cell, *args)
+
+    for module in (geomkernel, roof):
+        monkeypatch.setattr(module, "upper_envelope", counted_envelope)
+    monkeypatch.setattr(AffineCell, "__init__", counted_init)
+    return counts
+
+
+class TestCellsOnFirstRead:
+    """A roof holds its generators; its cells are one envelope, made when
+    they are first read and not before, so a mixed integral, which reads
+    only generators, makes none."""
+
+    def test_construction_makes_no_cell(self, made):
+        rng = random.Random(211)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                roof_from_generators(seeded_generators(rng, n))
+                rand_roof_nd(rng, n)
+        assert made == {"envelopes": 0, "cells": 0}
+
+    def test_mixed_integrals_make_no_cell(self, made):
+        rng = random.Random(223)
+        for n in (1, 2):
+            for _ in range(5):
+                exps = [(0,) * n, *(tuple(int(i == j) for i in range(n)) for j in range(n)), (1,) * n]
+                datasets = [(exps, [rng.randint(-3, 3) * log2 + rng.randint(-2, 2) for _ in exps]) for _ in range(n + 1)]
+                mixed_integral([roof_from_weight(e, w) for e, w in datasets])
+                multi_chow_weight(datasets)
+        assert made == {"envelopes": 0, "cells": 0}
+
+    def test_cli_mixed_integral_makes_no_cell(self, made, capsys, tmp_path):
+        path = tmp_path / "mi.json"
+        path.write_text(json.dumps([
+            {"exponents": [[0, 0], [1, 0], [0, 1], [1, 1]], "weights": ["0", "1", "1/2", "-3"]},
+            {"exponents": [[0, 0], [2, 0], [0, 1]], "weights": ["1", "0", "-2/3"]},
+            {"exponents": [[0, 0], [1, 0], [0, 1]], "weights": ["0", "0", "0"]},
+        ]))
+        assert main(["mixed-integral", str(path)]) == 0
+        assert capsys.readouterr().out and made == {"envelopes": 0, "cells": 0}
+
+    def test_cells_made_once(self, made):
+        rng = random.Random(227)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                f = roof_from_generators(seeded_generators(rng, n))
+                made["envelopes"] = 0
+                roof_integral(f)
+                f.vertex_values()
+                assert made["envelopes"] == 1 and f.cells is f.cells
+
+    def test_cells_are_the_envelope_of_the_input(self):
+        # in value, type and order, as when they were made with the roof
+        rng = random.Random(229)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                gens = seeded_generators(rng, n)
+                cells, expected = roof_from_generators(gens).cells, upper_envelope(gens)
+                assert cells == tuple(expected)
+                for c, e in zip(cells, expected):
+                    assert [(x, type(x)) for x in (*c.points, c.gradient, c.offset, c.integral)] == [
+                        (x, type(x)) for x in (*e.points, e.gradient, e.offset, e.integral)]
+
+    @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, clone):
+        rng = random.Random(233)
+        for n in (1, 2, 3):
+            for _ in range(5):
+                gens = seeded_generators(rng, n)
+                f = roof_from_generators(gens)
+                before = clone(f)
+                assert "cells" not in f.__dict__ and "cells" not in before.__dict__ and f.cells
+                after = clone(f)
+                assert "cells" in after.__dict__
+                fresh = roof_from_generators(gens).cells
+                for g in (before, after):
+                    assert g == f and hash(g) == hash(f) and g.cells == fresh
+
+
+# exception type and message at construction, as they were when a roof made
+# its cells with it
+CONSTRUCTION_ERRORS = [
+    ("no generator", lambda: roof_from_generators([]), ValueError, "need at least one point"),
+    ("mixed base lengths", lambda: roof_from_generators([((0,), 1), ((0, 1), 2)]), ValueError, "dimension mismatch"),
+    ("7-D base", lambda: roof_from_generators([((0,) * 7, 1), ((1,) + (0,) * 6, 2)]), DimensionLimitError,
+     "ambient dimension 7 exceeds the supported bound 6 (MAX_DIMENSION = 6, one more for a lifted hull)"),
+    ("7-D weight", lambda: roof_from_weight([(0,) * 7, (1,) + (0,) * 6], [1, 2]), DimensionLimitError,
+     "ambient dimension 7 exceeds the supported bound 6 (MAX_DIMENSION = 6, one more for a lifted hull)"),
+    ("unequal lengths", lambda: roof_from_weight([(0,), (1,)], [1]), ValueError, "exponents and weights must have equal length"),
+    ("no exponent", lambda: roof_from_weight([], []), ValueError, "need at least one generator"),
+    ("inexact base", lambda: roof_from_generators([((0.5,), 1)]), TypeError, "expected an exact rational, got float"),
+    ("multi, lattice first", lambda: multi_chow_weight([([(0,), (2,)], [1]), ([(0,), (1,)], [1, 2])]),
+     LatticeHypothesisError, "exponent differences must generate the full integer lattice; normalize first"),
+    ("multi, unequal lengths", lambda: multi_chow_weight([([(0,), (1,)], [1]), ([(0,), (1,)], [1, 2])]),
+     ValueError, "exponents and weights must have equal length"),
+]
+
+
+@pytest.mark.parametrize("make, kind, message", [c[1:] for c in CONSTRUCTION_ERRORS], ids=[c[0] for c in CONSTRUCTION_ERRORS])
+def test_construction_errors(make, kind, message):
+    with pytest.raises(Exception) as info:
+        make()
+    assert type(info.value) is kind and str(info.value) == message
 
 
 class TestSupConvolution:

@@ -40,7 +40,7 @@ def examples():
         (square.facets[0], ("normal", "offset", "vertex_ids")),
         (roof.cells[0], ("points", "gradient", "offset", "integral")),
         (face_lattice(square).faces[0], ("dim", "vertex_ids")),
-        (roof, ("cells", "generators")),
+        (roof, ("generators",)),
         (roof.generators[1], ("base", "lift")),
         (CUBIC, ("exponents", "coefficients")),
         (normalized_height(CUBIC), ("value", "per_place", "degree", "dim", "scale")),
@@ -85,7 +85,7 @@ class TestConstruction:
 
     def test_roof(self):
         f = roof_from_weight([(0,), (2,)], [F(0), F(4)])
-        g = Roof(generators=f.generators, cells=f.cells)
+        g = Roof(generators=f.generators)
         assert g == f and g.base_dim == 1
 
     def test_lifted_point(self):
