@@ -315,9 +315,7 @@ def cmd_mixed_integral(args) -> int:
     if len(dims) != 1:
         raise ParseError(f"weight documents must share one exponent dimension; got {dims}")
     if len(docs) != dims[0] + 1:
-        raise ParseError(
-            f"need {dims[0] + 1} weight documents for exponent dimension {dims[0]}; got {len(docs)}"
-        )
+        raise ParseError(f"need {dims[0] + 1} weight documents for exponent dimension {dims[0]}; got {len(docs)}")
     return _report(args, {"command": "mixed-integral"}, mixed_integral([roof_from_weight(e, w) for e, w in docs]))
 
 

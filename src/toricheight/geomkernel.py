@@ -12,14 +12,15 @@ simplex's are the columns of one elimination's det M^-1, M = [1 | p].
 Functionals, affine bases, ranks, solves and ``_simplex_det`` share one
 fraction-free elimination, ``_Echelon``.  An upper envelope is one hull of
 the lifted points (a flat lift gets one more point just below its graph),
-or over a line (k = 1) Andrew's monotone chain, ``_chain``, with no hull
-and no elimination; each projected upper simplex weighs its lifts by its
-|det|.  ``_envelope_integral`` (the integral, decoded once) and
-``_envelope_map`` (the vertex-value map of integer rows, with no cell) take
-integer points as the place loop and ``mixed`` build them; ``_exact_pairs``
-alone converts exact roof input.  A lifted polytope lies between
-the upper and lower cells of one hull or chain pass, or is the graph of
-one affine function over the bases' hull when flat.
+or over a line (k = 1) Andrew's monotone chain, ``_chain``, with no hull,
+no elimination and no functional outside cells; each projected upper
+simplex weighs its lifts by its |det|.  ``_envelope_integral`` (the
+integral, decoded once) and ``_envelope_map`` (the vertex-value map of
+integer rows, with no cell) take integer points as the place loop and
+``mixed`` build them; ``_exact_pairs`` alone converts exact roof input.
+A lifted polytope lies between the upper and lower cells of one hull or
+chain pass, or is the graph of one affine function over the bases' hull
+when flat.
 """
 
 from __future__ import annotations
@@ -501,17 +502,19 @@ def _chain(ints, primes, lower):
     """Andrew's monotone chain (*Inf. Process. Lett.* 9, 1979) of integer
     points over a line: the upper (and, if asked, lower) chain of the
     largest (smallest) lift at each base, a middle point dropped while on or
-    below (above) its neighbours' segment.  Segment i -> j is ``(fn, x_j -
-    x_i, (i, j))``, fn primitive and outward as from ``_functionals``."""
-
-    def height(a, b, c):  # of b over the segment a -> c, times x_c - x_a
-        return _sign([(c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:])], primes)
-
-    segments = []
+    below (above) its neighbours' segment.  Returns each chain's segments
+    i -> j as ``(x_j - x_i, (i, j))``; without primes a lift is one integer
+    and every comparison is of integers."""
+    if primes:
+        above = lambda p, q: _sign(_vsub(p[1:], q[1:]), primes)
+        height = lambda a, b, c: _sign([(c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:])], primes)
+    else:  # height: of b over the segment a -> c, times x_c - x_a
+        above, height = (lambda p, q: p[1] - q[1]), (lambda a, b, c: (c[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (c[1] - a[1]))
+    chains = []
     for s in (1, -1) if lower else (1,):
         best = {}  # base -> its point of the largest (smallest) lift
         for i, p in enumerate(ints):
-            if (j := best.setdefault(p[0], i)) != i and s * _sign([a - b for a, b in zip(p[1:], ints[j][1:])], primes) > 0:
+            if (j := best.setdefault(p[0], i)) != i and s * above(p, ints[j]) > 0:
                 best[p[0]] = i
         if len(best) < 2:
             raise ValueError("lifted hull over a degenerate projection is unsupported")
@@ -520,27 +523,30 @@ def _chain(ints, primes, lower):
             while len(chain) > 1 and s * height(ints[chain[-2]], ints[chain[-1]], ints[i]) <= 0:
                 chain.pop()
             chain.append(i)
-        for i, j in zip(chain, chain[1:]):
-            (x, *a), (y, *b) = ints[i], ints[j]
-            w, d = y - x, [v - u for u, v in zip(a, b)]
-            g = s * gcd(w, *d)
-            fn = tuple((-e // g, *(w // g * (u == t) for u in range(len(d))), (w * a[t] - e * x) // g) for t, e in enumerate(d))
-            segments.append((fn, w, (i, j)))
-    return segments
+        chains.append([(ints[j][0] - ints[i][0], (i, j)) for i, j in zip(chain, chain[1:])])
+    return chains
+
+
+def _segment_fn(ints, s, ids):
+    """``_functionals`` of an upper (s = 1) or lower (s = -1) chain segment."""
+    (x, *a), (y, *b) = ints[ids[0]], ints[ids[1]]
+    w, d = y - x, [v - u for u, v in zip(a, b)]
+    g = s * gcd(w, *d)
+    return tuple((-e // g, *(w // g * (u == t) for u in range(len(d))), (w * a[t] - e * x) // g) for t, e in enumerate(d))
 
 
 def _graph_simplices(integers, lower=False):
     """Simplices of the graph of integer lifted points (as ``_span`` gives
     them) whose bases span their space, as ``(fn, w, ids)``: w is the
     projected |det| of an upper (and, if asked, lower) simplex, fn its
-    functionals.  Over a line they are the segments of ``_chain``; else the
-    simplicial facets of one hull, where a flat lift (rank k) gets its first
-    point lowered by 1 in the constant entry: no facet through that point
-    faces up, so the upper facets are the graph (not to be asked for its
-    lower ones)."""
+    functionals.  Over a line they are the segments of ``_chain``, with the
+    functionals of ``_segment_fn``; else the simplicial facets of one hull,
+    where a flat lift (rank k) gets its first point lowered by 1 in the
+    constant entry: no facet through that point faces up, so the upper
+    facets are the graph (not to be asked for its lower ones)."""
     k = len(integers[0][0]) - len(integers[1]) - 1
     if k == 1:
-        return _chain(*integers[:2], lower)
+        return [(_segment_fn(integers[0], s, ids), w, ids) for s, chain in zip((1, -1), _chain(*integers[:2], lower)) for w, ids in chain]
     ints, primes, _, basis, rank, base = integers
     if len(base) <= k:
         raise ValueError("lifted hull over a degenerate projection is unsupported")
@@ -587,6 +593,13 @@ def _graph_cells(points, integers, lower=False):
     return upper, below
 
 
+def _upper_simplices(integers):
+    """The upper ``_graph_simplices``' ``(w, ids)``: over a line, no functional."""
+    if len(integers[0][0]) - len(integers[1]) == 2:
+        return _chain(*integers[:2], False)[0]
+    return [(w, ids) for _, w, ids in _graph_simplices(integers)]
+
+
 def _span(ints, primes, scale):
     """Deduplicated integer lifted points (``_integer_points``) as
     ``_graph_simplices`` reads them, with their ``_integer_basis`` off a
@@ -606,11 +619,11 @@ def _envelope_integral(ints, primes=(), scale=1):
     ``_integer_points`` gives them: bases, then a lift row over (1, log p_1,
     ...), times ``scale``) over the hull of their bases, which must span
     their space, and k! times the volume of that hull: the sums over
-    ``_graph_simplices`` of |det| times the lift rows, decoded once, and of
+    ``_upper_simplices`` of |det| times the lift rows, decoded once, and of
     |det|."""
     integers, k = _span(ints, primes, scale)[0], len(ints[0]) - len(primes) - 1
     ints, total, dets = integers[0], [0] * (len(primes) + 1), 0
-    for _, w, ids in _graph_simplices(integers):
+    for w, ids in _upper_simplices(integers):
         dets += w
         total = [t + w * sum(col) for t, col in zip(total, zip(*(ints[i][k:] for i in ids)))]
     return _decode(total, scale ** (k + 1) * factorial(k + 1), primes), Fraction(dets, scale**k)
@@ -628,7 +641,7 @@ def _envelope_map(ints, primes=(), scale=1):
         origin, *rest = (ints[i][:k] for i in integers[-1])
         chart = _Chart(origin, [_vsub(b, origin) for b in rest])
         integers = _span(_integer_points([(*(scale * x for x in chart.to_chart(p[:k])), *p[k:]) for p in ints])[0], primes, 1)[0]
-    ids = dict.fromkeys(i for _, _, s in _graph_simplices(integers) for i in s) if span else [
+    ids = dict.fromkeys(i for _, s in _upper_simplices(integers) for i in s) if span else [
         max(range(len(ints)), key=cmp_to_key(lambda i, j: _sign(_vsub(ints[i][k:], ints[j][k:]), primes)))]
     return {ints[i][:k]: ints[i][k:] for i in ids}
 
@@ -677,10 +690,8 @@ def _lifted_facets(upper, lower, walls, vertices):
 def _check_dimension(d, lifted):
     bound = MAX_DIMENSION + (1 if lifted else 0)
     if d > bound:
-        raise DimensionLimitError(
-            f"ambient dimension {d} exceeds the supported bound {bound} "
-            f"(MAX_DIMENSION = {MAX_DIMENSION}, one more for a lifted hull)"
-        )
+        raise DimensionLimitError(f"ambient dimension {d} exceeds the supported bound {bound} "
+                                  f"(MAX_DIMENSION = {MAX_DIMENSION}, one more for a lifted hull)")
 
 
 def _exact_pairs(points):
@@ -723,7 +734,11 @@ def upper_envelope(points) -> list[AffineCell]:
     function of its envelope piece, in the bases' coordinates (read in a
     chart of their span when it is not Q^k); bases of one point give one
     cell, of the first largest lift."""
-    gens = _exact_pairs(points)
+    return _envelope_cells(_exact_pairs(points))
+
+
+def _envelope_cells(gens):
+    """``upper_envelope`` of exact deduplicated pairs (``_exact_pairs``)."""
     k = len(gens[0][0])
     lifted = [(*b, lift) for b, lift in gens]
     integers, span = _span(*_integer_points(lifted))

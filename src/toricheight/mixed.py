@@ -5,27 +5,29 @@ Mixed volumes of rational polytopes and mixed integrals are one facet
 recursion, MV_n(K_1, ..., K_n) = sum over the primitive outer facet
 normals w of K_2 + ... + K_n of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w),
 the faces read in the lattice w^perp, the normals for n >= 3 from the
-simplicial facets of one hull core of the sum's points.  It runs on the
-integers of one ``_integer_points`` of all a call's points, scale s, and
-MV(s.) = s^n MV, MI(s.) = s^(n+1) MI.  A mixed integral of n+1 roofs is
-the recursion on their lifted polytopes, on maps {base: integer row over
-(1, log p_1, ...)}, each read from one hull's or chain's upper simplices
-(``_envelope_map``: an input roof's from its generators, with no cell).
-The cells of the sup-convolution g_1 sup ... sup g_n at each level (n - 1
-envelopes of summed points, none in dimension 1) are its upper simplices
-grouped by functionals fn, which rank points by the integer rows
-f_t.(v, y) (``_top``, ``_sign``).  Both keep MV(Q, ..., Q) = n! Vol(Q) and MI(f, ...,
-f) = (n+1)! Int(f).  Mixed volumes of lifted polytopes, whose normals are
-not rational, are two mixed integrals: MV_(n+1)(P_0, ..., P_n) = MI(u_0,
-..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof of P_i and l_i its
-lower boundary, by induction on the facet recursion from MV_1([l, u]) =
-u - l.
+simplicial facets of one hull core of the sum's points.  Its base case is
+a line: MV_1(K) = max K - min K, and MI_1 of two roofs a boundary term
+plus, per segment of one roof, the largest of the integer rows it gives
+the other's points.  It runs on the integers of one ``_integer_points`` of
+all a call's points, scale s, and MV(s.) = s^n MV, MI(s.) = s^(n+1) MI.
+A mixed integral of n+1 roofs is the recursion on their lifted polytopes,
+on maps {base: integer row over (1, log p_1, ...)}, each read from one
+hull's or chain's upper simplices (``_envelope_map``: an input roof's from
+its generators, with no cell).  The cells of the sup-convolution g_1 sup
+... sup g_n (n >= 2; n - 1 envelopes of summed points) are its upper
+simplices grouped by functionals fn, which rank points by the integer rows
+f_t.(v, y) (``_top``, ``_sign``).  Both keep MV(Q, ..., Q) = n! Vol(Q)
+and MI(f, ..., f) = (n+1)! Int(f).  Mixed volumes of lifted polytopes,
+whose normals are not rational, are two mixed integrals: MV_(n+1)(P_0,
+..., P_n) = MI(u_0, ..., u_n) + MI(-l_0, ..., -l_n), u_i the upper roof
+of P_i and l_i its lower boundary, by induction from MV_1([l, u]) = u - l.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .errors import LatticeHypothesisError
@@ -70,11 +72,9 @@ def _complement(w):
 
 def _sum_normals(sets, n):
     """Primitive integer outer facet normals of the Minkowski sum of
-    integer point sets in Z^n: in the plane, the summands' edge normals;
-    else its hull core's when it is n-dimensional, plus or minus its
-    hyperplane's when (n-1)-dimensional, none when lower."""
-    if n == 1:
-        return [(1,), (-1,)]
+    integer point sets in Z^n, n >= 2: in the plane, the summands' edge
+    normals; else its hull core's when it is n-dimensional, plus or minus
+    its hyperplane's when (n-1)-dimensional, none when lower."""
     if n == 2:
         normals = {}
         for s in sets:
@@ -111,11 +111,12 @@ def _split(items):
 def _mixed_volume(sets):
     """MV_n of n integer point sets in Z^n by the facet recursion
     MV_n(K_1, ..., K_n) = sum over the facet normals w of K_2 + ... + K_n
-    of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w), MV_0 = 1, each face K^w (the
-    points maximizing <w, .>) read in the lattice w^perp.  K_1 is the
-    longest set, and a term with a one-point face vanishes."""
-    if not sets:
-        return 1
+    of h_{K_1}(w) MV_(n-1)(K_2^w, ..., K_n^w), each face K^w (the points
+    maximizing <w, .>) read in the lattice w^perp, down to MV_1(K) = max K
+    - min K (MV_0 = 1, the empty family's).  K_1 is the longest set, and a
+    term with a one-point face vanishes."""
+    if len(sets) < 2:
+        return max(sets[0])[0] - min(sets[0])[0] if sets else 1
     first, rest = _split(sets)
     total = 0
     for w in _sum_normals(rest, len(sets)):
@@ -148,12 +149,25 @@ def _mixed_integral(maps, primes):
     h_{Delta_0}(w) MI_(n-1)(g_1 on Delta_1^w, ..., g_n on Delta_n^w), read
     in w^perp, plus the sum over the cells of g_1 sup ... sup g_n, of
     functionals fn and a = fn[0][n] > 0, of max_v f_t.(v, g_0(v)) MV_n(C_1,
-    ..., C_n) / a, C_i the maximizing vertices of g_i; MI_0(g) = g(point).
-    Over a line a cell u -> v of g_1 is (g_1(u) - g_1(v), v - u), a = MV_1."""
+    ..., C_n) / a, C_i the maximizing vertices of g_i.  MI_1 is max(Delta_0)
+    g_1(right end) - min(Delta_0) g_1(left end) plus, over the segments u ->
+    v of g_1, the largest row (g_1(u) - g_1(v)) x + (v - u) g_0(x) over the
+    points x of g_0 (integers at a finite place); MI_0(g) = g(point)."""
     n = len(maps) - 1
     if n == 0:
         return next(iter(maps[0].values()))
     first, rest = _split(maps)
+    if n == 1:
+        g, rank = sorted(rest[0].items()), cmp_to_key(lambda r, q: _sign(_vsub(r, q), primes))
+        (lo,), (hi,) = min(first), max(first)
+        total = [hi * b - lo * a for a, b in zip(g[0][1], g[-1][1])]
+        for ((u,), gu), ((v,), gv) in zip(g, g[1:]):
+            if primes:
+                best = max(([(a - b) * x + (v - u) * c for a, b, c in zip(gu, gv, y)] for (x,), y in first.items()), key=rank)
+            else:
+                best = [max((gu[0] - gv[0]) * x + (v - u) * y for (x,), (y,) in first.items())]
+            total = [t + r for t, r in zip(total, best)]
+        return total
     normals = _sum_normals([list(m) for m in rest], n)
     total = [0] * (len(primes) + 1)
     for w in normals:
@@ -161,12 +175,7 @@ def _mixed_integral(maps, primes):
         faces = [{v: m[v] for v in _face(list(m), w)} for m in rest]
         h = max(_dot(w, v) for v in first)
         total = [t + h * x for t, x in zip(total, _mixed_integral([dict(zip(_project(f, rows), f.values())) for f in faces], primes))]
-    if n == 1:
-        xs = sorted(m := rest[0])
-        for a, b in zip(xs, xs[1:]):
-            fn = [(x - y, *(b[0] - a[0] if u == t else 0 for u in range(len(primes) + 1))) for t, (x, y) in enumerate(zip(m[a], m[b]))]
-            total = [t + x for t, x in zip(total, _top(first, fn, primes)[0])]
-    elif len(normals) > 2:  # the sum is n-dimensional: the cells are the upper simplices of the summed points
+    if len(normals) > 2:  # the sum is n-dimensional: the cells are the upper simplices of the summed points
         conv = rest[0]
         for i in range(1, n):
             sums = [(*_vadd(p, q), *_vadd(y, z)) for p, y in conv.items() for q, z in rest[i].items()]
@@ -235,9 +244,10 @@ def mixed_integral_via_mv(roofs, floors):
     """Mixed integral computed through mixed volumes of the lifted
     polytopes, with the floor correction; each floor must lie at or below
     min(f_i, 0)."""
-    roofs = list(roofs)
-    floors = list(floors)
+    roofs, floors = list(roofs), list(floors)
     n = len(roofs) - 1
+    if n < 0:
+        raise ValueError("need at least one roof")
     if len(floors) != len(roofs):
         raise ValueError("one floor per roof")
     if any(f.base_dim != n for f in roofs):
@@ -291,10 +301,8 @@ def _common_normalization(family: EmbeddingFamily):
         return [list(m.exponents) for m in family.members]
     bases = {basis for _, r, basis in data if r == n}
     if any(r != n for _, r, _ in data) or len(bases) != 1:
-        raise LatticeHypothesisError(
-            "multiheight requires every member lattice to be Z^n, or one "
-            "common lattice for a joint normalization"
-        )
+        raise LatticeHypothesisError("multiheight requires every member lattice to be Z^n, "
+                                     "or one common lattice for a joint normalization")
     return [coords for coords, _, _ in data]
 
 
@@ -303,7 +311,6 @@ def multiheight(family: EmbeddingFamily) -> HeightReport:
     the sum over places of the mixed integrals of the local roofs, with
     the mixed degree MV_n(A_1, ..., A_n) of the exponent sets."""
     coords = _common_normalization(family)
-
 
     def local(*weights):  # rows, and the primes every member shares
         primes = weights[0][1]

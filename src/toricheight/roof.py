@@ -13,8 +13,8 @@ from functools import cached_property, cmp_to_key
 from fractions import Fraction
 
 from .exactnum import _Record, value_sign
-from .geomkernel import AffineCell, Face, FaceLattice, Polytope, convex_hull, intersect_polytopes, upper_envelope
-from .geomkernel import _as_value, _exact_pairs, _vadd
+from .geomkernel import AffineCell, Face, FaceLattice, Polytope, convex_hull, intersect_polytopes
+from .geomkernel import _as_value, _envelope_cells, _exact_pairs, _vadd
 
 __all__ = [
     "LiftedPoint",
@@ -45,7 +45,7 @@ class Roof(_Record):
 
     @cached_property
     def cells(self) -> tuple[AffineCell, ...]:
-        return tuple(upper_envelope(self.generators))
+        return tuple(_envelope_cells(self.generators))
 
     @cached_property
     def domain(self) -> Polytope:

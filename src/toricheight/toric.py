@@ -166,13 +166,13 @@ def normalized_height(pair: MonomialPair) -> HeightReport:
 
 def _require_full_lattice(exponents):
     exponents = [tuple(int(x) for x in a) for a in exponents]
+    if not exponents:
+        raise ValueError("the exponent list is empty")
     n = len(exponents[0])
     coords, r, basis = lattice_normalize(exponents)
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if r != n or basis != identity:
-        raise LatticeHypothesisError(
-            "exponent differences must generate the full integer lattice; normalize first"
-        )
+        raise LatticeHypothesisError("exponent differences must generate the full integer lattice; normalize first")
     return exponents, n
 
 

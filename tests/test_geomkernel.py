@@ -1274,6 +1274,65 @@ class TestChainAgainstHull:
             kinds.add((bool(primes), lower, len({p[0] for p in ints}) < len(ints)))
         assert len(kinds) == 6 and ties > 20  # a flat lift has no repeated base
 
+    def test_integer_chain_against_hull(self, monkeypatch):
+        """``_chain`` on its own, its segments given the functionals of
+        ``_segment_fn``: the hull's simplices on rational and log-linear
+        lifts with repeated bases and collinear points, its upper chain what
+        ``_upper_simplices`` reads, and with no ``_sign`` without primes."""
+        rng = random.Random(239)
+        sign, kinds = geomkernel._sign, set()
+        fail = lambda *args: pytest.fail("a sign without primes")
+        for draw in range(300):
+            slope, constant = F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-4, 4), rng.randint(1, 3))
+            if draw % 2:  # log-linear
+                constant += rng.randint(-2, 2) * log2 + rng.choice((1, -1)) * log3
+            below = rng.choice((0, 0.3, 0.6))  # 0: every point on one line
+            bases = [(F(rng.randint(-4, 4), rng.choice((1, 1, 2))),) for _ in range(rng.randint(2, 7))]
+            points = [(b, slope * b[0] + constant - (rng.random() < below) * rng.randint(1, 2)) for b in bases]
+            points += [(b, t - rng.randint(-1, 1)) for b, t in rng.sample(points, rng.randint(0, 2))]  # repeated bases
+            lifted, integers = graph_points(points)
+            ints, primes, _, _, rank, base = integers
+            if len(base) < 2:
+                continue
+            lower = rank == 2  # a flat lift is not asked for its lower chain
+            monkeypatch.setattr(geomkernel, "_sign", sign if primes else fail)
+            chains = geomkernel._chain(ints, primes, lower)
+            monkeypatch.setattr(geomkernel, "_sign", sign)
+            new = [(geomkernel._segment_fn(ints, s, ids), w, ids) for s, chain in zip((1, -1), chains) for w, ids in chain]
+            ref = graph_simplices_by_hull(integers, lower)
+            assert widths(new) == widths(ref) and row_integral(ints, new) == row_integral(ints, ref)
+            assert new == geomkernel._graph_simplices(integers, lower) and chains[0] == geomkernel._upper_simplices(integers)
+            on_chain = any(a[0] < b[0] < c[0] and not any((c[0] - a[0]) * (yb - ya) - (b[0] - a[0]) * (yc - ya) for ya, yb, yc in zip(a[1:], b[1:], c[1:]))
+                           for _, (i, j) in chains[0] for a, c in [(ints[i], ints[j])] for b in ints)  # a dropped collinear point
+            kinds.add((bool(primes), lower, len({p[0] for p in ints}) < len(ints), on_chain))
+        assert {(primes, lower, collinear) for primes, lower, _, collinear in kinds} == set(itertools.product((False, True), repeat=3))
+        assert len(kinds) >= 10
+
+    def test_no_functional_for_integrals_and_maps(self, monkeypatch):
+        """Over a line the integral and the vertex-value map read the upper
+        chain's widths and ids alone: no segment functional is built, and
+        without primes no sign is taken; cells still get theirs."""
+        cases = line_cases(241)
+        expected = []
+        for points in cases:
+            ints, primes, scale = _integer_points([(*b, t) for b, t in points])
+            spans = len({p[0] for p in ints}) > 1
+            expected.append((spans, geomkernel._envelope_integral(ints, primes, scale) if spans else None, geomkernel._envelope_map(ints, primes, scale)))
+        sign, segment_fn, made = geomkernel._sign, geomkernel._segment_fn, []
+        monkeypatch.setattr(geomkernel, "_segment_fn", lambda *args: made.append(args) or segment_fn(*args))
+        integer_chains = 0
+        for points, (spans, integral, values) in zip(cases, expected):
+            ints, primes, scale = _integer_points([(*b, t) for b, t in points])
+            if spans:  # a chain, not the largest lift of one point
+                monkeypatch.setattr(geomkernel, "_sign", sign if primes else lambda *args: pytest.fail("a sign without primes"))
+                assert geomkernel._envelope_integral(ints, primes, scale) == integral
+                integer_chains += not primes
+            assert geomkernel._envelope_map(ints, primes, scale) == values
+            monkeypatch.setattr(geomkernel, "_sign", sign)
+        assert integer_chains > 50 and not made
+        cells = upper_envelope([((0,), 0), ((1,), 1), ((3,), 0)])
+        assert len(made) == len(cells) == 2
+
     def test_same_cells_and_maps(self, monkeypatch):
         cases = line_cases(223)
         found = []
@@ -1283,6 +1342,7 @@ class TestChainAgainstHull:
                 found.append((geomkernel._graph_cells(lifted, integers, lower=integers[4] == 2), upper_envelope(points)))
             found.append(envelope_map(points))
         monkeypatch.setattr(geomkernel, "_graph_simplices", graph_simplices_by_hull)
+        monkeypatch.setattr(geomkernel, "_upper_simplices", lambda integers: [(w, ids) for _, w, ids in graph_simplices_by_hull(integers)])
         dropped = 0
         for points in cases:
             lifted, integers = graph_points(points)

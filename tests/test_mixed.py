@@ -548,6 +548,84 @@ class TestAgainstLogLinearRecursion:
         assert len(convolutions) >= 3 and all(primes for _, primes, _ in cases)
 
 
+class TestLineBaseCase:
+    """Both facet recursions stop at a line: MV_1(K) = max K - min K, and
+    MI_1 of two vertex-value maps by its boundary term and one largest row
+    per segment, against the recursions down to n = 0 that they cut short
+    (``mixed_volume_reference``, ``mixed_integral_reference``), and with no
+    normal, completion, functional or ``_top`` on the way."""
+
+    SHAPES = ("one point", "two points", "shared bases", "any")
+
+    def line_bases(self, rng, shape):
+        if shape == "one point":
+            return [[(rng.randint(-3, 3),)], [(x,) for x in rng.sample(range(-3, 4), rng.randint(1, 4))]][:: rng.choice((1, -1))]
+        if shape == "two points":
+            return [[(x,) for x in rng.sample(range(-3, 4), 2)] for _ in range(2)]
+        if shape == "shared bases":  # one base list, a base repeated with its own coefficient
+            bases = [(x,) for x in rng.sample(range(-3, 4), rng.randint(2, 4))]
+            return [bases + [rng.choice(bases)], list(bases)]
+        return [[(rng.randint(-3, 3),) for _ in range(rng.randint(1, 5))] for _ in range(2)]
+
+    @pytest.mark.parametrize("style", ["units", "prime powers", "semiprimes"])
+    def test_line_integrals_at_every_place(self, style):
+        from test_places import place_coeff
+
+        from toricheight.geomkernel import _decode
+        from toricheight.mixed import _mixed_integral
+        from toricheight.toric import _over_places
+
+        rng = random.Random(f"line base case {style}")
+        places = 0
+        for draw in range(40):
+            bases = self.line_bases(rng, self.SHAPES[draw % len(self.SHAPES)])
+            coefficients = [[place_coeff(rng, style) for _ in b] for b in bases]
+
+            def local(*weights):  # as ``multiheight`` reads each place, on any exponents
+                primes = weights[0][1]
+                maps = [_envelope_map([(*x, *t) for x, t in zip(b, rows)], primes) for b, (rows, _) in zip(bases, weights)]
+                return _decode(_mixed_integral(maps, primes), 1, primes)
+
+            per, total = _over_places(coefficients, local)
+            reference = lambda *ws: mixed_integral_reference([envelope_values_reference(list(zip(b, w))) for b, w in zip(bases, ws)])
+            ref_per, ref_total = over_places_reference(coefficients, reference)
+            assert same(total, ref_total) and len(per) == len(ref_per)
+            assert all(v == u and same(x, y) for (v, x), (u, y) in zip(per, ref_per))
+            places += len(per)
+        assert places >= (40 if style == "units" else 120)  # units: the archimedean place alone
+
+    def test_line_volumes(self):
+        rng = random.Random("line base case volumes")
+        for _ in range(40):
+            points = [(F(rng.randint(-6, 6), rng.choice((1, 2, 3))),) for _ in range(rng.randint(1, 4))]
+            P = convex_hull(points)
+            assert same(mixed_volume([P]), Fraction(mixed_volume_reference([list(P.vertices)])))
+        assert mixed_volume([convex_hull([(F(-1, 2),), (F(7, 3),)])]) == F(17, 6)
+
+    def test_no_normal_completion_or_top_over_a_line(self, monkeypatch):
+        import toricheight.mixed as mixed
+
+        rng = random.Random("line base case work")
+        cases = []
+        for draw in range(40):
+            bases = self.line_bases(rng, self.SHAPES[draw % len(self.SHAPES)])
+            lifts = [[rng.randint(-5, 5) if draw % 2 else rng.randint(-2, 2) * log2 + rng.randint(-1, 1) * log3 for _ in b] for b in bases]
+            sets, primes, scale = mixed._joint([[(*x, t) for x, t in zip(b, w)] for b, w in zip(bases, lifts)])
+            maps = [_envelope_map(s, primes, scale) for s in sets]
+            cases.append((maps, primes, mixed._mixed_integral(maps, primes)))
+        fail = lambda *args: pytest.fail("a facet-recursion step over a line")
+        for name in ("_sum_normals", "_complement", "_top", "_face", "_project", "_graph_simplices"):
+            monkeypatch.setattr(mixed, name, fail)
+        calls, recursion = [], mixed._mixed_integral
+        monkeypatch.setattr(mixed, "_mixed_integral", lambda *args: calls.append(1) or recursion(*args))
+        sign = mixed._sign
+        for maps, primes, expected in cases:
+            monkeypatch.setattr(mixed, "_sign", sign if primes else fail)  # integers compare as integers
+            calls.clear()
+            assert mixed._mixed_integral(maps, primes) == expected and calls == [1]
+        assert {bool(primes) for _, primes, _ in cases} == {False, True}
+
+
 class TestMixedVolume:
     def test_diagonal_identity(self):
         rng = random.Random(3)
@@ -646,6 +724,13 @@ class TestMixedIntegral:
         with pytest.raises(ValueError):
             mixed_integral([rand_roof(random.Random(1)), rand_roof(random.Random(2), n=2)])
 
+    def test_empty_family(self):
+        # both routes refuse an empty family alike
+        for call in (lambda: mixed_integral([]), lambda: mixed_integral_via_mv([], [])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError and str(info.value) == "need at least one roof"
+
     def test_count_error_names_what_was_given(self):
         # three roofs over a line are not told that they need a 2-D base
         line = roof_from_weight([(0,), (1,)], [0, 1])
@@ -717,6 +802,13 @@ class TestMultiChow:
             # with an all-ones slot and a zero slot the weight reduces to the
             # length of the second polytope
             assert val == volume(convex_hull([tuple(map(F, e)) for e in b_exps]))
+
+    def test_empty_exponent_list(self):
+        for call in (lambda: multi_chow_weight([([], [])]), lambda: multi_chow_weight([([(0,), (1,)], [0, 1]), ([], [])]),
+                     lambda: chow_weight([], [])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError and str(info.value) == "the exponent list is empty"
 
     def test_lattice_check(self):
         with pytest.raises(LatticeHypothesisError):

@@ -587,6 +587,21 @@ class TestPlaceLoopWork:
             assert (roof_integral(roof), roof.cells) == (integral, cells)
         assert rows == []
 
+    def test_finite_line_places_take_no_sign(self, monkeypatch):
+        # over a line a finite place's lifts are single integers: its chains
+        # and its mixed integrals compare them as integers, with no sign
+        rng = random.Random(271)
+        families = [place_family(rng, 1, style) for style in ("prime powers", "semiprimes", "mixed") for _ in range(3)]
+        run = lambda: [(normalized_height(f.members[0]), multiheight(f)) for f in families]
+        expected = run()
+        signs, real = [], toricheight.geomkernel._sign
+        sign = lambda row, primes: signs.append(primes) or real(row, primes)
+        for module in (toricheight.geomkernel, toricheight.mixed):
+            monkeypatch.setattr(module, "_sign", sign)
+        assert run() == expected
+        assert signs and all(signs)  # every sign taken at the archimedean place
+        assert sum(len(h.per_place) for h, _ in expected) > 2 * len(families)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_finite_member_maps_are_ints(self, monkeypatch, n):
         rng = random.Random(263 + n)

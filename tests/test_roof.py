@@ -309,18 +309,18 @@ def seeded_generators(rng, n):
 def made(monkeypatch):
     """Counts of the upper envelopes and affine cells made from here on."""
     counts = {"envelopes": 0, "cells": 0}
-    envelope, init = geomkernel.upper_envelope, AffineCell.__init__
+    envelope, init = geomkernel._envelope_cells, AffineCell.__init__
 
-    def counted_envelope(points):
+    def counted_envelope(gens):
         counts["envelopes"] += 1
-        return envelope(points)
+        return envelope(gens)
 
     def counted_init(cell, *args):
         counts["cells"] += 1
         init(cell, *args)
 
-    for module in (geomkernel, roof):
-        monkeypatch.setattr(module, "upper_envelope", counted_envelope)
+    for module in (geomkernel, roof):  # public envelopes and lazy cells alike
+        monkeypatch.setattr(module, "_envelope_cells", counted_envelope)
     monkeypatch.setattr(AffineCell, "__init__", counted_init)
     return counts
 
@@ -375,6 +375,25 @@ class TestCellsOnFirstRead:
             for _ in range(20):
                 gens = seeded_generators(rng, n)
                 cells, expected = roof_from_generators(gens).cells, upper_envelope(gens)
+                assert cells == tuple(expected)
+                for c, e in zip(cells, expected):
+                    assert [(x, type(x)) for x in (*c.points, c.gradient, c.offset, c.integral)] == [
+                        (x, type(x)) for x in (*e.points, e.gradient, e.offset, e.integral)]
+
+    def test_one_normalization_per_roof(self, monkeypatch):
+        # the lazy cells are built from the exact generators, not normalized again
+        rng = random.Random(231)
+        exact, runs = geomkernel._exact_pairs, []
+        for module in (roof, geomkernel):
+            monkeypatch.setattr(module, "_exact_pairs", lambda points: runs.append(1) or exact(points))
+        for n in (1, 2, 3):
+            for _ in range(10):
+                runs.clear()
+                f = roof_from_generators(seeded_generators(rng, n))
+                roof_integral(f)
+                f.vertex_values()
+                assert len(runs) == 1
+                cells, expected = f.cells, upper_envelope(f.generators)
                 assert cells == tuple(expected)
                 for c, e in zip(cells, expected):
                     assert [(x, type(x)) for x in (*c.points, c.gradient, c.offset, c.integral)] == [
